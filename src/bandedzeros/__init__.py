@@ -15,17 +15,11 @@ from .measures import (
     ArcsineLaw,
     ArcsineMixture,
     AtomicMeasure,
-    KVAMixture,
     MarchenkoPasturLaw,
     MomentSequence,
     SemicircleLaw,
-    arcsine_moment,
-    density_eval,
     kva_moment,
-    mixture_moment,
     moment_sequence,
-    mp_moment,
-    semicircle_moment,
 )
 from .recurrence import (
     CLASSICAL_ENSEMBLES,
@@ -46,7 +40,7 @@ from .bandop import (
     window_max,
     zero_moment_trace,
 )
-from .paths import Constraint, LatticePathQuery, kernel_name, lattice_sum
+from .paths import Constraint, kernel_name, lattice_sum
 from .zeros import (
     SpectralMeasure,
     charpoly_eval,

@@ -29,14 +29,8 @@ __all__ = [
     "MarchenkoPasturLaw",
     "AtomicMeasure",
     "ArcsineMixture",
-    "KVAMixture",
-    "arcsine_moment",
-    "semicircle_moment",
-    "mp_moment",
-    "mixture_moment",
     "kva_moment",
     "moment_sequence",
-    "density_eval",
 ]
 
 
@@ -288,31 +282,10 @@ class ArcsineMixture:
         return []
 
 
-def arcsine_moment(alpha, beta, ell: int):
-    """Moment of the equilibrium law of [alpha, beta]."""
-    return ArcsineLaw(alpha, beta).moment(ell)
-
-
-def semicircle_moment(ell: int):
-    """Moment of the semicircle law (Catalan numbers at even orders)."""
-    return SemicircleLaw().moment(ell)
-
-
-def mp_moment(alpha, ell: int):
-    """Moment of the Marchenko-Pastur law of rate alpha (atom included)."""
-    return MarchenkoPasturLaw(alpha).moment(ell)
-
-
-def mixture_moment(mixture: ArcsineMixture, ell: int) -> float:
-    """Moment of an arcsine mixture."""
-    return mixture.moment(ell)
-
-
 def kva_moment(mixture: ArcsineMixture, ell: int) -> float:
     """Moment of the limiting zero law built from coefficient profiles.
 
-    Alias of ``mixture_moment``; the name matches the CLI subcommand
-    that emits these limits.
+    The name matches the CLI subcommand that emits these limits.
     """
     return mixture.moment(ell)
 
@@ -321,18 +294,3 @@ def moment_sequence(law, order: int) -> MomentSequence:
     """Moments 0..order of any law exposing ``moment(ell)``."""
     return MomentSequence(tuple(law.moment(ell) for ell in range(order + 1)))
 
-
-KVAMixture = ArcsineMixture
-
-
-def density_eval(law, x, epsilon: float = 1e-9) -> float:
-    """Absolutely continuous density of ``law`` at ``x``.
-
-    Atoms are never smoothed into the returned value (``epsilon`` is
-    accepted for interface compatibility with smoothing consumers but
-    does not alter the density); query ``law.atoms()`` for the singular
-    part.
-    """
-    if epsilon <= 0:
-        raise ValueError("need epsilon > 0")
-    return law.density(x)

@@ -3,11 +3,12 @@
 The recurrence graph has vertices (n, k) and edges (n, k) -> (n+1, m)
 for k - down_band <= m <= k + up_band with weight entry(m, k, N).  The
 trace statistics of ``bandop`` equal sums over closed walks on that
-graph, which this module evaluates by direct depth-first enumeration,
-never forming a matrix.  The two routes are developed independently and
-compared in the tests.
+graph, which this module evaluates by a forward walk count: for every
+starting ordinate it carries the total weight of the walks ending at
+each ordinate, one step at a time, never forming a matrix.  The two
+routes are developed independently and compared in the tests.
 
-Constraints on the enumerated paths:
+Constraints on the counted paths:
 
 - Constraint.NONE          all closed paths of the given length;
   divided by N this is the mean empirical moment.
@@ -15,30 +16,18 @@ Constraints on the enumerated paths:
   divided by N this is the zero-distribution moment.
 - Constraint.MIDPOINT_AT_OR_ABOVE  closed paths of length 2 ell whose
   midpoint ordinate is >= N; divided by N^2 this is the variance.
-
-The kernel is compiled (Cython) when available, with a pure-Python
-fallback selected at import time; both traverse identically and return
-bit-identical sums.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OracleScaleError
 from .recurrence import RecurrenceScheme
 
-try:
-    from . import _pathkernel as _kernel
-except ImportError:  # compiled extension unavailable
-    from . import _pathkernel_py as _kernel
-
-from . import _pathkernel_py
-
-__all__ = ["Constraint", "LatticePathQuery", "lattice_sum", "kernel_name"]
+__all__ = ["Constraint", "lattice_sum", "kernel_name"]
 
 MAX_ELL = 8
 MAX_N = 64
@@ -52,30 +41,9 @@ class Constraint(enum.Enum):
     MIDPOINT_AT_OR_ABOVE = "midpoint-at-or-above"
 
 
-@dataclass(frozen=True)
-class LatticePathQuery:
-    """A single oracle request: closed paths of length ell (2 ell for
-    the midpoint constraint) at truncation rank N."""
-
-    N: int
-    ell: int
-    constraint: Constraint = Constraint.NONE
-    start_range: tuple = None
-
-    def run(self, scheme, force_python: bool = False) -> float:
-        return lattice_sum(
-            scheme,
-            self.N,
-            self.ell,
-            self.constraint,
-            start_range=self.start_range,
-            force_python=force_python,
-        )
-
-
 def kernel_name() -> str:
-    """Which path kernel is active ("compiled" or "python")."""
-    return "compiled" if _kernel.COMPILED else "python"
+    """Name of the path evaluator, recorded in benchmark metadata."""
+    return "python"
 
 
 def _weight_table(scheme: RecurrenceScheme, N: int, length: int) -> np.ndarray:
@@ -90,13 +58,32 @@ def _weight_table(scheme: RecurrenceScheme, N: int, length: int) -> np.ndarray:
     return table
 
 
+def _closed_walk_sum(table, down_band, starts, length, width, N, mid):
+    """Total weight of the walks of ``length`` steps from each start back
+    to itself on ordinates [0, width); a step y -> y - down_band + j has
+    weight table[y, j].  When ``mid`` is given, walks must sit at an
+    ordinate >= N after ``mid`` steps."""
+    own = np.arange(len(starts))
+    walks = np.zeros((len(starts), width))
+    walks[own, starts] = 1.0
+    for step in range(length + 1):
+        if step:
+            # column c of ``spread`` holds ordinate c - down_band
+            spread = np.zeros((len(starts), width + table.shape[1] - 1))
+            for j in range(table.shape[1]):
+                spread[:, j : j + width] += walks * table[:width, j]
+            walks = spread[:, down_band : down_band + width]
+        if step == mid:
+            walks[:, :N] = 0.0
+    return walks[own, starts].sum()
+
+
 def lattice_sum(
     scheme: RecurrenceScheme,
     N: int,
     ell: int,
     constraint: Constraint = Constraint.NONE,
     start_range=None,
-    force_python: bool = False,
 ) -> float:
     """Normalised weighted path count for the given constraint.
 
@@ -107,14 +94,11 @@ def lattice_sum(
         Truncation rank (enters the weights and the constraints).
     ell : int
         Moment order; paths have length ell, or 2 ell for the midpoint
-        constraint.  Enumeration scale is capped at ell <= 8, N <= 64.
+        constraint.  The oracle's scale is capped at ell <= 8, N <= 64.
     constraint : Constraint
     start_range : (int, int), optional
         Half-open range of starting ordinates; defaults to [0, N).
         Useful for locating which starts contribute.
-    force_python : bool
-        Use the pure-Python kernel even when the compiled one is
-        available (the two agree bit-for-bit).
 
     Returns
     -------
@@ -131,22 +115,19 @@ def lattice_sum(
         raise OracleScaleError("need N >= 1")
     constraint = Constraint(constraint)
     if constraint is Constraint.MIDPOINT_AT_OR_ABOVE:
-        length = 2 * ell
-        mode, mid = 2, ell
-        norm = N * N
+        length, mid, norm = 2 * ell, ell, N * N
     else:
-        length = ell
-        mode, mid = (1, 0) if constraint is Constraint.STAY_BELOW else (0, 0)
-        norm = N
+        length, mid, norm = ell, None, N
     if start_range is None:
         start_lo, start_hi = 0, N
     else:
         start_lo, start_hi = start_range
         if not (0 <= start_lo <= start_hi <= N):
             raise OracleScaleError(f"start range must lie in [0, {N}], got {start_range}")
-    table = np.ascontiguousarray(_weight_table(scheme, N, length))
-    kernel = _pathkernel_py if force_python else _kernel
-    total = kernel.path_sum(
-        table, N, length, start_lo, start_hi, scheme.down_band, scheme.up_band, mode, mid
-    )
-    return total / norm
+    table = _weight_table(scheme, N, length)
+    # walks that stay below N never need ordinates >= N; the others
+    # reach at most N - 1 + up_band * length, inside the table
+    width = N if constraint is Constraint.STAY_BELOW else len(table)
+    starts = np.arange(start_lo, start_hi)
+    total = _closed_walk_sum(table, scheme.down_band, starts, length, width, N, mid)
+    return float(total) / norm

@@ -11,17 +11,11 @@ from bandedzeros.measures import (
     ArcsineLaw,
     ArcsineMixture,
     AtomicMeasure,
-    KVAMixture,
     MarchenkoPasturLaw,
     MomentSequence,
     SemicircleLaw,
-    arcsine_moment,
-    density_eval,
     kva_moment,
-    mixture_moment,
     moment_sequence,
-    mp_moment,
-    semicircle_moment,
 )
 
 
@@ -35,12 +29,12 @@ def quad_moment(law, ell, lo, hi):
 
 
 def test_arcsine_point_mass():
-    assert arcsine_moment(3, 3, 5) == 243
+    assert ArcsineLaw(3, 3).moment(5) == 243
 
 
 def test_arcsine_symmetric_values():
-    assert arcsine_moment(-2, 2, 1) == 0
-    assert arcsine_moment(-2, 2, 2) == 2
+    assert ArcsineLaw(-2, 2).moment(1) == 0
+    assert ArcsineLaw(-2, 2).moment(2) == 2
 
 
 def test_arcsine_against_quadrature():
@@ -62,11 +56,12 @@ def test_arcsine_odd_moments_vanish_when_symmetric():
 
 
 def test_semicircle_moments_are_catalan():
-    assert semicircle_moment(0) == 1
-    assert semicircle_moment(2) == 1
-    assert semicircle_moment(4) == 2
-    assert semicircle_moment(6) == 5
-    assert semicircle_moment(3) == 0
+    law = SemicircleLaw()
+    assert law.moment(0) == 1
+    assert law.moment(2) == 1
+    assert law.moment(4) == 2
+    assert law.moment(6) == 5
+    assert law.moment(3) == 0
 
 
 def test_semicircle_against_quadrature():
@@ -77,14 +72,14 @@ def test_semicircle_against_quadrature():
 
 
 def test_mp_moments():
-    assert mp_moment(1, 2) == 2
-    assert mp_moment(1, 3) == 5
-    assert mp_moment(0, 3) == 0
+    assert MarchenkoPasturLaw(1).moment(2) == 2
+    assert MarchenkoPasturLaw(1).moment(3) == 5
+    assert MarchenkoPasturLaw(0).moment(3) == 0
 
 
 def test_mp_first_moment_is_rate():
     for alpha in (0.25, 1, 2, 3.5):
-        assert float(mp_moment(alpha, 1)) == pytest.approx(alpha, rel=1e-14)
+        assert float(MarchenkoPasturLaw(alpha).moment(1)) == pytest.approx(alpha, rel=1e-14)
 
 
 def test_mp_against_quadrature():
@@ -124,30 +119,19 @@ def test_kva_point_profile():
     assert kva_moment(mix, 1) == pytest.approx(1.5, abs=1e-13)
 
 
-def test_kva_alias_names():
-    assert KVAMixture is ArcsineMixture
-    mix = ArcsineMixture(lambda s: math.sqrt(s), lambda s: 0.0)
-    assert kva_moment(mix, 3) == mixture_moment(mix, 3)
-
-
 def test_mixture_rejects_bad_order():
     with pytest.raises(ValueError):
         ArcsineMixture(lambda s: 1.0, lambda s: 0.0, order=0)
 
 
 def test_density_eval_values():
-    assert density_eval(SemicircleLaw(), 0.0) == pytest.approx(1 / math.pi, rel=1e-14)
-    assert density_eval(ArcsineLaw(-2, 2), 0.0) == pytest.approx(
-        1 / (2 * math.pi), rel=1e-14
-    )
-    assert density_eval(MarchenkoPasturLaw(1.0), 4.5) == 0.0
+    assert SemicircleLaw().density(0.0) == pytest.approx(1 / math.pi, rel=1e-14)
+    assert ArcsineLaw(-2, 2).density(0.0) == pytest.approx(1 / (2 * math.pi), rel=1e-14)
+    assert MarchenkoPasturLaw(1.0).density(4.5) == 0.0
 
 
 def test_density_eval_never_smooths_atoms():
-    law = MarchenkoPasturLaw(0.25)
-    assert density_eval(law, 0.0, epsilon=1e-3) == 0.0
-    with pytest.raises(ValueError):
-        density_eval(law, 0.0, epsilon=0.0)
+    assert MarchenkoPasturLaw(0.25).density(0.0) == 0.0
 
 
 def test_atomic_measure_moments_exact():
