@@ -23,7 +23,6 @@ from the boundary values at x + i eps.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -340,35 +339,39 @@ def _validate_curve_inputs(q, a):
     return vals[: len(q)], vals[len(q) :], exact
 
 
-def curve_hermite(q, a, repeat_outer_index: bool = False) -> AlgebraicCurve:
+def _curve_from_factors(q, factors, radius_hint: float) -> AlgebraicCurve:
+    """P(z, w) = w prod_i f_i - sum_i q_i prod_{j != i} f_j for the
+    bivariate factors f_i."""
+    one = q[0] / q[0]
+    poly = {(0, 1): one}
+    for f in factors:
+        poly = _bp_mul(poly, f)
+    for i, qi in enumerate(q):
+        term = {(0, 0): one}
+        for j, f in enumerate(factors):
+            if j != i:
+                term = _bp_mul(term, f)
+        poly = _bp_add(poly, _bp_scale(term, -qi))
+    return _curve_from_dict(poly, radius_hint)
+
+
+def curve_hermite(q, a) -> AlgebraicCurve:
     """Spectral curve of the semicircle law shifted by atoms at a_i with
     weights q_i (additive free convolution).
 
-    P(z, w) = w prod_i (z - w - a_i) - sum_i q_i prod_{j != i} (z - w - a_j).
+    P(z, w) = w prod_i (z - w - a_i) - sum_i q_i prod_{j != i} (z - w - a_j),
 
-    ``repeat_outer_index=True`` switches the inner products to the outer
-    index i (the readings differ for r >= 2; the default is the one the
-    subordination fixed point w = sum_i q_i / (z - w - a_i) produces).
+    the polynomial the subordination fixed point
+    w = sum_i q_i / (z - w - a_i) produces.
     """
     q, a, _ = _validate_curve_inputs(q, a)
     one = q[0] / q[0]
     factors = [{(1, 0): one, (0, 1): -one, (0, 0): -ai} for ai in a]
-    lead = {(0, 1): one}
-    for f in factors:
-        lead = _bp_mul(lead, f)
-    poly = lead
-    for i, qi in enumerate(q):
-        term = {(0, 0): one}
-        for j in range(len(a)):
-            if j == i:
-                continue
-            term = _bp_mul(term, factors[i] if repeat_outer_index else factors[j])
-        poly = _bp_add(poly, _bp_scale(term, -qi))
     hint = 2.0 + max(abs(float(x)) for x in a) + 1.0
-    return _curve_from_dict(poly, hint)
+    return _curve_from_factors(q, factors, hint)
 
 
-def curve_laguerre(q, a, alpha, repeat_outer_index: bool = False) -> AlgebraicCurve:
+def curve_laguerre(q, a, alpha) -> AlgebraicCurve:
     """Spectral curve of the exponential-weight family: atoms 1/a_i with
     weights q_i composed multiplicatively with the exponent-alpha law.
 
@@ -386,20 +389,9 @@ def curve_laguerre(q, a, alpha, repeat_outer_index: bool = False) -> AlgebraicCu
         {(1, 0): one, (0, 0): -(one - alpha) / ai, (1, 1): -(alpha * one) / ai}
         for ai in a
     ]
-    lead = {(0, 1): one}
-    for f in factors:
-        lead = _bp_mul(lead, f)
-    poly = lead
-    for i, qi in enumerate(q):
-        term = {(0, 0): one}
-        for j in range(len(a)):
-            if j == i:
-                continue
-            term = _bp_mul(term, factors[i] if repeat_outer_index else factors[j])
-        poly = _bp_add(poly, _bp_scale(term, -qi))
     top = max(1.0 / float(x) for x in a)
     hint = (1.0 + math.sqrt(float(alpha))) ** 2 * top + top + 1.0
-    return _curve_from_dict(poly, hint)
+    return _curve_from_factors(q, factors, hint)
 
 
 def _roots_at(curve: AlgebraicCurve, z: complex) -> np.ndarray:

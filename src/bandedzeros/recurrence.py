@@ -16,7 +16,7 @@ build the limiting arcsine mixture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ConfigError, SchemeError

@@ -2,9 +2,16 @@
 
 The zeros of the average characteristic polynomial at rank N are the
 eigenvalues of the principal N x N block pi_N T pi_N.  Symmetric
-tridiagonal blocks go through the specialised LAPACK solver; everything
-else through the general eigenvalue solver.  Eigenvalues are reported
-sorted by real part, then imaginary part.
+tridiagonal blocks go through the specialised LAPACK solver; blocks
+with one superdiagonal band get balanced eigenvalue estimates polished
+by Aberth iteration; everything else goes through the general
+eigenvalue solver.  Eigenvalues are reported sorted by real part, then
+imaginary part.
+
+One banded leading-minor recurrence (``_charpoly``) evaluates the
+characteristic polynomial and its derivative, vectorised over points
+with power-of-two rescaling; the root polish and ``charpoly_eval`` both
+run on it.
 
 Moments of the zero distribution are averages of Re(z^ell); the
 imaginary residual |mean Im(z^ell)| is surfaced alongside rather than
@@ -67,57 +74,65 @@ def _balanced_eigvals(block: np.ndarray) -> np.ndarray:
     return scipy.linalg.eigvals((d[:, None] * block) / d[None, :])
 
 
-def _charpoly_pair(T: np.ndarray, N: int, R: int, zs: np.ndarray):
-    """(p, p')(z) for p(z) = det(z - T_N), vectorised over ``zs``.
+def _charpoly(op: BandedOperator, zs):
+    """(p, dp, exponent) with det(z - pi_N T pi_N) = p * 2**exponent and
+    its z-derivative dp * 2**exponent, vectorised over the points ``zs``.
 
-    Same minor recurrence as ``charpoly_eval`` run jointly with its
-    z-derivative.  Both values carry a common per-point normalisation
-    (dropped), so only their ratio is meaningful to callers.
+    Leading principal minors of (z I - T).  Expanding along the last
+    row, the (-1)^(j-i) cofactor sign cancels against the negated
+    subdiagonal entries of (z I - T), leaving
+      d_j = (z - T[j,j]) d_{j-1}
+            - sum_i T[i,j] (prod_{t=i}^{j-1} T[t+1,t]) d_{i-1}
+    with i ranging over the upper band j-R <= i <= j-1, and the same
+    recurrence differentiated for d_j'.  Only the last R+2 minors are
+    kept (d_k in row (k+1) mod (R+2)).  A point's minors are multiplied
+    by 2**-512 or 2**512 only when its window leaves [2**-512, 2**512];
+    power-of-two scaling rounds nothing.
     """
-    m = len(zs)
-    win = [np.zeros(m, dtype=complex) for _ in range(R + 2)]
-    dwin = [np.zeros(m, dtype=complex) for _ in range(R + 2)]
-    win[-1][:] = 1.0
-    for j in range(N):
+    T = op.matrix
+    R = op.scheme.down_band
+    zs = np.asarray(zs, dtype=complex)
+    width = R + 2
+    win = np.zeros((width, len(zs)), dtype=complex)
+    dwin = np.zeros_like(win)
+    win[0] = 1.0  # d_{-1}
+    exponent = np.zeros(len(zs), dtype=int)
+    for j in range(op.N):
+        prev = j % width
         shift = zs - T[j, j]
-        val = shift * win[-1]
-        dval = win[-1] + shift * dwin[-1]
+        val = shift * win[prev]
+        dval = win[prev] + shift * dwin[prev]
         sub_prod = 1.0
-        for back in range(1, R + 1):
-            i = j - back
-            if i < 0:
-                break
+        for i in range(j - 1, max(j - R, 0) - 1, -1):
             sub_prod *= T[i + 1, i]
-            c = T[i, j]
-            if c != 0.0:
-                val -= c * sub_prod * win[-1 - back]
-                dval -= c * sub_prod * dwin[-1 - back]
-        win = win[1:] + [val]
-        dwin = dwin[1:] + [dval]
-        scale = np.abs(win[-1])
-        for w in win[:-1]:
-            np.maximum(scale, np.abs(w), out=scale)
-        for w in dwin:
-            np.maximum(scale, np.abs(w), out=scale)
-        np.maximum(scale, 2.0**-512, out=scale)
-        for w in win:
-            w /= scale
-        for w in dwin:
-            w /= scale
-    return win[-1], dwin[-1]
+            if T[i, j] != 0.0:
+                c = T[i, j] * sub_prod
+                val -= c * win[i % width]
+                dval -= c * dwin[i % width]
+        win[(j + 1) % width] = val
+        dwin[(j + 1) % width] = dval
+        scale = np.abs(win).max(axis=0)
+        shifts = np.where(scale > 2.0**512, -512, 0)
+        shifts[(scale > 0.0) & (scale < 2.0**-512)] = 512
+        if shifts.any():
+            factor = np.ldexp(1.0, shifts)
+            win *= factor
+            dwin *= factor
+            exponent -= shifts
+    return win[op.N % width], dwin[op.N % width], exponent
 
 
 def _polish_roots(op: BandedOperator, guesses: np.ndarray) -> np.ndarray:
     """Simultaneous Newton (Aberth) iteration on the characteristic
     polynomial, starting from eigenvalue estimates.
 
-    The iteration runs in the complex plane with no reality constraint:
-    spectra that are genuinely complex stay complex, while real zeros
-    are resolved to full precision even when the eigensolver could not.
+    Each sweep evaluates p and p' at every iterate with ``_charpoly``;
+    only the Newton ratio p/p' enters the step, so the common power-of-two
+    exponent is dropped.  The iteration runs in the complex plane with no
+    reality constraint: spectra that are genuinely complex stay complex,
+    while real zeros are resolved to full precision even when the
+    eigensolver could not.
     """
-    T = op.matrix
-    N = op.N
-    R = op.scheme.down_band
     z = np.array(guesses, dtype=complex)
     # Aberth needs pairwise-distinct iterates.
     span = max(1.0, float(np.max(np.abs(z))))
@@ -127,7 +142,7 @@ def _polish_roots(op: BandedOperator, guesses: np.ndarray) -> np.ndarray:
             z[b] += 1e-9 * span * (1.0 + 1.0j)
     last = math.inf
     for _ in range(80):
-        v, dv = _charpoly_pair(T, N, R, z)
+        v, dv = _charpoly(op, z)[:2]
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         # keep the repulsion finite when iterates collide (which happens
@@ -219,52 +234,19 @@ def reality_check(measure: SpectralMeasure, tol: float = 1e-8):
 def charpoly_eval(op: BandedOperator, z) -> complex:
     """det(z - pi_N T pi_N) by the banded Hessenberg recurrence.
 
-    Runs in O(N * down_band) with power-of-two rescaling of the
-    determinant iterates.  If the final value exceeds the double range
-    the ``CharpolyOverflow`` error carries the scaled log-determinant
+    One point through ``_charpoly`` (the recurrence the root polish
+    uses), O(N * down_band).  If the value exceeds the double range the
+    ``CharpolyOverflow`` error carries the scaled log-determinant
     (log-magnitude and phase).
     """
-    scheme = op.scheme
-    if scheme.up_band != 1:
+    if op.scheme.up_band != 1:
         raise SchemeError("determinant recurrence needs a single superdiagonal band")
-    N = op.N
-    T = op.matrix
-    R = scheme.down_band
-    z = complex(z)
-
-    # Leading principal minors of (z I - T).  Expanding along the last
-    # row, the (-1)^(j-i) cofactor sign cancels against the negated
-    # subdiagonal entries of (z I - T), leaving
-    #   d_j = (z - T[j,j]) d_{j-1}
-    #         - sum_i T[i,j] (prod_{t=i}^{j-1} T[t+1,t]) d_{i-1}
-    # with i ranging over the upper band j-R <= i <= j-1.  Only the last
-    # R+2 minors are retained, rescaled by powers of two as they grow.
-    win = [complex(1.0)]  # d_{-1}
-    exponent = 0
-    for j in range(N):
-        val = (z - T[j, j]) * win[-1]
-        sub_prod = 1.0
-        for back in range(1, R + 1):
-            i = j - back
-            if i < 0:
-                break
-            sub_prod *= T[i + 1, i]
-            if T[i, j] != 0.0:
-                val -= T[i, j] * sub_prod * win[len(win) - 1 - back]
-        win.append(val)
-        if len(win) > R + 2:
-            win.pop(0)
-        scale = max(abs(d) for d in win)
-        if scale > 2.0**512:
-            win = [d * 2.0**-512 for d in win]
-            exponent += 512
-        elif 0.0 < scale < 2.0**-512:
-            win = [d * 2.0**512 for d in win]
-            exponent -= 512
-    result = win[-1]
+    p, _, exponent = _charpoly(op, [complex(z)])
+    result = complex(p[0])
+    exponent = int(exponent[0])
     if result == 0.0:
         return complex(0.0)
     log_abs = math.log(abs(result)) + exponent * math.log(2.0)
     if log_abs > 709.0:  # exceeds double range after unscaling
         raise CharpolyOverflow(log_abs, cmath.phase(result))
-    return result * 2.0**exponent
+    return complex(math.ldexp(result.real, exponent), math.ldexp(result.imag, exponent))

@@ -418,26 +418,6 @@ def test_laguerre_curve_agrees_with_series(q, a, alpha):
     assert np.allclose(numeric, series, atol=1e-8)
 
 
-def test_verbatim_index_reading_disagrees():
-    # the alternative reading of the inner product (outer index repeated)
-    # is kept available but does not reproduce the convolution moments;
-    # equal weights would make the two readings coincide, so skew them
-    q = (Fraction(1, 4), Fraction(3, 4))
-    a = (1, -1)
-    default = curve_hermite(q, a)
-    outer = curve_hermite(q, a, repeat_outer_index=True)
-    assert default.table != outer.table
-    series = [float(v) for v in free_add(SC, AtomicMeasure(list(zip(a, q))), 4).values]
-    got = curve_moments(outer, 4).floats()
-    # for r = 2 the re-indexing amounts to swapping the weights, which
-    # flips the sign of the odd moments
-    assert abs(got[1] - series[1]) > 1e-3
-    # r = 1 has no inner product to re-index, so both readings coincide
-    assert curve_hermite((1,), (0,), repeat_outer_index=True).table == curve_hermite(
-        (1,), (0,)
-    ).table
-
-
 def test_curve_moments_rejects_negative_order():
     with pytest.raises(ValueError):
         curve_moments(curve_hermite((1,), (0,)), -1)

@@ -20,6 +20,7 @@ from bandedzeros.zeros import (
 GUE = classical_scheme("gue")
 MH = mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
 ML = mop_scheme("multiple-laguerre", a=(1.0, 2.0), q=(0.5, 0.5), alpha=1.0)
+MH3 = mop_scheme("multiple-hermite", a=(1.0, 0.0, -1.0), q=(1 / 3,) * 3)
 
 
 def rotation_scheme():
@@ -161,6 +162,19 @@ def test_charpoly_equals_eigenvalue_product():
     target = np.prod([z - p for p in pts])
     assert charpoly_eval(op, z) == pytest.approx(float(target.real), rel=1e-10)
 
+    # log|p| = 414 > 512 log 2, so the recurrence rescales part-way
+    op = build_truncation(GUE, 400, 0)
+    pts = spectrum(op).points.real
+    val = charpoly_eval(op, 3.0)
+    assert val.real > 0.0
+    assert math.log(abs(val)) == pytest.approx(np.log(3.0 - pts).sum(), rel=1e-10)
+
+    # three weights: down_band = 3, complex argument
+    op = build_truncation(MH3, 42, 0)
+    z = 0.3 + 0.7j
+    target = np.prod(z - np.linalg.eigvals(op.block()))
+    assert charpoly_eval(op, z) == pytest.approx(target, rel=1e-10)
+
 
 def test_charpoly_vanishes_at_eigenvalues():
     for scheme, n in ((GUE, 40), (MH, 40)):
@@ -180,6 +194,26 @@ def test_charpoly_overflow_reports_scaled_log():
     err = info.value
     assert err.log_abs == pytest.approx(64 * math.log(1e9), rel=1e-3)
     assert err.phase == pytest.approx(0.0, abs=1e-12)
+
+
+def test_charpoly_unscales_in_range_values_past_two_to_1024():
+    # diagonal 100 then 0.01: the scaled exponent climbs past 1024
+    # before the small tail brings log|p(0)| back to about 460
+    def entry(m, k, N):
+        if m == k:
+            return 100.0 if k < 160 else 0.01
+        return 1e-3
+
+    scheme = RecurrenceScheme(
+        name="step-diagonal", params={}, down_band=1, up_band=1,
+        entry_fn=entry, symmetric=True,
+    )
+    op = build_truncation(scheme, 220, 0)
+    val = charpoly_eval(op, 0.0)
+    sign, log_abs = np.linalg.slogdet(-op.block())
+    assert val.imag == 0.0
+    assert np.sign(val.real) == sign
+    assert math.log(abs(val)) == pytest.approx(log_abs, rel=1e-10)
 
 
 def test_spectrum_sorted_by_real_then_imaginary():
