@@ -1,11 +1,13 @@
-"""Finite truncations of the recurrence operator and trace statistics.
+"""Banded truncations of the recurrence operator and trace statistics.
 
-For a scheme with band widths (down_band, up_band) the operator matrix
-T[m, k] = entry(m, k, N) is stored on a square truncation of size
-N + up_band * ell_max.  That padding makes every trace below exact:
-a product of ell band steps starting below index N never reaches the
-boundary of the storage, so the truncated powers agree with the
-infinite operator wherever they are read.
+For a scheme with band widths (down_band, up_band) the operator is
+stored as its band (``RecurrenceScheme.band``): an array of
+down_band + up_band + 1 rows with T[m, k] in row down_band + m - k of
+column k, truncated to indices < N + up_band * ell_max.  That padding
+makes every trace below exact: a product of ell band steps starting
+below index N never reaches the boundary of the storage, so the
+truncated powers agree with the infinite operator wherever they are
+read.  Powers of T are products of bands, never N x N arrays.
 
 Statistics (all per the projection pi_N onto indices < N):
 
@@ -47,46 +49,61 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
-    """Dense storage of a banded operator truncation."""
+    """Band of a truncation of T: matrix[down_band + m - k, k] = T[m, k]
+    for indices m, k < dim (``RecurrenceScheme.band`` layout)."""
 
     scheme: RecurrenceScheme
     N: int
-    ext: int
     matrix: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[1]
 
     def block(self) -> np.ndarray:
-        """Principal N x N block (the compressed operator pi_N T pi_N)."""
-        return self.matrix[: self.N, : self.N]
+        """Principal N x N block (the compressed operator pi_N T pi_N), dense."""
+        N, r = self.N, self.scheme.down_band
+        dense = np.zeros((N, N))
+        for i, row in enumerate(self.matrix):
+            k = np.arange(max(0, r - i), min(N, N + r - i))
+            dense[k + i - r, k] = row[k]
+        return dense
 
 
 def build_truncation(scheme: RecurrenceScheme, N: int, ell_max: int) -> BandedOperator:
-    """Materialise T on indices < N + up_band * ell_max."""
-    if N < 1:
-        raise SchemeError(f"need N >= 1, got {N}")
+    """Band of T on indices < N + up_band * ell_max."""
     if ell_max < 0:
         raise SchemeError(f"need ell_max >= 0, got {ell_max}")
-    ext = scheme.up_band * ell_max
-    dim = N + ext
-    matrix = np.zeros((dim, dim))
-    for k in range(dim):
-        lo = max(0, k - scheme.down_band)
-        hi = min(dim - 1, k + scheme.up_band)
-        for m in range(lo, hi + 1):
-            matrix[m, k] = scheme.entry(m, k, N)
-    if not np.isfinite(matrix).all():
-        bad = np.argwhere(~np.isfinite(matrix))[0]
-        raise SchemeError(
-            f"nonfinite entry at ({bad[0]}, {bad[1]}) for scheme {scheme.name!r}, N={N}"
-        )
-    return BandedOperator(scheme=scheme, N=N, ext=ext, matrix=matrix)
+    return BandedOperator(scheme, N, scheme.band(N, N + scheme.up_band * ell_max))
 
 
-def _diag_sum(P: np.ndarray, N: int) -> float:
-    return math.fsum(P.diagonal()[:N].tolist())
+def _powers(op: BandedOperator, ell_max: int):
+    """Bands of T, T^2, ..., T^ell_max on the truncation of ``op``; T^ell
+    has lower width ell * down_band.  Column k of T^ell T sums T[t, k]
+    times column t of T^ell, so each band row of T adds one shifted copy
+    of T^ell, padded once per step."""
+    T, r = op.matrix, op.scheme.down_band
+    width, dim = T.shape
+    P = T
+    for ell in range(1, ell_max + 1):
+        if ell > 1:
+            padded = np.zeros((len(P), dim + width - 1))
+            padded[:, r : r + dim] = P
+            P = np.zeros((len(P) + width - 1, dim))
+            for i in range(width):
+                P[i : i + len(padded)] += T[i] * padded[:, i : i + dim]
+        yield P
+
+
+def _crossing_sum(P: np.ndarray, lower: int, N: int) -> float:
+    """(1/N^2) sum_{k < N <= m} P[k, m] P[m, k] for a band of lower width
+    ``lower``; only m = k + d with d within both bands contributes."""
+    upper = len(P) - 1 - lower
+    return math.fsum(
+        P[lower + d, k] * P[lower - d, k + d]
+        for d in range(1, min(lower, upper) + 1)
+        for k in range(max(0, N - d), N)
+    ) / (N * N)
 
 
 def mean_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
@@ -95,9 +112,8 @@ def mean_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
         raise SchemeError("need ell >= 0")
     if ell == 0:
         return 1.0
-    op = build_truncation(scheme, N, ell)
-    P = np.linalg.matrix_power(op.matrix, ell)
-    return _diag_sum(P, N) / N
+    *_, P = _powers(build_truncation(scheme, N, ell), ell)
+    return math.fsum(P[ell * scheme.down_band, :N].tolist()) / N
 
 
 def zero_moment_trace(scheme: RecurrenceScheme, N: int, ell: int) -> float:
@@ -106,9 +122,8 @@ def zero_moment_trace(scheme: RecurrenceScheme, N: int, ell: int) -> float:
         raise SchemeError("need ell >= 0")
     if ell == 0:
         return 1.0
-    block = build_truncation(scheme, N, 0).matrix
-    P = np.linalg.matrix_power(block, ell)
-    return _diag_sum(P, N) / N
+    *_, P = _powers(build_truncation(scheme, N, 0), ell)
+    return math.fsum(P[ell * scheme.down_band, :N].tolist()) / N
 
 
 def variance_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
@@ -117,24 +132,17 @@ def variance_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
         raise SchemeError("need ell >= 0")
     if ell == 0:
         return 0.0
-    op = build_truncation(scheme, N, 2 * ell)
-    P = np.linalg.matrix_power(op.matrix, ell)
-    # (T^ell)[k, m] (T^ell)[m, k] summed over k < N <= m
-    cross = P[:N, N:] * P[N:, :N].T
-    return math.fsum(cross.ravel().tolist()) / (N * N)
+    *_, P = _powers(build_truncation(scheme, N, 2 * ell), ell)
+    return _crossing_sum(P, ell * scheme.down_band, N)
 
 
 def _window_entry_max(scheme: RecurrenceScheme, N: int, lo: int, hi: int) -> float:
     lo = max(0, lo)
     if lo > hi:
         raise SchemeError("empty index window")
-    best = 0.0
-    for k in range(lo, hi + 1):
-        m_lo = max(lo, k - scheme.down_band)
-        m_hi = min(hi, k + scheme.up_band)
-        for m in range(m_lo, m_hi + 1):
-            best = max(best, abs(scheme.entry(m, k, N)))
-    return best
+    band = scheme.band(N, hi + 1, lo)
+    m = np.arange(lo, hi + 1) + np.arange(-scheme.down_band, scheme.up_band + 1)[:, None]
+    return float(np.abs(band[m >= lo]).max())
 
 
 def gap_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
@@ -176,11 +184,15 @@ def window_max(scheme: RecurrenceScheme, N: int, eps: float) -> float:
 
 def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
     """Rows (N, ell, mean, zero_side, gap, gap_bound, variance,
-    variance_bound) for ell = 1..ell_max."""
+    variance_bound) for ell = 1..ell_max, from the bands of T on indices
+    < N + 2 up_band ell_max and of the N x N block."""
+    r = scheme.down_band
+    powers = _powers(build_truncation(scheme, N, 2 * ell_max), ell_max)
+    block_powers = _powers(build_truncation(scheme, N, 0), ell_max)
     rows = []
-    for ell in range(1, ell_max + 1):
-        mean = mean_moment(scheme, N, ell)
-        zero = zero_moment_trace(scheme, N, ell)
+    for ell, P, Z in zip(range(1, ell_max + 1), powers, block_powers):
+        mean = math.fsum(P[ell * r, :N].tolist()) / N
+        zero = math.fsum(Z[ell * r, :N].tolist()) / N
         rows.append(
             (
                 N,
@@ -189,7 +201,7 @@ def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
                 zero,
                 abs(mean - zero),
                 gap_bound(scheme, N, ell),
-                variance_moment(scheme, N, ell),
+                _crossing_sum(P, ell * r, N),
                 variance_bound(scheme, N, ell),
             )
         )

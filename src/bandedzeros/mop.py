@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ConfigError, SchemeError
 from .recurrence import RecurrenceScheme
 
@@ -75,7 +77,7 @@ class MultiIndexPath:
         self.r = len(ratios)
         self.R = math.ceil(1.0 / float(min(ratios)) - 1e-9)
         self._steps = []  # i_k for materialised k
-        self._index = [0] * self.r  # n^(len(_steps))
+        self._prefixes = [(0,) * self.r]  # n^(k) for k <= len(_steps)
         self._last_step = [-1] * self.r
         self._fixed_steps = list(steps) if steps is not None else None
         if self._fixed_steps is not None:
@@ -85,15 +87,17 @@ class MultiIndexPath:
 
     def _advance(self):
         k = len(self._steps)
+        n = list(self._prefixes[k])
         if self._fixed_steps is not None:
             if k >= len(self._fixed_steps):
                 raise SchemeError(f"fixed path exhausted at step {k}")
             d = self._fixed_steps[k]
         else:
-            deficits = [self.ratios[j] * (k + 1) - self._index[j] for j in range(self.r)]
+            deficits = [self.ratios[j] * (k + 1) - n[j] for j in range(self.r)]
             d = max(range(self.r), key=lambda j: (deficits[j], -j))
         self._steps.append(d)
-        self._index[d] += 1
+        n[d] += 1
+        self._prefixes.append(tuple(n))
         self._last_step[d] = k
         for j in range(self.r):
             if k - self._last_step[j] >= self.R:
@@ -111,10 +115,7 @@ class MultiIndexPath:
         if N < 0:
             raise SchemeError("need N >= 0")
         self._ensure(N)
-        n = [0] * self.r
-        for d in self._steps[:N]:
-            n[d] += 1
-        return tuple(n)
+        return self._prefixes[N]
 
     def step(self, k: int) -> int:
         """Direction i_k of the step from n^(k) to n^(k+1)."""
@@ -294,22 +295,24 @@ def mop_scheme(
         path = MultiIndexPath(q)
     elif path.r != len(q):
         raise SchemeError("path dimension does not match ratios")
-    row_cache = {}
+    columns = {}  # (k, N) -> column k of the band, kept across calls
 
-    def entry_fn(m, k, N):
-        key = (k, N)
-        row = row_cache.get(key)
-        if row is None:
-            row = {mm: float(v) for mm, v in banded_entries(path, coeff_fn, k, N)}
-            row_cache[key] = row
-        return row.get(m, 0.0)
+    def band_fn(N, start, stop):
+        band = np.zeros((path.R + 2, stop - start))
+        for k in range(start, stop):
+            if (k, N) not in columns:
+                columns[k, N] = col = np.zeros(path.R + 2)
+                for m, v in banded_entries(path, coeff_fn, k, N):
+                    col[path.R + m - k] = float(v)
+            band[:, k - start] = columns[k, N]
+        return band
 
     return RecurrenceScheme(
         name=kind,
         params=params,
         down_band=path.R,
         up_band=1,
-        entry_fn=entry_fn,
+        band_fn=band_fn,
         symmetric=False,
     )
 

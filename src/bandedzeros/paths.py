@@ -1,7 +1,7 @@
 """Independent lattice-path evaluation of the trace statistics.
 
 The recurrence graph has vertices (n, k) and edges (n, k) -> (n+1, m)
-for k - down_band <= m <= k + up_band with weight entry(m, k, N).  The
+for k - down_band <= m <= k + up_band with weight T[m, k] (the band).  The
 trace statistics of ``bandop`` equal sums over closed walks on that
 graph, which this module evaluates by a forward walk count: for every
 starting ordinate it carries the total weight of the walks ending at
@@ -46,32 +46,20 @@ def kernel_name() -> str:
     return "python"
 
 
-def _weight_table(scheme: RecurrenceScheme, N: int, length: int) -> np.ndarray:
-    r, q = scheme.down_band, scheme.up_band
-    rows = N + q * length + 1
-    table = np.zeros((rows, r + q + 1))
-    for y in range(rows):
-        for j in range(r + q + 1):
-            m = y - r + j
-            if 0 <= m <= y + q:
-                table[y, j] = scheme.entry(m, y, N)
-    return table
-
-
-def _closed_walk_sum(table, down_band, starts, length, width, N, mid):
+def _closed_walk_sum(band, down_band, starts, length, width, N, mid):
     """Total weight of the walks of ``length`` steps from each start back
     to itself on ordinates [0, width); a step y -> y - down_band + j has
-    weight table[y, j].  When ``mid`` is given, walks must sit at an
-    ordinate >= N after ``mid`` steps."""
+    weight band[j, y] (``RecurrenceScheme.band`` layout).  When ``mid``
+    is given, walks must sit at an ordinate >= N after ``mid`` steps."""
     own = np.arange(len(starts))
     walks = np.zeros((len(starts), width))
     walks[own, starts] = 1.0
     for step in range(length + 1):
         if step:
             # column c of ``spread`` holds ordinate c - down_band
-            spread = np.zeros((len(starts), width + table.shape[1] - 1))
-            for j in range(table.shape[1]):
-                spread[:, j : j + width] += walks * table[:width, j]
+            spread = np.zeros((len(starts), width + len(band) - 1))
+            for j in range(len(band)):
+                spread[:, j : j + width] += walks * band[j, :width]
             walks = spread[:, down_band : down_band + width]
         if step == mid:
             walks[:, :N] = 0.0
@@ -124,10 +112,10 @@ def lattice_sum(
         start_lo, start_hi = start_range
         if not (0 <= start_lo <= start_hi <= N):
             raise OracleScaleError(f"start range must lie in [0, {N}], got {start_range}")
-    table = _weight_table(scheme, N, length)
+    band = scheme.band(N, N + scheme.up_band * length + 1)
     # walks that stay below N never need ordinates >= N; the others
-    # reach at most N - 1 + up_band * length, inside the table
-    width = N if constraint is Constraint.STAY_BELOW else len(table)
+    # reach at most N - 1 + up_band * length, inside the band
+    width = N if constraint is Constraint.STAY_BELOW else band.shape[1]
     starts = np.arange(start_lo, start_hi)
-    total = _closed_walk_sum(table, scheme.down_band, starts, length, width, N, mid)
+    total = _closed_walk_sum(band, scheme.down_band, starts, length, width, N, mid)
     return float(total) / norm

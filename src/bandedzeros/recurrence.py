@@ -1,16 +1,18 @@
 """Banded multiplication-operator recurrence data.
 
 A scheme packages the expansion coefficients of x P_k over a family
-(P_m): entry(m, k, N) is the coefficient of P_m in x P_k at truncation
+(P_m): T[m, k] is the coefficient of P_m in x P_k at truncation
 parameter N.  Entries vanish outside the band k - down_band <= m <=
-k + up_band.  The classical orthonormal families are tridiagonal
-(down_band = up_band = 1, symmetric); multi-index families from
-``mop.mop_scheme`` have one superdiagonal and a wider lower band.
+k + up_band, and a scheme hands them out only as a band (columns of T
+with T[m, k] in row down_band + m - k).  The classical orthonormal
+families are tridiagonal (down_band = up_band = 1, symmetric);
+multi-index families from ``mop.mop_scheme`` have one superdiagonal and
+a wider lower band.
 
-Classical coefficients are evaluated at the rescaled index k/N, so one
-scheme instance serves every N.  Each classical scheme also carries the
-pointwise limits a(s), b(s) of its coefficients along k/N -> s, used to
-build the limiting arcsine mixture.
+Classical coefficients are evaluated at the rescaled index k/N,
+vectorised over k, so one scheme instance serves every N.  Each
+classical scheme also carries the pointwise limits a(s), b(s) of its
+coefficients along k/N -> s, used to build the limiting arcsine mixture.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import ConfigError, SchemeError
 
@@ -34,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RecurrenceScheme:
-    """Supplier of banded recurrence entries.
+    """Supplier of banded recurrence data.
 
     Attributes
     ----------
@@ -47,8 +51,11 @@ class RecurrenceScheme:
     up_band : int
         Entries vanish above m = k + up_band (always >= 1; the
         coefficient at m = k + up_band is never zero).
-    entry_fn : callable
-        In-band evaluation, called as entry_fn(m, k, N).
+    band_fn : callable
+        band_fn(N, start, stop) returns columns start..stop-1 of T as
+        an array B of down_band + up_band + 1 rows with
+        B[down_band + m - k, k - start] = T[m, k].  Entries with m < 0
+        or m >= stop are ignored (``band`` zeroes them).
     symmetric : bool
         True for orthonormal tridiagonal data (entry(m,k) == entry(k,m)).
     limit_a, limit_b : callable or None
@@ -59,39 +66,51 @@ class RecurrenceScheme:
     params: dict
     down_band: int
     up_band: int
-    entry_fn: Callable[[int, int, int], float]
+    band_fn: Callable[[int, int, int], np.ndarray]
     symmetric: bool = False
     limit_a: Optional[Callable[[float], float]] = None
     limit_b: Optional[Callable[[float], float]] = None
+
+    def band(self, N: int, stop: int, start: int = 0) -> np.ndarray:
+        """Columns start..stop-1 of the truncation of T to indices < stop,
+        in the layout of ``band_fn``; rows with m < 0 or m >= stop are 0."""
+        if N < 1:
+            raise SchemeError(f"need N >= 1, got {N}")
+        band = np.array(self.band_fn(N, start, stop), dtype=float)
+        m = np.arange(start, stop) + np.arange(-self.down_band, self.up_band + 1)[:, None]
+        band[(m < 0) | (m >= stop)] = 0.0
+        if not np.isfinite(band).all():
+            i, j = np.argwhere(~np.isfinite(band))[0]
+            raise SchemeError(
+                f"nonfinite entry at ({m[i, j]}, {start + j}) for scheme {self.name!r}, N={N}"
+            )
+        return band
 
     def entry(self, m: int, k: int, N: int) -> float:
         """Coefficient of P_m in x P_k at truncation parameter N."""
         if m < 0 or k < 0:
             raise SchemeError(f"indices must be nonnegative, got m={m}, k={k}")
-        if N < 1:
-            raise SchemeError(f"need N >= 1, got {N}")
         if m > k + self.up_band or m < k - self.down_band:
             return 0.0
-        return float(self.entry_fn(m, k, N))
+        return float(self.band(N, k + self.up_band + 1, k)[self.down_band + m - k, 0])
 
 
 def _tridiagonal(name, params, a, b, limit_a, limit_b):
-    """Orthonormal tridiagonal scheme from a(k, N) (k >= 1) and b(k, N)."""
+    """Orthonormal tridiagonal scheme from a(k, N) (k >= 1) and b(k, N),
+    both vectorised over an index array k."""
 
-    def entry_fn(m, k, N):
-        if m == k:
-            return b(k, N)
-        if m == k + 1:
-            return a(k + 1, N)
-        # m == k - 1; a(k) with k >= 1 here since m >= 0
-        return a(k, N)
+    def band_fn(N, start, stop):
+        # off[k - start] = a(k) = T[k - 1, k] = T[k, k - 1]; a(0) = 0
+        k = np.arange(start, stop + 1)
+        off = np.where(k > 0, a(np.maximum(k, 1), N), 0.0)
+        return np.stack([off[:-1], b(k[:-1], N), off[1:]])
 
     return RecurrenceScheme(
         name=name,
         params=params,
         down_band=1,
         up_band=1,
-        entry_fn=entry_fn,
+        band_fn=band_fn,
         symmetric=True,
         limit_a=limit_a,
         limit_b=limit_b,
@@ -99,9 +118,10 @@ def _tridiagonal(name, params, a, b, limit_a, limit_b):
 
 
 def _checked_sqrt(value, what, k):
-    if value < 0:
-        raise SchemeError(f"negative squared coefficient for {what} at k={k}: {value}")
-    return math.sqrt(value)
+    if (value < 0).any():
+        i = np.argmax(value < 0)
+        raise SchemeError(f"negative squared coefficient for {what} at k={k[i]}: {value[i]}")
+    return np.sqrt(value)
 
 
 def _gue():
@@ -109,7 +129,7 @@ def _gue():
         return _checked_sqrt(k / N, "gue", k)
 
     def b(k, N):
-        return 0.0
+        return np.zeros(len(k))
 
     return _tridiagonal("gue", {}, a, b, lambda s: math.sqrt(s), lambda s: 0.0)
 
@@ -145,9 +165,7 @@ def _jacobi(alpha, beta):
         s = k / N
         t = 2 * s + al + be
         num = 4 * s * (s + al) * (s + be) * (s + al + be)
-        den = t * t * (t * t - 1.0 / (N * N))
-        if den <= 0:
-            raise SchemeError(f"degenerate jacobi denominator at k={k}, N={N}")
+        den = t * t * (t * t - 1.0 / (N * N))  # > 0, as t >= 2/N for k >= 1
         return _checked_sqrt(num / den, "jacobi", k)
 
     def b(k, N):

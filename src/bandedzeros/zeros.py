@@ -89,7 +89,7 @@ def _charpoly(op: BandedOperator, zs):
     by 2**-512 or 2**512 only when its window leaves [2**-512, 2**512];
     power-of-two scaling rounds nothing.
     """
-    T = op.matrix
+    B = op.matrix  # T[m, k] = B[R + m - k, k]
     R = op.scheme.down_band
     zs = np.asarray(zs, dtype=complex)
     width = R + 2
@@ -99,14 +99,15 @@ def _charpoly(op: BandedOperator, zs):
     exponent = np.zeros(len(zs), dtype=int)
     for j in range(op.N):
         prev = j % width
-        shift = zs - T[j, j]
+        shift = zs - B[R, j]
         val = shift * win[prev]
         dval = win[prev] + shift * dwin[prev]
         sub_prod = 1.0
         for i in range(j - 1, max(j - R, 0) - 1, -1):
-            sub_prod *= T[i + 1, i]
-            if T[i, j] != 0.0:
-                c = T[i, j] * sub_prod
+            sub_prod *= B[R + 1, i]
+            upper = B[R + i - j, j]  # T[i, j]
+            if upper != 0.0:
+                c = upper * sub_prod
                 val -= c * win[i % width]
                 dval -= c * dwin[i % width]
         win[(j + 1) % width] = val
@@ -179,20 +180,19 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
     on the characteristic polynomial, which the banded structure lets
     us evaluate stably in O(N) per point.
     """
-    block = op.block()
     scheme = op.scheme
     try:
         if scheme.symmetric and scheme.down_band == 1 and scheme.up_band == 1:
-            d = block.diagonal().copy().real
-            e = block.diagonal(-1).copy().real
+            d = op.matrix[1, : op.N].copy()
+            e = op.matrix[2, : op.N - 1].copy()
             if len(d) == 1:
                 vals = d.astype(complex)
             else:
                 vals = scipy.linalg.eigvalsh_tridiagonal(d, e).astype(complex)
         elif scheme.up_band == 1:
-            vals = _polish_roots(op, _balanced_eigvals(block))
+            vals = _polish_roots(op, _balanced_eigvals(op.block()))
         else:
-            vals = scipy.linalg.eigvals(block)
+            vals = scipy.linalg.eigvals(op.block())
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalFailure(
             f"eigenvalue solver failed on {scheme.name!r} block of size {op.N}: {exc}"
@@ -244,9 +244,8 @@ def charpoly_eval(op: BandedOperator, z) -> complex:
     p, _, exponent = _charpoly(op, [complex(z)])
     result = complex(p[0])
     exponent = int(exponent[0])
-    if result == 0.0:
-        return complex(0.0)
-    log_abs = math.log(abs(result)) + exponent * math.log(2.0)
-    if log_abs > 709.0:  # exceeds double range after unscaling
-        raise CharpolyOverflow(log_abs, cmath.phase(result))
-    return complex(math.ldexp(result.real, exponent), math.ldexp(result.imag, exponent))
+    try:
+        return complex(math.ldexp(result.real, exponent), math.ldexp(result.imag, exponent))
+    except OverflowError:
+        log_abs = math.log(abs(result)) + exponent * math.log(2.0)
+        raise CharpolyOverflow(log_abs, cmath.phase(result)) from None

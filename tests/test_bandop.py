@@ -15,8 +15,11 @@ from bandedzeros.bandop import (
     window_max,
     zero_moment_trace,
 )
+from bandedzeros.errors import SchemeError
 from bandedzeros.mop import mop_scheme
-from bandedzeros.recurrence import classical_scheme
+from bandedzeros.recurrence import RecurrenceScheme, classical_scheme
+
+from test_paths_oracle import SCHEMES
 
 GUE = classical_scheme("gue")
 
@@ -24,11 +27,11 @@ GUE = classical_scheme("gue")
 def test_build_gue_truncation():
     op = build_truncation(GUE, 3, 2)
     assert op.dim == 5
-    full = op.matrix
+    band = op.matrix  # band[1 + m - k, k] = T[m, k]
     expected = [math.sqrt(k / 3.0) for k in (1, 2, 3, 4)]
-    assert np.allclose(np.diag(full, 1), expected)
-    assert np.allclose(np.diag(full, -1), expected)
-    assert np.allclose(np.diag(full), 0.0)
+    assert np.allclose(band[0, 1:], expected)  # T[k - 1, k]
+    assert np.allclose(band[2, :-1], expected)  # T[k + 1, k]
+    assert np.allclose(band[1], 0.0)
 
 
 def test_build_one_by_one():
@@ -45,6 +48,22 @@ def test_build_charlier_example():
     assert block[0, 0] == pytest.approx(1.0)
     assert block[1, 1] == pytest.approx(1.5)
     assert block[0, 1] == pytest.approx(math.sqrt(0.5))
+
+
+def test_nonfinite_band_entry_is_named():
+    def band(N, start, stop):
+        values = np.ones((3, stop - start))
+        if start <= 4 < stop:
+            values[2, 4 - start] = np.nan  # T[5, 4]
+        return values
+
+    scheme = RecurrenceScheme(
+        name="one-nan", params={}, down_band=1, up_band=1, band_fn=band
+    )
+    with pytest.raises(SchemeError, match=r"nonfinite entry at \(5, 4\)"):
+        build_truncation(scheme, 5, 1)
+    # row 5 lies outside a truncation to indices < 5
+    assert build_truncation(scheme, 5, 0).matrix[2, 4] == 0.0
 
 
 def test_mean_moment_values():
@@ -161,3 +180,38 @@ def test_gue_moments_match_catalan_in_the_bulk():
     # at large N the mean moments approach the semicircle values
     for ell, target in ((2, 1.0), (4, 2.0), (6, 5.0)):
         assert mean_moment(GUE, 4000, ell) == pytest.approx(target, abs=2e-2)
+
+
+def _dense_truncation(scheme, N, dim):
+    T = np.zeros((dim, dim))
+    for k in range(dim):
+        for m in range(max(0, k - scheme.down_band), min(dim, k + scheme.up_band + 1)):
+            T[m, k] = scheme.entry(m, k, N)
+    return T
+
+
+@pytest.mark.parametrize("label,scheme", SCHEMES)
+def test_banded_traces_match_dense_matrix_powers(label, scheme):
+    # beyond the path oracle's N <= 64: dense powers of truncations
+    # assembled entry by entry
+    N, L = 100, 6
+    q = scheme.up_band
+    T = _dense_truncation(scheme, N, N + 2 * q * L)
+    rows = trace_table(scheme, N, L)
+    for ell in range(1, L + 1):
+        P = np.linalg.matrix_power(T[: N + q * ell, : N + q * ell], ell)
+        Z = np.linalg.matrix_power(T[:N, :N], ell)
+        V = np.linalg.matrix_power(T[: N + 2 * q * ell, : N + 2 * q * ell], ell)
+        mean = math.fsum(P.diagonal()[:N]) / N
+        zero = math.fsum(Z.diagonal()) / N
+        var = math.fsum((V[:N, N:] * V[N:, :N].T).ravel()) / N**2
+        _, _, row_mean, row_zero, _, _, row_var, _ = rows[ell - 1]
+        for got, ref in (
+            (mean_moment(scheme, N, ell), mean),
+            (row_mean, mean),
+            (zero_moment_trace(scheme, N, ell), zero),
+            (row_zero, zero),
+            (variance_moment(scheme, N, ell), var),
+            (row_var, var),
+        ):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (ell, got, ref)

@@ -1,7 +1,8 @@
 """Lattice-path sums against the trace route.
 
 The path sums are an independent evaluation of the same quantities the
-dense-matrix traces compute; nothing here reuses matrix code.
+banded traces compute; both read the scheme's band, but nothing here
+reuses matrix code.
 """
 
 import pytest

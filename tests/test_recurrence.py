@@ -120,6 +120,23 @@ def test_band_declaration_honored(name, params):
         assert scheme.entry(m, k, N) == 0.0
 
 
+def test_band_start_selects_columns():
+    from bandedzeros.mop import mop_scheme
+
+    makers = [
+        lambda: classical_scheme("gue"),
+        lambda: classical_scheme("jacobi", alpha=1.0, beta=1.0),
+        lambda: mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5)),
+        lambda: mop_scheme("multiple-hermite", a=(1.0, 0.0, -1.0), q=(1 / 3,) * 3),
+    ]
+    for make in makers:
+        full = make().band(20, 30)
+        assert full.shape == (make().down_band + 2, 30)
+        for start in (0, 1, 5, 29, 30):
+            # a fresh scheme, so no column is served from an earlier call
+            assert np.array_equal(make().band(20, 30, start), full[:, start:])
+
+
 def test_tridiagonal_symmetry():
     for name, params in [
         ("gue", {}),

@@ -30,15 +30,13 @@ def rotation_scheme():
     confirm complex spectra are reported, not flattened.
     """
 
-    def entry(m, k, N):
-        if m == k + 1 and k % 2 == 0:
-            return 1.0
-        if m == k - 1 and k % 2 == 1:
-            return -1.0
-        return 0.0
+    def band(N, start, stop):
+        odd = np.arange(start, stop) % 2
+        # rows: T[k - 1, k] = -1 for odd k, T[k, k] = 0, T[k + 1, k] = 1 for even k
+        return np.stack([-1.0 * odd, 0.0 * odd, 1.0 - odd])
 
     return RecurrenceScheme(
-        name="rotation", params={}, down_band=1, up_band=1, entry_fn=entry
+        name="rotation", params={}, down_band=1, up_band=1, band_fn=band
     )
 
 
@@ -196,17 +194,26 @@ def test_charpoly_overflow_reports_scaled_log():
     assert err.phase == pytest.approx(0.0, abs=1e-12)
 
 
+def test_charpoly_returns_values_up_to_the_double_range():
+    # log|p| = 709.5 lies between 709 and log(DBL_MAX) = 709.78
+    op = build_truncation(GUE, 64, 0)
+    z = math.exp(709.5 / 64)
+    val = charpoly_eval(op, z)
+    target = np.log(z - spectrum(op).points.real).sum()
+    assert math.log(val.real) == pytest.approx(target, rel=1e-10)
+
+
 def test_charpoly_unscales_in_range_values_past_two_to_1024():
     # diagonal 100 then 0.01: the scaled exponent climbs past 1024
     # before the small tail brings log|p(0)| back to about 460
-    def entry(m, k, N):
-        if m == k:
-            return 100.0 if k < 160 else 0.01
-        return 1e-3
+    def band(N, start, stop):
+        k = np.arange(start, stop)
+        off = np.full(len(k), 1e-3)
+        return np.stack([off, np.where(k < 160, 100.0, 0.01), off])
 
     scheme = RecurrenceScheme(
         name="step-diagonal", params={}, down_band=1, up_band=1,
-        entry_fn=entry, symmetric=True,
+        band_fn=band, symmetric=True,
     )
     op = build_truncation(scheme, 220, 0)
     val = charpoly_eval(op, 0.0)
