@@ -77,12 +77,11 @@ def build_truncation(scheme: RecurrenceScheme, N: int, ell_max: int) -> BandedOp
     return BandedOperator(scheme, N, scheme.band(N, N + scheme.up_band * ell_max))
 
 
-def _powers(op: BandedOperator, ell_max: int):
-    """Bands of T, T^2, ..., T^ell_max on the truncation of ``op``; T^ell
-    has lower width ell * down_band.  Column k of T^ell T sums T[t, k]
-    times column t of T^ell, so each band row of T adds one shifted copy
-    of T^ell, padded once per step."""
-    T, r = op.matrix, op.scheme.down_band
+def _powers(T: np.ndarray, r: int, ell_max: int):
+    """Bands of T, T^2, ..., T^ell_max for a band T of lower width r (the
+    ``RecurrenceScheme.band`` layout); T^ell has lower width ell * r.
+    Column k of T^ell T sums T[t, k] times column t of T^ell, so each band
+    row of T adds one shifted copy of T^ell, padded once per step."""
     width, dim = T.shape
     P = T
     for ell in range(1, ell_max + 1):
@@ -95,12 +94,13 @@ def _powers(op: BandedOperator, ell_max: int):
         yield P
 
 
-def _crossing_sum(P: np.ndarray, lower: int, N: int) -> float:
+def _crossing_sum(P: np.ndarray, lower: int, N: int, start: int = 0) -> float:
     """(1/N^2) sum_{k < N <= m} P[k, m] P[m, k] for a band of lower width
-    ``lower``; only m = k + d with d within both bands contributes."""
+    ``lower`` whose first column is index ``start``; only m = k + d with d
+    within both bands contributes."""
     upper = len(P) - 1 - lower
     return math.fsum(
-        P[lower + d, k] * P[lower - d, k + d]
+        P[lower + d, k - start] * P[lower - d, k + d - start]
         for d in range(1, min(lower, upper) + 1)
         for k in range(max(0, N - d), N)
     ) / (N * N)
@@ -112,7 +112,7 @@ def mean_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
         raise SchemeError("need ell >= 0")
     if ell == 0:
         return 1.0
-    *_, P = _powers(build_truncation(scheme, N, ell), ell)
+    *_, P = _powers(build_truncation(scheme, N, ell).matrix, scheme.down_band, ell)
     return math.fsum(P[ell * scheme.down_band, :N].tolist()) / N
 
 
@@ -122,18 +122,26 @@ def zero_moment_trace(scheme: RecurrenceScheme, N: int, ell: int) -> float:
         raise SchemeError("need ell >= 0")
     if ell == 0:
         return 1.0
-    *_, P = _powers(build_truncation(scheme, N, 0), ell)
+    *_, P = _powers(build_truncation(scheme, N, 0).matrix, scheme.down_band, ell)
     return math.fsum(P[ell * scheme.down_band, :N].tolist()) / N
 
 
 def variance_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
-    """Variance of the ell-th empirical moment under the ensemble."""
+    """Variance of the ell-th empirical moment under the ensemble.
+
+    The crossing sum reads columns of T^ell within ell * min(R, q) of N,
+    and a product of ell band steps from those columns never leaves the
+    indices from N - ell (R + q) - ell R to N + 2 q ell, so the band of
+    that window alone gives the exact value at a cost independent of N.
+    """
     if ell < 0:
         raise SchemeError("need ell >= 0")
     if ell == 0:
         return 0.0
-    *_, P = _powers(build_truncation(scheme, N, 2 * ell), ell)
-    return _crossing_sum(P, ell * scheme.down_band, N)
+    R, q = scheme.down_band, scheme.up_band
+    start = max(0, N - ell * (R + q) - ell * R)
+    *_, P = _powers(scheme.band(N, N + 2 * q * ell, start), R, ell)
+    return _crossing_sum(P, ell * R, N, start)
 
 
 def _window_entry_max(scheme: RecurrenceScheme, N: int, lo: int, hi: int) -> float:
@@ -187,8 +195,8 @@ def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
     variance_bound) for ell = 1..ell_max, from the bands of T on indices
     < N + 2 up_band ell_max and of the N x N block."""
     r = scheme.down_band
-    powers = _powers(build_truncation(scheme, N, 2 * ell_max), ell_max)
-    block_powers = _powers(build_truncation(scheme, N, 0), ell_max)
+    powers = _powers(build_truncation(scheme, N, 2 * ell_max).matrix, r, ell_max)
+    block_powers = _powers(build_truncation(scheme, N, 0).matrix, r, ell_max)
     rows = []
     for ell, P, Z in zip(range(1, ell_max + 1), powers, block_powers):
         mean = math.fsum(P[ell * r, :N].tolist()) / N

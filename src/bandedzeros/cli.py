@@ -297,6 +297,8 @@ def _zero_summary(config, meta, scheme, stem):
         "imag_residuals": residuals,
         "max_imag": float(np.max(np.abs(measure.points.imag))),
         "real": bool(reality_check(measure)[0]),
+        "route": measure.route,
+        "certified": measure.certified,
     }
     out = config.get("out") or stem + ".json"
     _write_json(out, payload)

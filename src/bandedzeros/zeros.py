@@ -2,16 +2,22 @@
 
 The zeros of the average characteristic polynomial at rank N are the
 eigenvalues of the principal N x N block pi_N T pi_N.  Symmetric
-tridiagonal blocks go through the specialised LAPACK solver; blocks
-with one superdiagonal band get balanced eigenvalue estimates polished
-by Aberth iteration; everything else goes through the general
-eigenvalue solver.  Eigenvalues are reported sorted by real part, then
-imaginary part.
+tridiagonal blocks go through the specialised LAPACK solver.  Blocks
+with one superdiagonal band take the certified route: a sign scan of the
+characteristic polynomial on a Chebyshev grid over the Gershgorin
+interval brackets the zeros, a vectorised bracketed Newton iteration
+solves every bracket, and the result is certified real and simple when
+the scan shows exactly N zeros and the first two power sums match the
+traces of the block.  When it does not certify, balanced eigenvalue
+estimates of the dense block are polished by Aberth iteration and the
+result is labelled uncertified.  Everything else goes through the
+general eigenvalue solver.  Eigenvalues are reported sorted by real
+part, then imaginary part, with the route that found them.
 
 One banded leading-minor recurrence (``_charpoly``) evaluates the
 characteristic polynomial and its derivative, vectorised over points
-with power-of-two rescaling; the root polish and ``charpoly_eval`` both
-run on it.
+with power-of-two rescaling; the scan, the Newton solve, the root
+polish and ``charpoly_eval`` all run on it.
 
 Moments of the zero distribution are averages of Re(z^ell); the
 imaginary residual |mean Im(z^ell)| is surfaced alongside rather than
@@ -42,9 +48,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Eigenvalues of a compressed operator, each carrying weight 1/N."""
+    """Eigenvalues of a compressed operator, each carrying weight 1/N.
+
+    ``route`` names how ``spectrum`` found them (one of "tridiagonal",
+    "sign-scan", "aberth", "general"); points handed in from elsewhere,
+    such as a sampled matrix, are "given".
+    """
 
     points: np.ndarray
+    route: str = "given"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
@@ -53,6 +65,12 @@ class SpectralMeasure:
 
     def __len__(self):
         return len(self.points)
+
+    @property
+    def certified(self) -> bool:
+        """Whether the points are proved real and simple: by the symmetric
+        tridiagonal solver, or by the sign scan and its trace check."""
+        return self.route in ("tridiagonal", "sign-scan")
 
 
 def _balanced_eigvals(block: np.ndarray) -> np.ndarray:
@@ -76,7 +94,8 @@ def _balanced_eigvals(block: np.ndarray) -> np.ndarray:
 
 def _charpoly(op: BandedOperator, zs):
     """(p, dp, exponent) with det(z - pi_N T pi_N) = p * 2**exponent and
-    its z-derivative dp * 2**exponent, vectorised over the points ``zs``.
+    its z-derivative dp * 2**exponent, vectorised over the points ``zs``
+    (in float64 when the points are real, in complex arithmetic otherwise).
 
     Leading principal minors of (z I - T).  Expanding along the last
     row, the (-1)^(j-i) cofactor sign cancels against the negated
@@ -91,9 +110,10 @@ def _charpoly(op: BandedOperator, zs):
     """
     B = op.matrix  # T[m, k] = B[R + m - k, k]
     R = op.scheme.down_band
-    zs = np.asarray(zs, dtype=complex)
+    zs = np.asarray(zs)
+    zs = zs.astype(float if np.isrealobj(zs) else complex)
     width = R + 2
-    win = np.zeros((width, len(zs)), dtype=complex)
+    win = np.zeros((width, len(zs)), dtype=zs.dtype)
     dwin = np.zeros_like(win)
     win[0] = 1.0  # d_{-1}
     exponent = np.zeros(len(zs), dtype=int)
@@ -170,19 +190,151 @@ def _polish_roots(op: BandedOperator, guesses: np.ndarray) -> np.ndarray:
     return z
 
 
+def _gershgorin_interval(op: BandedOperator):
+    """A real interval holding every eigenvalue of the N x N block: the
+    diagonal plus or minus the off-diagonal column sums inside the block,
+    widened by a relative 1e-9."""
+    N, R = op.N, op.scheme.down_band
+    B = op.matrix[:, :N]
+    m = np.arange(N) + np.arange(-R, len(B) - R)[:, None]
+    off = np.where((m >= 0) & (m < N), np.abs(B), 0.0)
+    off[R] = 0.0
+    radius = off.sum(axis=0)
+    lo, hi = float((B[R] - radius).min()), float((B[R] + radius).max())
+    pad = 1e-9 * max(abs(lo), abs(hi)) + np.finfo(float).tiny
+    return lo - pad, hi + pad
+
+
+def _sign_scan(op: BandedOperator, lo: float, hi: float):
+    """Points x and signs s of the characteristic polynomial on a Chebyshev
+    grid over [lo, hi], with the number of zeros the grid shows: the sign
+    changes plus the points where p is exactly 0.
+
+    The grid starts at 4N + 1 points and doubles (keeping its points)
+    while it shows fewer than N zeros, up to 32N.  Only the sign of p is
+    read, and the power-of-two exponent cannot change it, so the signs
+    hold past the double range.
+    """
+    N = op.N
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def grid(j, M):
+        # c - h cos(pi j / M), written with sin so that the midpoint is c
+        # exactly and a doubled grid reproduces the points it keeps
+        return c + h * np.sin(np.pi * (2 * j - M) / (2 * M))
+
+    M = 4 * N
+    x = grid(np.arange(M + 1), M)
+    s = np.sign(_charpoly(op, x)[0])
+    while True:
+        found = np.count_nonzero(s == 0) + np.count_nonzero(s[:-1] * s[1:] < 0)
+        if found >= N or M >= 32 * N:
+            return x, s, found
+        M *= 2
+        fresh = grid(np.arange(1, M, 2), M)
+        x = np.insert(x, range(1, len(x)), fresh)
+        s = np.insert(s, range(1, len(s)), np.sign(_charpoly(op, fresh)[0]))
+
+
+def _bracketed_newton(op: BandedOperator, lo, hi, sign_lo, span: float):
+    """The zero inside each bracket (lo, hi), where p has the sign
+    ``sign_lo`` at lo and the opposite sign at hi; lo and hi are updated
+    in place.
+
+    Each sweep evaluates p and p' at the iterates still active in one
+    ``_charpoly`` call.  The sign of p at an iterate shrinks its bracket,
+    and a Newton step that would leave the bracket becomes a bisection.
+    A point is done when its Newton step or its bracket is below
+    1e-14 * span, or at the noise floor: once its Newton step has been
+    below 1e-8 * span, a step that no longer halves or that leaves the
+    bracket means p there is rounding noise.  Without that stop, sign
+    flips at rounding level would drive every point into ~40 bisections.
+    """
+    x = 0.5 * (lo + hi)
+    last = np.full(len(x), np.inf)  # |Newton step| of the previous sweep
+    live = np.arange(len(x))
+    for _ in range(100):
+        if not len(live):
+            break
+        z = x[live]
+        p, dp, _ = _charpoly(op, z)
+        below = np.sign(p) == sign_lo[live]  # the zero lies above z
+        a = np.where(below, z, lo[live])
+        b = np.where(below, hi[live], z)
+        newton = np.divide(p, dp, out=np.full_like(p, np.inf), where=dp != 0)
+        target = z - newton
+        inside = (target > a) & (target < b)
+        step = np.abs(newton)
+        converged = (step <= 1e-14 * span) | (b - a <= 1e-14 * span)
+        noise = (last[live] <= 1e-8 * span) & (~inside | (step > 0.5 * last[live]))
+        done = converged | noise
+        final = np.where(converged & inside, target, z)
+        x[live] = np.where(done, final, np.where(inside, target, 0.5 * (a + b)))
+        lo[live], hi[live], last[live] = a, b, step
+        live = live[~done]
+    return x
+
+
+def _certified_real_zeros(op: BandedOperator):
+    """The N zeros, sorted, when a sign scan certifies them as real and
+    simple; otherwise None.
+
+    Certified means: the scan over the Gershgorin interval shows exactly
+    N zeros, and the first two power sums of the solved zeros match
+    Tr(B) and Tr(B^2) of the block within 1e-9 * max(1, |trace / N|).
+    Sign changes alone are not proof in floating point: where p is
+    dominated by rounding, a grid can show spurious changes while it
+    misses true ones, and the power sums catch that.
+    """
+    N, R = op.N, op.scheme.down_band
+    lo, hi = _gershgorin_interval(op)
+    x, s, found = _sign_scan(op, lo, hi)
+    if found != N:
+        return None
+    cross = np.flatnonzero(s[:-1] * s[1:] < 0)
+    span = max(1.0, abs(lo), abs(hi))
+    zeros = np.sort(
+        np.concatenate([x[s == 0], _bracketed_newton(op, x[cross], x[cross + 1], s[cross], span)])
+    )
+    diag = op.matrix[R, :N]
+    # Tr(B^2) pairs T[k+1, k] with T[k, k+1]; wider offsets hold no pairs
+    couples = op.matrix[R + 1, : N - 1] * op.matrix[R - 1, 1:N] if R else np.zeros(0)
+    traces = (
+        math.fsum(diag.tolist()) / N,
+        (math.fsum((diag * diag).tolist()) + 2.0 * math.fsum(couples.tolist())) / N,
+    )
+    for power, trace in enumerate(traces, start=1):
+        if abs(math.fsum((zeros**power).tolist()) / N - trace) > 1e-9 * max(1.0, abs(trace)):
+            return None
+    return zeros
+
+
 def spectrum(op: BandedOperator) -> SpectralMeasure:
     """Zeros of the rank-N average characteristic polynomial, i.e. the
     eigenvalues of the principal N x N block of the truncation.
 
-    Symmetric tridiagonal blocks go straight to the specialised solver.
-    Nonsymmetric banded blocks are solved in two stages: a balanced
-    eigendecomposition for estimates, then a simultaneous root polish
-    on the characteristic polynomial, which the banded structure lets
-    us evaluate stably in O(N) per point.
+    Routes, recorded in the result's ``route``:
+
+    - "tridiagonal": symmetric tridiagonal blocks go straight to the
+      specialised solver.
+    - "sign-scan": other blocks with one superdiagonal band are first
+      scanned for sign changes of the characteristic polynomial on a
+      Chebyshev grid over the Gershgorin interval, then solved by a
+      bracketed Newton iteration in every bracket.  The result stands
+      only when the scan shows exactly N zeros and the first two power
+      sums of the zeros match the traces of the block.  It builds no
+      dense array: its memory is O(N R) for down_band R.
+    - "aberth": when the scan does not certify (complex spectra, zeros
+      closer than the grid resolves, or a polynomial dominated by
+      rounding), a balanced eigendecomposition of the dense block gives
+      estimates for a simultaneous root polish, whose result is not
+      certified.
+    - "general": every other block goes to the general dense solver.
     """
     scheme = op.scheme
     try:
         if scheme.symmetric and scheme.down_band == 1 and scheme.up_band == 1:
+            route = "tridiagonal"
             d = op.matrix[1, : op.N].copy()
             e = op.matrix[2, : op.N - 1].copy()
             if len(d) == 1:
@@ -190,14 +342,19 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
             else:
                 vals = scipy.linalg.eigvalsh_tridiagonal(d, e).astype(complex)
         elif scheme.up_band == 1:
-            vals = _polish_roots(op, _balanced_eigvals(op.block()))
+            route = "sign-scan"
+            vals = _certified_real_zeros(op)
+            if vals is None:
+                route = "aberth"
+                vals = _polish_roots(op, _balanced_eigvals(op.block()))
         else:
+            route = "general"
             vals = scipy.linalg.eigvals(op.block())
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalFailure(
             f"eigenvalue solver failed on {scheme.name!r} block of size {op.N}: {exc}"
         ) from exc
-    return SpectralMeasure(points=vals)
+    return SpectralMeasure(points=vals, route=route)
 
 
 def zero_moments(measure: SpectralMeasure, ell_max: int):

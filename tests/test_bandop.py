@@ -1,5 +1,6 @@
 """Truncations, trace statistics, and the explicit bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -94,6 +95,22 @@ def test_gue_variance_identity_is_exact():
     # N^2 * Var(moment 1) = a_N^2 * N^2 / N^2 with a_N^2 = N/N: no rounding
     for n in (2, 10, 250, 500):
         assert variance_moment(GUE, n, 1) * n**2 == 1.0
+
+
+def test_variance_reads_a_window_around_n():
+    widths = []
+
+    def band_fn(N, start, stop):
+        widths.append(stop - start)
+        return GUE.band_fn(N, start, stop)
+
+    recorded = dataclasses.replace(GUE, band_fn=band_fn)
+    n = 10**6
+    assert variance_moment(recorded, n, 1) * n**2 == 1.0
+    for ell in (2, 3):
+        assert variance_moment(recorded, n, ell) == variance_moment(GUE, n, ell)
+    # ell (2 down_band + 3 up_band) columns, whatever N is
+    assert max(widths) == 5 * 3
 
 
 def test_variance_nonnegative():

@@ -108,6 +108,7 @@ def test_zeros_json_summary(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["N"] == 30
     assert payload["real"] is True
+    assert payload["route"] == "tridiagonal" and payload["certified"] is True
     assert payload["max_imag"] <= 1e-10
     assert len(payload["moments"]) == 5
     assert payload["moments"][2] == pytest.approx(1 - 1 / 30, abs=1e-10)
@@ -141,6 +142,7 @@ def test_mop_zeros_first_moment(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["real"] is True
+    assert payload["route"] == "sign-scan" and payload["certified"] is True
     assert payload["moments"][1] == pytest.approx(1.5, abs=1e-9)
 
 
@@ -247,6 +249,14 @@ def test_byte_identical_reruns(tmp_path):
     firstj = outj.read_bytes()
     assert cli.main(argsj) == 0
     assert outj.read_bytes() == firstj
+
+    outz = tmp_path / "z.json"
+    argsz = ["mop-zeros", "--kind", "multiple-hermite", "--q", "1/2,1/2", "--a", "1,-1",
+             "--n", "24", "--moments", "4", "--format", "json", "--out", str(outz)]
+    assert cli.main(argsz) == 0
+    firstz = outz.read_bytes()
+    assert cli.main(argsz) == 0
+    assert outz.read_bytes() == firstz
 
 
 def test_run_config_reproduces_flag_invocation(tmp_path):

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bandedzeros.bandop import build_truncation, zero_moment_trace
-from bandedzeros.errors import CharpolyOverflow
+from bandedzeros.bandop import BandedOperator, build_truncation, zero_moment_trace
+from bandedzeros.errors import CharpolyOverflow, NumericalFailure
 from bandedzeros.mop import mop_scheme
 from bandedzeros.recurrence import RecurrenceScheme, classical_scheme, coeff
 from bandedzeros.zeros import (
@@ -21,6 +21,7 @@ GUE = classical_scheme("gue")
 MH = mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
 ML = mop_scheme("multiple-laguerre", a=(1.0, 2.0), q=(0.5, 0.5), alpha=1.0)
 MH3 = mop_scheme("multiple-hermite", a=(1.0, 0.0, -1.0), q=(1 / 3,) * 3)
+MULTI_INDEX = pytest.mark.parametrize("scheme", [MH, ML, MH3], ids=["mh2", "ml2", "mh3"])
 
 
 def rotation_scheme():
@@ -113,7 +114,9 @@ def test_trace_spectrum_consistency(scheme, n):
 
 def test_symmetric_spectra_are_real_and_simple():
     for scheme in (GUE, classical_scheme("meixner", alpha=0.5, beta=1.0)):
-        pts = spectrum(build_truncation(scheme, 120, 0)).points
+        measure = spectrum(build_truncation(scheme, 120, 0))
+        assert measure.route == "tridiagonal" and measure.certified
+        pts = measure.points
         assert np.all(pts.imag == 0.0)
         gaps = np.diff(pts.real)
         assert gaps.min() > 1e-12
@@ -233,3 +236,65 @@ def test_mop_spectra_real_at_scale():
     for scheme in (MH, ML):
         pts = spectrum(build_truncation(scheme, 300, 0)).points
         assert np.abs(pts.imag).max() <= 1e-8
+
+
+@MULTI_INDEX
+@pytest.mark.parametrize("n", [12, 24])
+def test_certified_zeros_match_high_precision_eigenvalues(scheme, n):
+    mpmath = pytest.importorskip("mpmath")
+    op = build_truncation(scheme, n, 0)
+    measure = spectrum(op)
+    assert measure.route == "sign-scan" and measure.certified
+    with mpmath.workdps(40):
+        eig = mpmath.eig(mpmath.matrix(op.block().tolist()), left=False, right=False)
+        assert max(abs(mpmath.im(e)) for e in eig) < 1e-30
+        ref = sorted(float(mpmath.re(e)) for e in eig)
+    assert np.all(measure.points.imag == 0.0)
+    for z, r in zip(measure.points.real, ref):
+        assert abs(z - r) <= 1e-12 * max(1.0, abs(r))
+
+
+@MULTI_INDEX
+def test_multi_index_spectra_build_no_dense_block(scheme, monkeypatch):
+    def no_block(self):
+        raise AssertionError("the certified route built a dense block")
+
+    monkeypatch.setattr(BandedOperator, "block", no_block)
+    measure = spectrum(build_truncation(scheme, 420, 0))
+    assert measure.route == "sign-scan" and measure.certified
+    assert len(measure) == 420
+
+
+@pytest.mark.parametrize("scheme, n", [(MH, 1), (ML, 1), (MH3, 1), (MH3, 3)])
+def test_smallest_blocks_certify(scheme, n):
+    op = build_truncation(scheme, n, 0)
+    measure = spectrum(op)
+    assert measure.route == "sign-scan"
+    ref = np.sort(np.linalg.eigvals(op.block()).real)
+    assert np.allclose(measure.points.real, ref, rtol=0.0, atol=1e-14)
+
+
+def test_grid_zero_counts_as_a_zero():
+    # the middle zero of multiple Hermite (1, 0, -1) at N = 3 is exactly 0,
+    # the midpoint of its Gershgorin interval, where p == 0 on the grid
+    measure = spectrum(build_truncation(MH3, 3, 0))
+    assert measure.route == "sign-scan"
+    assert measure.points[1] == 0.0
+
+
+def test_complex_spectrum_falls_back_uncertified():
+    measure = spectrum(build_truncation(rotation_scheme(), 6, 0))
+    assert measure.route == "aberth"
+    assert not measure.certified
+
+
+@pytest.mark.parametrize("n", [250, 300])
+def test_rounding_dominated_scan_is_not_certified(n):
+    # at N = 250 the scan shows exactly N sign changes but the zeros' mean
+    # is off the trace by ~6e-7; at N = 300 it shows more than N changes
+    scheme = mop_scheme("multiple-laguerre", a=(1.0, 3.0), q=(0.3, 0.7), alpha=0.5)
+    try:
+        measure = spectrum(build_truncation(scheme, n, 0))
+    except NumericalFailure:
+        return
+    assert measure.route == "aberth"
