@@ -25,9 +25,7 @@ import scipy
 from . import __version__
 from .bandop import build_truncation, trace_table, variance_bound, variance_moment
 from .errors import (
-    CharpolyOverflow,
     ConfigError,
-    ContinuationError,
     NumericalFailure,
     OracleScaleError,
     SchemeError,
@@ -48,7 +46,7 @@ from .measures import (
     kva_moment,
 )
 from .mop import mop_scheme
-from .recurrence import classical_scheme, kva_functions
+from .recurrence import classical_scheme, coefficient_limits
 from .sampler import MatrixModelSpec, mc_moments, realize_diagonal
 from .zeros import reality_check, spectrum, zero_moments
 
@@ -364,17 +362,7 @@ def _cmd_variance_sweep(config, meta):
 
 
 def _cmd_kva(config, meta):
-    name = _require(config, "scheme")
-    if name not in _CLASSICAL:
-        raise ConfigError(f"scheme: unknown ensemble {name!r}")
-    params = {}
-    for key in ("alpha", "beta"):
-        if config.get(key) is not None:
-            params[key] = _as_float(config[key], key)
-    try:
-        a_fn, b_fn = kva_functions(name, **params)
-    except SchemeError as exc:
-        raise ConfigError(str(exc)) from None
+    a_fn, b_fn = coefficient_limits(_scheme_from(config))
     quad_order = _as_int(config.get("order", 200), "order")
     if quad_order < 1:
         raise ConfigError(f"order: need a positive quadrature order, got {quad_order}")
@@ -698,7 +686,7 @@ def main(argv=None) -> int:
     except (ConfigError, SchemeError, OracleScaleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, ContinuationError, CharpolyOverflow) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

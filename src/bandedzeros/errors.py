@@ -18,7 +18,9 @@ class OracleScaleError(ValueError):
 
 
 class ContinuationError(NumericalFailure):
-    """Root tracking lost the physical branch of an algebraic curve."""
+    """A Cauchy transform of an algebraic curve could not be evaluated:
+    the point is z = 0, or its subordination fixed point did not
+    converge."""
 
 
 class CharpolyOverflow(NumericalFailure):

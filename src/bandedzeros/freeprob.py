@@ -13,12 +13,13 @@ solve), and back again.  No asymptotic or numeric approximation enters:
 for order-L data the returned moments are exactly the moments of the
 convolution up to order L.
 
-The curve side represents a Cauchy transform G as a root of a bivariate
-polynomial P(z, w) = 0 and evaluates it by root tracking along paths
-from the asymptotic regime where w ~ 1/z (adaptive continuation with a
-nearest-root/separation test).  Moments come from contour integrals on
-circles enclosing the support, validated by radius doubling; densities
-from the boundary values at x + i eps.
+The curve side represents the Cauchy transform G of a free-convolution
+limit (semicircle plus atoms, or the exponent-alpha law times atoms) as
+the root w ~ 1/z of a bivariate polynomial P(z, w) = 0, and evaluates it
+as the one fixed point of a holomorphic self-map of a half-plane (a
+subordination equation), so no branch is chosen.  Moments come from
+contour integrals on circles enclosing the support, validated by radius
+doubling; densities from the boundary values at x + i eps.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -292,11 +294,16 @@ class AlgebraicCurve:
 
     ``table[j][i]`` is the coefficient of z^i w^j (exact rationals when
     the construction data is exact).  ``radius_hint`` is a starting
-    circle radius enclosing the support estimate.
+    circle radius enclosing the support estimate.  ``q``, ``a`` and
+    ``alpha`` are the construction inputs as floats, ``alpha`` None for
+    the Hermite curve; ``solve_G`` reads them, not the table.
     """
 
     table: tuple
     radius_hint: float
+    q: tuple
+    a: tuple
+    alpha: Optional[float] = None
 
     @property
     def deg_w(self) -> int:
@@ -314,16 +321,6 @@ class AlgebraicCurve:
         return out
 
 
-def _curve_from_dict(poly: dict, radius_hint: float) -> AlgebraicCurve:
-    deg_z = max(i for (i, _) in poly)
-    deg_w = max(j for (_, j) in poly)
-    zero = next(iter(poly.values())) * 0
-    table = [
-        tuple(poly.get((i, j), zero) for i in range(deg_z + 1)) for j in range(deg_w + 1)
-    ]
-    return AlgebraicCurve(table=tuple(table), radius_hint=float(radius_hint))
-
-
 def _validate_curve_inputs(q, a):
     q = list(q)
     a = list(a)
@@ -339,9 +336,9 @@ def _validate_curve_inputs(q, a):
     return vals[: len(q)], vals[len(q) :], exact
 
 
-def _curve_from_factors(q, factors, radius_hint: float) -> AlgebraicCurve:
-    """P(z, w) = w prod_i f_i - sum_i q_i prod_{j != i} f_j for the
-    bivariate factors f_i."""
+def _table_from_factors(q, factors) -> tuple:
+    """Coefficient table of P(z, w) = w prod_i f_i - sum_i q_i prod_{j != i} f_j
+    for the bivariate factors f_i."""
     one = q[0] / q[0]
     poly = {(0, 1): one}
     for f in factors:
@@ -352,7 +349,16 @@ def _curve_from_factors(q, factors, radius_hint: float) -> AlgebraicCurve:
             if j != i:
                 term = _bp_mul(term, f)
         poly = _bp_add(poly, _bp_scale(term, -qi))
-    return _curve_from_dict(poly, radius_hint)
+    deg_z = max(i for (i, _) in poly)
+    deg_w = max(j for (_, j) in poly)
+    zero = one * 0
+    return tuple(
+        tuple(poly.get((i, j), zero) for i in range(deg_z + 1)) for j in range(deg_w + 1)
+    )
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
 
 
 def curve_hermite(q, a) -> AlgebraicCurve:
@@ -368,7 +374,7 @@ def curve_hermite(q, a) -> AlgebraicCurve:
     one = q[0] / q[0]
     factors = [{(1, 0): one, (0, 1): -one, (0, 0): -ai} for ai in a]
     hint = 2.0 + max(abs(float(x)) for x in a) + 1.0
-    return _curve_from_factors(q, factors, hint)
+    return AlgebraicCurve(_table_from_factors(q, factors), hint, _floats(q), _floats(a))
 
 
 def curve_laguerre(q, a, alpha) -> AlgebraicCurve:
@@ -391,88 +397,92 @@ def curve_laguerre(q, a, alpha) -> AlgebraicCurve:
     ]
     top = max(1.0 / float(x) for x in a)
     hint = (1.0 + math.sqrt(float(alpha))) ** 2 * top + top + 1.0
-    return _curve_from_factors(q, factors, hint)
+    return AlgebraicCurve(
+        _table_from_factors(q, factors), hint, _floats(q), _floats(a), float(alpha)
+    )
 
 
-def _roots_at(curve: AlgebraicCurve, z: complex) -> np.ndarray:
-    coeffs = curve.wpoly_at(z)
-    # strip trailing (highest-degree) zeros; np.roots wants descending
-    desc = coeffs[::-1]
-    nz = np.nonzero(np.abs(desc) > 0)[0]
-    if len(nz) == 0:
-        raise ContinuationError(f"curve degenerates identically at z = {z}")
-    desc = desc[nz[0] :]
-    if len(desc) == 1:
-        return np.array([], dtype=complex)
-    return np.roots(desc)
+def _self_map(curve: AlgebraicCurve, u, z):
+    """(Phi(u), Phi'(u), size) for the self-map of ``solve_G`` at z, with
+    c_i / (1 + c_i m) as 1 / (a_i + m).  size scales the rounding in Phi:
+    sum_i q_i |r_i| for Hermite (the sum cancels in a gap), |m| for Laguerre."""
+    hermite = curve.alpha is None
+    s = ds = size = 0.0
+    for qi, ai in zip(curve.q, curve.a):
+        r = 1.0 / (z - u - ai) if hermite else 1.0 / (ai + u)
+        s += qi * r
+        ds += qi * r * r
+        size += qi * abs(r)
+    if hermite:
+        return s, ds, size
+    phi = -1.0 / (z - curve.alpha * s)
+    return phi, curve.alpha * ds * phi * phi, abs(phi)
 
 
-def _track_step(curve, w_prev, z_next, depth, z_prev):
-    roots = _roots_at(curve, z_next)
-    if len(roots) == 0:
-        raise ContinuationError(f"no finite branches at z = {z_next}")
-    dist = np.abs(roots - w_prev)
-    order = np.argsort(dist)
-    nearest = roots[order[0]]
-    ambiguous = len(roots) > 1 and dist[order[0]] > 0.33 * dist[order[1]]
-    if ambiguous:
-        if depth > 48:
-            raise ContinuationError(
-                f"branch tracking ambiguous near z = {z_next} (root separation lost)"
-            )
-        mid = 0.5 * (z_prev + z_next)
-        w_mid = _track_step(curve, w_prev, mid, depth + 1, z_prev)
-        return _track_step(curve, w_mid, z_next, depth + 1, mid)
-    return nearest
+def _fixed_point(curve: AlgebraicCurve, z: complex, u):
+    """Fixed point of ``_self_map`` at z (Im z >= 0) from the start u.
 
-
-def _continue_path(curve: AlgebraicCurve, waypoints, w_start: complex) -> complex:
-    w = w_start
-    z_prev = waypoints[0]
-    for z_next in waypoints[1:]:
-        w = _track_step(curve, w, z_next, 0, z_prev)
-        z_prev = z_next
-    return w
-
-
-def _seed_far(curve: AlgebraicCurve, z0: complex) -> complex:
-    roots = _roots_at(curve, z0)
-    target = 1.0 / z0
-    if len(roots) == 0:
-        raise ContinuationError("no branches at the asymptotic base point")
-    w = roots[np.argmin(np.abs(roots - target))]
-    if abs(w * z0 - 1.0) > 0.2:
-        raise ContinuationError(
-            f"no branch behaving like 1/z at |z| = {abs(z0):.3g}; "
-            "base point may not be in the asymptotic regime"
-        )
-    return w
-
-
-def _segment(a: complex, b: complex, steps: int):
-    return [a + (b - a) * t / steps for t in range(1, steps + 1)]
+    Real z runs in real arithmetic.  Otherwise Im z is lowered from
+    max(1, Im z) in steps of a factor 8, each level warm-starting the
+    next.  Each level takes three plain steps, then Newton steps on
+    u - Phi(u), a Newton step that leaves the half-plane sign * Im u > 0
+    (it heads for the conjugate root) replaced by a plain one, until a
+    step is below 1e-15 size or, at the noise floor near an edge of the
+    support, below 1e-10 size and no longer halving.
+    """
+    sign = -1.0 if curve.alpha is None else 1.0
+    if z.imag == 0:
+        z, u = z.real, u.real
+    eta = max(1.0, z.imag) if z.imag else 0.0
+    while True:
+        at = complex(z.real, eta) if eta else z
+        last = math.inf
+        for n in range(200):
+            phi, dphi, size = _self_map(curve, u, at)
+            new = phi
+            if n >= 3:
+                newton = u - (u - phi) / (1.0 - dphi)
+                if not eta or sign * newton.imag > 0:
+                    new = newton
+            step, u = abs(new - u), new
+            if step <= 1e-15 * size or (n > 3 and 0.5 * last < step <= 1e-10 * size):
+                break
+            last = step
+        else:
+            raise ContinuationError(f"subordination fixed point did not converge at z = {at}")
+        if eta == z.imag:
+            return u
+        eta = max(z.imag, eta / 8.0)
 
 
 def solve_G(curve: AlgebraicCurve, z) -> complex:
-    """Cauchy-transform branch of the curve at z (w ~ 1/z at infinity).
+    """Cauchy transform of the curve's law at z (the root w ~ 1/z).
 
-    Tracked by adaptive continuation from a far base point; queries on
-    the real axis are approached from the closest half-plane, so they
-    are meaningful only outside the support.
+    For Im z > 0, G comes from the fixed point of a self-map of a
+    half-plane, which has only one, so no branch is chosen.  Hermite: the
+    subordination w = sum_i q_i / (z - w - a_i) maps the lower half-plane
+    into itself (Belinschi & Bercovici 2007).  Laguerre, c_i = 1/a_i: the
+    companion transform m = -(1 - alpha + alpha z w) / z solves
+    m = -1 / (z - alpha sum_i q_i c_i / (1 + c_i m)), a self-map of the
+    upper half-plane (Silverstein & Bai 1995), and w = sum_i q_i /
+    (z (1 + c_i m)), which is sum_i q_i / (z - c_i) at alpha = 0.
+    G(conj z) = conj G(z) covers Im z < 0.  Real z runs the same
+    iteration in real arithmetic and is meaningful only outside the
+    support.  Raises ``ContinuationError`` at z = 0 and when the fixed
+    point does not converge.
     """
     z = complex(z)
     if z == 0:
         raise ContinuationError("z = 0 is never in the asymptotic domain")
-    far = max(64.0, 16.0 * curve.radius_hint, 2.0 * abs(z))
-    if z.imag > 0:
-        z0 = complex(0.0, far)
-    elif z.imag < 0:
-        z0 = complex(0.0, -far)
-    else:
-        z0 = complex(math.copysign(far, z.real), 0.0)
-    w = _seed_far(curve, z0)
-    path = [z0] + _segment(z0, z, 24)
-    return _continue_path(curve, path, w)
+    if z.imag < 0:
+        return solve_G(curve, z.conjugate()).conjugate()
+    try:
+        if curve.alpha is None:
+            return complex(_fixed_point(curve, z, 1.0 / z))
+        m = _fixed_point(curve, z, -1.0 / z)
+        return complex(sum(qi * ai / (ai + m) for qi, ai in zip(curve.q, curve.a)) / z)
+    except ZeroDivisionError:
+        raise ContinuationError(f"subordination map has a pole at z = {z}") from None
 
 
 def stieltjes_density(curve: AlgebraicCurve, x: float, eps: float = 1e-6,
@@ -494,20 +504,7 @@ def stieltjes_density(curve: AlgebraicCurve, x: float, eps: float = 1e-6,
 def _contour_moments(curve: AlgebraicCurve, rho: float, ell_max: int, points: int):
     thetas = 2.0 * math.pi * np.arange(points) / points
     zs = rho * np.exp(1j * thetas)
-    z0 = complex(math.copysign(max(64.0, 16.0 * curve.radius_hint, 4.0 * rho), 1.0), 0.0)
-    w = _seed_far(curve, z0)
-    w = _continue_path(curve, [z0] + _segment(z0, zs[0], 24), w)
-    ws = np.empty(points, dtype=complex)
-    ws[0] = w
-    z_prev = zs[0]
-    for j in range(1, points):
-        w = _track_step(curve, w, zs[j], 0, z_prev)
-        z_prev = zs[j]
-        ws[j] = w
-    closure = _track_step(curve, w, zs[0], 0, z_prev)
-    scale = max(1.0, float(np.max(np.abs(ws))))
-    if abs(closure - ws[0]) > 1e-6 * scale:
-        raise ContinuationError("contour did not close on a single branch")
+    ws = np.array([solve_G(curve, z) for z in zs])
     moments = []
     for ell in range(ell_max + 1):
         vals = rho ** (ell + 1) * np.exp(1j * (ell + 1) * thetas) * ws
@@ -516,10 +513,12 @@ def _contour_moments(curve: AlgebraicCurve, rho: float, ell_max: int, points: in
 
 
 def curve_moments(curve: AlgebraicCurve, ell_max: int, points: int = 1024) -> MomentSequence:
-    """Moments of the curve's law by contour integration.
+    """Moments of the curve's law by contour integration of z^ell G(z),
+    G from ``solve_G``, over ``points`` equispaced points of a circle.
 
     The circle radius starts at the curve's support hint and doubles
-    until two consecutive radii agree to 1e-9 (at most four doublings).
+    until two consecutive radii agree to 1e-9 (at most four doublings);
+    a circle where a fixed point does not converge cannot agree.
     """
     if ell_max < 0:
         raise ValueError("need ell_max >= 0")

@@ -49,8 +49,10 @@ class RecurrenceScheme:
     down_band : int
         Entries vanish below m = k - down_band.
     up_band : int
-        Entries vanish above m = k + up_band (always >= 1; the
-        coefficient at m = k + up_band is never zero).
+        Entries vanish above m = k + up_band.  Always 1 (the monic
+        Hessenberg form: x P_k reaches P_{k+1} with a nonzero
+        coefficient); construction raises ``SchemeError`` otherwise,
+        since the zero solvers and the determinant recurrence assume it.
     band_fn : callable
         band_fn(N, start, stop) returns columns start..stop-1 of T as
         an array B of down_band + up_band + 1 rows with
@@ -70,6 +72,10 @@ class RecurrenceScheme:
     symmetric: bool = False
     limit_a: Optional[Callable[[float], float]] = None
     limit_b: Optional[Callable[[float], float]] = None
+
+    def __post_init__(self):
+        if self.up_band != 1:
+            raise SchemeError(f"scheme {self.name!r} needs up_band = 1, got {self.up_band}")
 
     def band(self, N: int, stop: int, start: int = 0) -> np.ndarray:
         """Columns start..stop-1 of the truncation of T to indices < stop,

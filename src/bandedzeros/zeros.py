@@ -2,17 +2,16 @@
 
 The zeros of the average characteristic polynomial at rank N are the
 eigenvalues of the principal N x N block pi_N T pi_N.  Symmetric
-tridiagonal blocks go through the specialised LAPACK solver.  Blocks
-with one superdiagonal band take the certified route: a sign scan of the
-characteristic polynomial on a Chebyshev grid over the Gershgorin
-interval brackets the zeros, a vectorised bracketed Newton iteration
+tridiagonal blocks go through the specialised LAPACK solver.  Every
+other block (schemes have one superdiagonal band) takes the certified
+route: a sign scan of the characteristic polynomial on a Chebyshev grid
+over the Gershgorin interval brackets the zeros, a vectorised bracketed Newton iteration
 solves every bracket, and the result is certified real and simple when
 the scan shows exactly N zeros and the first two power sums match the
 traces of the block.  When it does not certify, balanced eigenvalue
 estimates of the dense block are polished by Aberth iteration and the
-result is labelled uncertified.  Everything else goes through the
-general eigenvalue solver.  Eigenvalues are reported sorted by real
-part, then imaginary part, with the route that found them.
+result is labelled uncertified.  Eigenvalues are reported sorted by
+real part, then imaginary part, with the route that found them.
 
 One banded leading-minor recurrence (``_charpoly``) evaluates the
 characteristic polynomial and its derivative, vectorised over points
@@ -34,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .bandop import BandedOperator
-from .errors import CharpolyOverflow, NumericalFailure, SchemeError
+from .errors import CharpolyOverflow, NumericalFailure
 from .measures import MomentSequence
 
 __all__ = [
@@ -51,7 +50,7 @@ class SpectralMeasure:
     """Eigenvalues of a compressed operator, each carrying weight 1/N.
 
     ``route`` names how ``spectrum`` found them (one of "tridiagonal",
-    "sign-scan", "aberth", "general"); points handed in from elsewhere,
+    "sign-scan", "aberth"); points handed in from elsewhere,
     such as a sampled matrix, are "given".
     """
 
@@ -81,15 +80,20 @@ def _balanced_eigvals(block: np.ndarray) -> np.ndarray:
     axis by N of a few hundred.  Scaling row/column k by the running
     product of sqrt(T[k, k+1]) makes the dominant band symmetric and
     leaves only the outer bands nonnormal, which is enough for the
-    eigenvalues to serve as starting points for root polishing.
+    eigenvalues to serve as starting points for root polishing.  Each
+    nonzero entry (i, j) is scaled by exp(logd[i] - logd[j]) directly:
+    band entries have |i - j| <= max(down_band, 1), so the exponent stays
+    in range however far the running product drifts along the block.
     """
     n = block.shape[0]
     logd = np.zeros(n)
     for k in range(n - 1):
         w = block[k, k + 1].real
         logd[k + 1] = logd[k] + (0.5 * math.log(w) if w > 0 else 0.0)
-    d = np.exp(logd - logd.mean())
-    return scipy.linalg.eigvals((d[:, None] * block) / d[None, :])
+    i, j = np.nonzero(block)
+    scaled = np.zeros_like(block)
+    scaled[i, j] = block[i, j] * np.exp(logd[i] - logd[j])
+    return scipy.linalg.eigvals(scaled)
 
 
 def _charpoly(op: BandedOperator, zs):
@@ -317,23 +321,23 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
 
     - "tridiagonal": symmetric tridiagonal blocks go straight to the
       specialised solver.
-    - "sign-scan": other blocks with one superdiagonal band are first
-      scanned for sign changes of the characteristic polynomial on a
-      Chebyshev grid over the Gershgorin interval, then solved by a
-      bracketed Newton iteration in every bracket.  The result stands
-      only when the scan shows exactly N zeros and the first two power
-      sums of the zeros match the traces of the block.  It builds no
+    - "sign-scan": every other block (schemes have one superdiagonal
+      band) is first scanned for sign changes of the characteristic
+      polynomial on a Chebyshev grid over the Gershgorin interval, then
+      solved by a bracketed Newton iteration in every bracket.  The
+      result stands only when the scan shows exactly N zeros and the
+      first two power sums of the zeros match the traces of the block.
+      It builds no
       dense array: its memory is O(N R) for down_band R.
     - "aberth": when the scan does not certify (complex spectra, zeros
       closer than the grid resolves, or a polynomial dominated by
       rounding), a balanced eigendecomposition of the dense block gives
       estimates for a simultaneous root polish, whose result is not
       certified.
-    - "general": every other block goes to the general dense solver.
     """
     scheme = op.scheme
     try:
-        if scheme.symmetric and scheme.down_band == 1 and scheme.up_band == 1:
+        if scheme.symmetric and scheme.down_band == 1:
             route = "tridiagonal"
             d = op.matrix[1, : op.N].copy()
             e = op.matrix[2, : op.N - 1].copy()
@@ -341,15 +345,12 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
                 vals = d.astype(complex)
             else:
                 vals = scipy.linalg.eigvalsh_tridiagonal(d, e).astype(complex)
-        elif scheme.up_band == 1:
+        else:
             route = "sign-scan"
             vals = _certified_real_zeros(op)
             if vals is None:
                 route = "aberth"
                 vals = _polish_roots(op, _balanced_eigvals(op.block()))
-        else:
-            route = "general"
-            vals = scipy.linalg.eigvals(op.block())
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalFailure(
             f"eigenvalue solver failed on {scheme.name!r} block of size {op.N}: {exc}"
@@ -396,8 +397,6 @@ def charpoly_eval(op: BandedOperator, z) -> complex:
     ``CharpolyOverflow`` error carries the scaled log-determinant
     (log-magnitude and phase).
     """
-    if op.scheme.up_band != 1:
-        raise SchemeError("determinant recurrence needs a single superdiagonal band")
     p, _, exponent = _charpoly(op, [complex(z)])
     result = complex(p[0])
     exponent = int(exponent[0])

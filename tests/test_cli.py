@@ -258,6 +258,14 @@ def test_byte_identical_reruns(tmp_path):
     assert cli.main(argsz) == 0
     assert outz.read_bytes() == firstz
 
+    outd = tmp_path / "d.csv"
+    argsd = ["curve", "--kind", "laguerre", "--q", "1/2,1/2", "--a", "1,2", "--alpha", "1",
+             "--density", "0.5,1,2.5", "--richardson", "--out", str(outd)]
+    assert cli.main(argsd) == 0
+    firstd = outd.read_bytes()
+    assert cli.main(argsd) == 0
+    assert outd.read_bytes() == firstd
+
 
 def test_run_config_reproduces_flag_invocation(tmp_path):
     out = tmp_path / "eq.csv"

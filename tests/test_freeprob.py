@@ -1,11 +1,11 @@
 """Free convolution: series transforms against closed forms, curves
-against the series pipeline, and the analytic-branch machinery against
+against the series pipeline, and the subordination fixed point against
 known Cauchy transforms.
 
 The series layer is exact on exact input, so most equalities here are
 literal Fraction comparisons.  The curve layer is numerical (contour
-integration, homotopy continuation); its checks carry the 1e-8
-agreement tolerance that the two routes are required to meet.
+integration of a fixed point); its checks carry the 1e-8 agreement
+tolerance that the two routes are required to meet.
 """
 
 import math
@@ -314,6 +314,39 @@ def test_branch_is_nevanlinna_on_upper_half_plane():
         for re in reals:
             for im in np.linspace(0.05, 4.0, 25):
                 assert solve_G(curve, complex(re, im)).imag < 0
+    # near the hard edge at 0
+    curve = curve_laguerre((HALF, HALF), (1, 2), 1)
+    for im in (1e-7, 1e-2):
+        assert solve_G(curve, complex(0.0, im)).imag < 0
+    # left of a support that starts with an atom at 0, where G is negative
+    curve = curve_laguerre((Fraction(1, 4), Fraction(1, 4), HALF), (1, 2, 4), 2)
+    for re in (-0.98, -0.78, -0.39):
+        for im in (1e-7, 0.5):
+            g = solve_G(curve, complex(re, im))
+            assert g.imag < 0
+            assert g.real < 0
+    # in a gap of the support where G crosses 0, so |G| ~ Im z
+    curve = curve_hermite((Fraction(1, 5), Fraction(3, 10), HALF), (0, 1, -2))
+    for im in (1e-9, 1e-8):
+        assert solve_G(curve, complex(-0.8, im)).imag < 0
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        curve_hermite((Fraction(1, 5), Fraction(3, 10), HALF), (0, 1, -2)),
+        curve_laguerre((Fraction(1, 4), Fraction(1, 4), HALF), (1, 2, 4), 2),
+    ],
+    ids=["hermite", "laguerre"],
+)
+def test_branch_lies_on_the_curve(curve):
+    # the fixed point never reads the table, so this ties the two together
+    for re in np.linspace(-curve.radius_hint, curve.radius_hint, 41):
+        for im in (1e-3, 0.1, 1.0):
+            z = complex(re, im)
+            coeffs = curve.wpoly_at(z)
+            value = np.polynomial.polynomial.polyval(solve_G(curve, z), coeffs)
+            assert abs(value) <= 1e-12 * np.abs(coeffs).max()
 
 
 def test_branch_rejects_origin():

@@ -8,6 +8,7 @@ import pytest
 from bandedzeros.errors import SchemeError
 from bandedzeros.recurrence import (
     CLASSICAL_ENSEMBLES,
+    RecurrenceScheme,
     classical_scheme,
     coeff,
     coefficient_limits,
@@ -184,3 +185,12 @@ def test_coeff_requires_tridiagonal():
     wide = mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
     with pytest.raises(SchemeError):
         coeff(wide, 3, 10)
+
+
+@pytest.mark.parametrize("up_band", [0, 2])
+def test_scheme_needs_exactly_one_superdiagonal(up_band):
+    def band(N, start, stop):
+        return np.ones((2 + up_band, stop - start))
+
+    with pytest.raises(SchemeError, match="up_band = 1"):
+        RecurrenceScheme(name="wide", params={}, down_band=1, up_band=up_band, band_fn=band)

@@ -288,6 +288,24 @@ def test_complex_spectrum_falls_back_uncertified():
     assert not measure.certified
 
 
+@pytest.mark.parametrize("n", [50, 250, 600])
+def test_balanced_estimates_stay_in_range_on_long_blocks(n):
+    # T[k, k+1] = 1e-6 and T[k+1, k] = -1: the balancing scale drifts by
+    # a factor exp(6.9) per row, past the double range from N ~ 210, yet every
+    # scaled band entry is +-1e-3.  The eigenvalues are
+    # 2e-3 i cos(k pi / (N + 1)), k = 1..N.
+    def band(N, start, stop):
+        width = stop - start
+        return np.stack([np.full(width, 1e-6), np.zeros(width), np.full(width, -1.0)])
+
+    scheme = RecurrenceScheme(name="skew", params={}, down_band=1, up_band=1, band_fn=band)
+    measure = spectrum(build_truncation(scheme, n, 0))
+    assert measure.route == "aberth"
+    exact = 2e-3 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    assert np.abs(measure.points.real).max() <= 1e-16
+    assert np.abs(np.sort(measure.points.imag) - np.sort(exact)).max() <= 1e-16
+
+
 @pytest.mark.parametrize("n", [250, 300])
 def test_rounding_dominated_scan_is_not_certified(n):
     # at N = 250 the scan shows exactly N sign changes but the zeros' mean
