@@ -28,7 +28,6 @@ from .recurrence import (
     coeff,
     coefficient_limits,
     kva_functions,
-    scheme_from_config,
 )
 from .bandop import (
     BandedOperator,
@@ -55,7 +54,6 @@ from .mop import (
     hermite_coeff_fn,
     laguerre_coeff_fn,
     mop_scheme,
-    mop_scheme_from_config,
     nn_coeffs_hermite,
     nn_coeffs_laguerre,
     path_from_ratios,

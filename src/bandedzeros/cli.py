@@ -47,7 +47,7 @@ from .measures import (
 )
 from .mop import mop_scheme
 from .recurrence import classical_scheme, coefficient_limits
-from .sampler import MatrixModelSpec, mc_moments, realize_diagonal
+from .sampler import STREAM_VERSION, MatrixModelSpec, mc_moments, realize_diagonal
 from .zeros import reality_check, spectrum, zero_moments
 
 __all__ = ["main"]
@@ -499,7 +499,7 @@ def _cmd_sample(config, meta):
     spec = MatrixModelSpec(kind=model, N=n, alpha=alpha, source=source)
     mean, var, se = mc_moments(spec, order, samples, seed)
     payload = {
-        "meta": meta,
+        "meta": {**meta, "stream_version": STREAM_VERSION},
         "model": model,
         "N": n,
         "samples": samples,

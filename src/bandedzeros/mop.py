@@ -8,14 +8,27 @@ vector q.  Along the path the nearest-neighbour recurrence
 
 telescopes into a banded expansion of x P_{n^(k)} over the path
 polynomials: one superdiagonal (monic normalisation), the diagonal
-coefficient of the step direction, and a lower band of width R obtained
-by cascading the index-exchange relation
+coefficient diag_{n^(k)}[i_k] of the step direction, and a lower band of
+width R obtained by cascading the index-exchange relation
 
     P_{n + e_i} - P_{n + e_j} = (diag_n[j] - diag_n[i]) P_n.
 
-R is at most ceil(1 / min_d q_d); the construction asserts (rather than
+The cascade has a closed form.  The exchange factor at level l,
+
+    c_l^(d) = diag_{n^(l) - e_d}[d] - diag_{n^(l) - e_d}[i_l],
+
+depends on the level and the direction only, and is 0 when i_l = d;
+then for j >= 1
+
+    T[k - j, k] = sum_d down_{n^(k)}[d] * prod_{l = k-j+1}^{k-1} c_l^(d),
+
+with the term of d taken as 0 once the product reaches a level where
+n^(l)_d = 0 (down_{n^(k)}[d] is 0 when n^(k)_d = 0).  So one pass over R
+levels, each an array product over all columns, builds a window of the
+band.  R is at most ceil(1 / min_d q_d); the path asserts (rather than
 assumes) that every coordinate is stepped at least once in any R
-consecutive path steps, which is what makes the cascade terminate.
+consecutive steps, so every product has met a zero factor by j = R + 1
+and the band has no further rows.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, SchemeError
+from .errors import SchemeError
 from .recurrence import RecurrenceScheme
 
 __all__ = [
@@ -39,20 +52,24 @@ __all__ = [
     "laguerre_coeff_fn",
     "banded_entries",
     "mop_scheme",
-    "mop_scheme_from_config",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NNCoefficients:
-    """Nearest-neighbour coefficients at one index.
+    """Nearest-neighbour coefficients at one index or a stack of indices.
 
-    ``diag[d]`` multiplies P_n in x P_n = P_{n+e_d} + diag[d] P_n + ...;
-    ``down[j]`` multiplies P_{n - e_j} (taken as 0 when n_j = 0).
+    ``diag[..., d]`` multiplies P_n in x P_n = P_{n+e_d} + diag[d] P_n + ...;
+    ``down[..., d]`` multiplies P_{n - e_d} (0 when n_d = 0).  Both have
+    the shape of the index array: float64, or object arrays of Fractions
+    when the family's parameters are exact.  The band reads diag at n^(k)
+    for its diagonal, diag at n^(l) - e_d for the exchange factors
+    c_l^(d) = diag[d] - diag[i_l], and down at n^(k) for the first lower
+    row, which the factors carry down the cascade.
     """
 
-    diag: tuple
-    down: tuple
+    diag: np.ndarray
+    down: np.ndarray
 
 
 class MultiIndexPath:
@@ -132,20 +149,32 @@ def path_from_ratios(ratios, n_max: int = 0) -> MultiIndexPath:
     return path
 
 
+def _exact(*params) -> bool:
+    return all(isinstance(x, (int, Fraction)) for x in params)
+
+
+def _indices(n, a_vec, exact: bool) -> np.ndarray:
+    """Index array of shape (..., r): Python ints when exact, else float64."""
+    n = np.asarray(n, dtype=np.int64)
+    if n.shape[-1:] != (len(a_vec),):
+        raise SchemeError("index and location dimensions differ")
+    return n.astype(object if exact else float)
+
+
 def nn_coeffs_hermite(n, N: int, a_vec) -> NNCoefficients:
     """Gaussian-weight coefficients: diag[d] = a_d, down[d] = n_d / N.
 
-    Exact when a_vec entries are Fractions or integers.
+    ``n`` is one index or a (K, r) array of indices.  Exact (object
+    arrays of Fractions) when a_vec entries are Fractions or integers.
     """
-    n = tuple(n)
     a_vec = tuple(a_vec)
-    if len(n) != len(a_vec):
-        raise SchemeError("index and location dimensions differ")
-    diag = a_vec
-    one = Fraction(1) if all(isinstance(a, (int, Fraction)) for a in a_vec) else 1.0
-    # n_d = 0 contributes nothing, and skipping the division keeps the
-    # degenerate N = 0 corner well defined
-    down = tuple(one * nd / N if nd else one * 0 for nd in n)
+    exact = _exact(*a_vec)
+    n = _indices(n, a_vec, exact)
+    one = Fraction(1) if exact else 1.0
+    diag = np.broadcast_to(np.array([one * a for a in a_vec], dtype=n.dtype), n.shape)
+    # n_d = 0 gives 0 without dividing by N, which keeps the degenerate
+    # N = 0 corner well defined
+    down = one * n / np.where(n > 0, N, 1)
     return NNCoefficients(diag=diag, down=down)
 
 
@@ -156,25 +185,22 @@ def nn_coeffs_laguerre(n, N: int, alpha, a_vec) -> NNCoefficients:
     down[d] = n_d (|n| + N alpha) / (N a_d)^2
 
     The down coefficient carries the squared scale (N a_d)^2, as the
-    r = 1 reduction to the classical recurrence requires.  Exact when
-    alpha and a_vec are Fractions or integers.
+    r = 1 reduction to the classical recurrence requires.  ``n`` is one
+    index or a (K, r) array of indices.  Exact (object arrays of
+    Fractions) when alpha and a_vec are Fractions or integers.
     """
-    n = tuple(n)
     a_vec = tuple(a_vec)
-    if len(n) != len(a_vec):
-        raise SchemeError("index and location dimensions differ")
-    if isinstance(alpha, (int, Fraction)) and all(
-        isinstance(a, (int, Fraction)) for a in a_vec
-    ):
+    exact = _exact(alpha, *a_vec)
+    n = _indices(n, a_vec, exact)
+    if exact:
         alpha = Fraction(alpha)
         a_vec = tuple(Fraction(a) for a in a_vec)
-    size = sum(n)
-    shared = sum(nj / (N * aj) for nj, aj in zip(n, a_vec))
-    diag = tuple((size + N * alpha + 1) / (N * ad) + shared for ad in a_vec)
-    down = tuple(
-        nd * (size + N * alpha) / (N * ad) ** 2 if nd else 0 * ad
-        for nd, ad in zip(n, a_vec)
-    )
+    scale = np.array([N * ad for ad in a_vec], dtype=n.dtype)
+    size = n.sum(axis=-1, keepdims=True) + N * alpha  # |n| + N alpha
+    ratios = n / scale
+    shared = sum(ratios[..., j : j + 1] for j in range(len(a_vec)))  # left to right
+    diag = (size + 1) / scale + shared
+    down = np.where(n > 0, n * size / np.array([(N * ad) ** 2 for ad in a_vec]), 0)
     return NNCoefficients(diag=diag, down=down)
 
 
@@ -186,66 +212,59 @@ def laguerre_coeff_fn(alpha, a_vec):
     return lambda n, N: nn_coeffs_laguerre(n, N, alpha, a_vec)
 
 
+def _cascade(path: MultiIndexPath, coeff_fn, N: int, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of the band (``RecurrenceScheme.band_fn``
+    layout, R + 2 rows), in the dtype of coeff_fn's coefficients.
+
+    Row R - j holds T[k - j, k] = sum_d down_{n^(k)}[d] times the running
+    product of c_l^(d) for l = k-1 down to k-j+1, multiplied level by
+    level in that order.  Rows with k - j < 0 come out +0: each product
+    has met its zero factor by level 0.
+    """
+    R, r = path.R, path.r
+    path.index(start)  # a negative column raises here
+    lo = max(0, start - R)  # lowest level any requested column reads
+    first = path.index(lo)
+    path.index(stop)
+    steps = np.array(path._steps[lo:stop], dtype=np.int64)  # i_l for l = lo..stop-1
+    eye = np.eye(r, dtype=np.int64)
+    onehot = eye[steps]
+    n = np.cumsum(onehot, axis=0) - onehot + first  # n^(l) for l = lo..stop-1
+    K, L = stop - start, stop - lo
+    # one evaluation: the columns' indices n^(k), then the shifted
+    # indices n^(l) - e_d whose diag gives the exchange factors c_l^(d)
+    shifted = (n[:, None, :] - eye).reshape(-1, r)
+    at = coeff_fn(np.concatenate([n[L - K :], shifted]), N)
+    band = np.zeros((R + 2, K), dtype=at.down.dtype)
+    band[R + 1] = 1
+    band[R] = at.diag[np.arange(K), steps[L - K :]]
+    sd = at.diag[K:].reshape(L, r, r)
+    # c is exactly 0 where i_l = d.  Where n^(l)_d = 0 it is read at an
+    # index off the lattice, but the product it multiplies is already 0:
+    # it has passed the level where d was first stepped, or it starts
+    # from down_{n^(k)}[d] = 0.
+    c = sd.diagonal(axis1=1, axis2=2) - sd[np.arange(L)[:, None], np.arange(r), steps[:, None]]
+    # levels below 0, which columns k < R step past once their products are 0
+    c = np.concatenate([np.zeros((R, r), dtype=c.dtype), c])
+    prods = at.down[:K]
+    for j in range(1, R + 1):
+        # sum's +0 start keeps a finished cascade at +0, not -0
+        band[R - j] = sum(prods[:, d] for d in range(r))
+        prods = prods * c[R + L - K - j : R + L - j]
+    return band
+
+
 def banded_entries(path: MultiIndexPath, coeff_fn, k: int, N: int):
-    """Expansion of x P_{n^(k)} over the path polynomials.
+    """Expansion of x P_{n^(k)} over the path polynomials: column k of
+    the band cascade.
 
     Returns a list of (m, value) pairs for m from k+1 down to
-    max(0, k - R), in that order.  coeff_fn(n, N) -> NNCoefficients.
-
-    Cascade: the coefficient at P_{n^(m)} for m <= k-2 is
-    sum_d down[d] * prod_{l=m+1}^{k-1} c_l^(d) with
-    c_l^(d) = diag_{n^(l)-e_d}[d] - diag_{n^(l)-e_d}[i_l]; the factor
-    for l with i_l = d vanishes, which terminates every cascade within
-    R steps.
+    max(0, k - R), in that order.  coeff_fn(n, N) -> NNCoefficients, for
+    one index or an array of them; Fraction coefficients give the exact
+    expansion.
     """
-    n_k = path.index(k)
-    i_k = path.step(k)
-    coeffs_k = coeff_fn(n_k, N)
-    entries = [(k + 1, 1), (k, coeffs_k.diag[i_k])]
-    if k == 0:
-        return entries
-    r = path.r
-    lowest = max(0, k - path.R)
-    # running cascade products per direction
-    prods = {}
-    for d in range(r):
-        if n_k[d] >= 1:
-            prods[d] = coeffs_k.down[d]
-    values = {}
-    for m in range(k - 1, lowest - 1, -1):
-        if not prods:
-            break
-        values[m] = sum(prods.values())
-        if m == lowest:
-            break
-        # extend every cascade through level m
-        n_m = list(path.index(m))
-        i_m = path.step(m)
-        dead = []
-        for d in prods:
-            if i_m == d or n_m[d] == 0:
-                # exchange factor vanishes (or the shifted index would
-                # leave the lattice, in which case a vanishing factor
-                # at the step of d's last increment has already killed
-                # the true cascade)
-                dead.append(d)
-                continue
-            n_m[d] -= 1
-            shifted = coeff_fn(tuple(n_m), N)
-            n_m[d] += 1
-            factor = shifted.diag[d] - shifted.diag[i_m]
-            if factor == 0:
-                dead.append(d)
-            else:
-                prods[d] = prods[d] * factor
-        for d in dead:
-            prods.pop(d)
-    for m in range(k - 1, lowest - 1, -1):
-        if m in values:
-            entries.append((m, values[m]))
-        else:
-            entries.append((m, 0))
-    return entries
+    column = _cascade(path, coeff_fn, N, k, k + 1)[:, 0]
+    return [(m, column[path.R + m - k]) for m in range(k + 1, max(0, k - path.R) - 1, -1)]
 
 
 def _validate_locations(kind: str, a, q):
@@ -295,17 +314,14 @@ def mop_scheme(
         path = MultiIndexPath(q)
     elif path.r != len(q):
         raise SchemeError("path dimension does not match ratios")
-    columns = {}  # (k, N) -> column k of the band, kept across calls
+    cached = {}  # N -> (first column, band of the last computed window)
 
     def band_fn(N, start, stop):
-        band = np.zeros((path.R + 2, stop - start))
-        for k in range(start, stop):
-            if (k, N) not in columns:
-                columns[k, N] = col = np.zeros(path.R + 2)
-                for m, v in banded_entries(path, coeff_fn, k, N):
-                    col[path.R + m - k] = float(v)
-            band[:, k - start] = columns[k, N]
-        return band
+        first, band = cached.get(N, (0, np.zeros((path.R + 2, 0))))
+        if not first <= start <= stop <= first + band.shape[1]:
+            first, band = cached[N] = start, _cascade(path, coeff_fn, N, start, stop)
+            band.setflags(write=False)
+        return band[:, start - first : stop - first]
 
     return RecurrenceScheme(
         name=kind,
@@ -315,25 +331,3 @@ def mop_scheme(
         band_fn=band_fn,
         symmetric=False,
     )
-
-
-def mop_scheme_from_config(config: dict) -> RecurrenceScheme:
-    """Build a multi-index scheme from
-    {"kind": ..., "a": [...], "q": [...], "alpha": ..., "N": ...};
-    the optional "N" sizing key is accepted and ignored here."""
-    if not isinstance(config, dict):
-        raise ConfigError("scheme config must be an object")
-    unknown = set(config) - {"kind", "a", "q", "alpha", "N"}
-    if unknown:
-        raise ConfigError(f"unknown multi-index config keys: {sorted(unknown)}")
-    for key in ("kind", "a", "q"):
-        if key not in config:
-            raise ConfigError(f"multi-index config needs {key!r}")
-    try:
-        return mop_scheme(
-            config["kind"], config["a"], config["q"], alpha=config.get("alpha")
-        )
-    except SchemeError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc

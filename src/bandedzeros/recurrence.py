@@ -23,13 +23,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, SchemeError
+from .errors import SchemeError
 
 __all__ = [
     "RecurrenceScheme",
     "CLASSICAL_ENSEMBLES",
     "classical_scheme",
-    "scheme_from_config",
     "coeff",
     "coefficient_limits",
     "kva_functions",
@@ -264,24 +263,6 @@ def classical_scheme(name: str, **params) -> RecurrenceScheme:
     if missing:
         raise SchemeError(f"missing parameters for {name}: {sorted(missing)}")
     return factory(**params)
-
-
-def scheme_from_config(config: dict) -> RecurrenceScheme:
-    """Build a classical scheme from {"ensemble": name, "params": {...}}."""
-    if not isinstance(config, dict):
-        raise ConfigError("scheme config must be an object")
-    unknown = set(config) - {"ensemble", "params"}
-    if unknown:
-        raise ConfigError(f"unknown scheme config keys: {sorted(unknown)}")
-    if "ensemble" not in config:
-        raise ConfigError("scheme config needs an 'ensemble' key")
-    params = config.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("'params' must be an object")
-    try:
-        return classical_scheme(config["ensemble"], **params)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def coeff(scheme: RecurrenceScheme, k: int, N: int):

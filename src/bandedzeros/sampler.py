@@ -11,13 +11,15 @@ Four models are sampled:
 - ``wishart_cov``: A^(1/2) W A^(1/2) for a wishart sample W and the
   same diagonal A (entrywise square root, so all a_d must be > 0).
 
-Reproducibility contract: sample j draws from Philox keyed by
-``seed XOR j``.  Gaussians come from inverse-CDF transform of the
-64-bit uniform stream (no rejection), so the draw count per sample is
-a fixed function of the model shape, and identical (spec, L, samples,
-seed) inputs give bit-identical results.  Accumulation across samples
-uses numpy pairwise summation over a fixed-shape array, which is
-likewise deterministic.
+Reproducibility contract (stream version 2): sample j draws from
+Philox keyed by the two-word key (seed, j), that is ``seed + (j << 64)``
+for a seed in [0, 2^64), so different seeds share no sample (Salmon et
+al., SC11).  Version 1 keyed on ``seed XOR j``; sample 0 is the same.
+Gaussians come from inverse-CDF transform of the 64-bit uniform stream
+(no rejection), so the draw count per sample is a fixed function of the
+model shape, and identical (spec, L, samples, seed) inputs give
+bit-identical results.  Accumulation across samples uses numpy pairwise
+summation over a fixed-shape array, which is likewise deterministic.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ __all__ = [
 ]
 
 _KINDS = ("gue", "wishart", "gue_source", "wishart_cov")
+
+# written into the ``sample`` artifact; changes whenever the draws for a
+# given (spec, seed) change
+STREAM_VERSION = 2
 
 
 def realize_diagonal(q, a, N: int) -> np.ndarray:
@@ -112,8 +118,11 @@ def _gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
     return scipy.special.ndtri(u)
 
 
-def _sample_matrix(spec: MatrixModelSpec, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def _sample_matrix(spec: MatrixModelSpec, seed: int, j: int = 0) -> np.ndarray:
+    """Sample j of the stream for ``seed``."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=seed + (j << 64)))
     N = spec.N
     if spec.kind in ("gue", "gue_source"):
         g = _gaussians(rng, N * N)
@@ -147,7 +156,7 @@ def sample_spectrum(spec: MatrixModelSpec, seed: int) -> SpectralMeasure:
 @dataclass(frozen=True)
 class EmpiricalBatch:
     """Per-sample empirical moments: row j holds (1/N) sum_i x_i^ell
-    for ell = 0..L of the sample drawn with seed ``seed XOR j``."""
+    for ell = 0..L of sample j, drawn with the Philox key (seed, j)."""
 
     seed: int
     samples: int
@@ -167,7 +176,7 @@ def empirical_batch(spec: MatrixModelSpec, L: int, samples: int, seed: int) -> E
     seed = int(seed)
     table = np.empty((samples, L + 1))
     for j in range(samples):
-        H = _sample_matrix(spec, seed ^ j)
+        H = _sample_matrix(spec, seed, j)
         vals = np.linalg.eigvalsh(H)
         powers = np.ones_like(vals)
         for ell in range(L + 1):
@@ -180,7 +189,7 @@ def empirical_batch(spec: MatrixModelSpec, L: int, samples: int, seed: int) -> E
 def mc_moments(spec: MatrixModelSpec, L: int, samples: int, seed: int):
     """Empirical-moment statistics over independent samples.
 
-    Sample j uses the derived seed ``seed XOR j``.  Returns
+    Sample j uses the Philox key (seed, j).  Returns
     (mean: MomentSequence, variance per ell, standard error per ell),
     with variance the unbiased per-ell sample variance of
     (1/N) sum_i x_i^ell and the standard error of its mean.

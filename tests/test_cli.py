@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bandedzeros import cli
+from bandedzeros import ArcsineMixture, cli, kva_functions
 from bandedzeros.errors import NumericalFailure
 
 
@@ -191,6 +191,23 @@ def test_kva_moment_table(tmp_path):
     assert np.allclose(moments, [1, 0, 1, 0, 2, 0, 5], atol=1e-9)
 
 
+def test_kva_density_table(tmp_path):
+    out = tmp_path / "k.csv"
+    args = ["kva", "--scheme", "gue", "--density=-1.5,0,1,2.5", "--out", str(out)]
+    assert cli.main(args) == 0
+    _, header, rows = read_csv(out)
+    assert header == ["x", "density"]
+    mixture = ArcsineMixture(*kva_functions("gue"))
+    xs = [float(r[0]) for r in rows]
+    values = [float(r[1]) for r in rows]
+    assert xs == [-1.5, 0.0, 1.0, 2.5]
+    assert values == [mixture.density(x) for x in xs]
+    # the GUE mixture is the semicircle law, up to quadrature error
+    for x, value in zip(xs, values):
+        assert abs(value - math.sqrt(max(4 - x * x, 0.0)) / (2 * math.pi)) <= 0.02
+    assert values[-1] == 0.0
+
+
 def test_free_conv_exact_strings(tmp_path):
     out = tmp_path / "f.json"
     code = cli.main(
@@ -228,6 +245,7 @@ def test_sample_payload_shape(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["model"] == "gue"
+    assert payload["meta"]["stream_version"] == 2
     assert payload["N"] == 8 and payload["samples"] == 5 and payload["seed"] == 3
     assert len(payload["mean"]) == len(payload["var"]) == len(payload["se"]) == 3
     assert payload["mean"][0] == 1.0

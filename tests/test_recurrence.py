@@ -13,7 +13,6 @@ from bandedzeros.recurrence import (
     coeff,
     coefficient_limits,
     kva_functions,
-    scheme_from_config,
 )
 
 
@@ -121,7 +120,8 @@ def test_band_declaration_honored(name, params):
         assert scheme.entry(m, k, N) == 0.0
 
 
-def test_band_start_selects_columns():
+def test_band_start_selects_columns(monkeypatch):
+    from bandedzeros import mop
     from bandedzeros.mop import mop_scheme
 
     makers = [
@@ -136,6 +136,35 @@ def test_band_start_selects_columns():
         for start in (0, 1, 5, 29, 30):
             # a fresh scheme, so no column is served from an earlier call
             assert np.array_equal(make().band(20, 30, start), full[:, start:])
+
+    # one reused multi-index scheme keeps one window per N: requests
+    # inside it are slices (hits), others recompute and replace it
+    computed = []
+    cascade = mop._cascade
+
+    def counting(path, coeff_fn, N, start, stop):
+        computed.append((N, start, stop))
+        return cascade(path, coeff_fn, N, start, stop)
+
+    monkeypatch.setattr(mop, "_cascade", counting)
+    reused = makers[2]()
+    requests = [
+        ((20, 0, 30), True),  # first request for N = 20
+        ((20, 5, 12), False),
+        ((20, 29, 30), False),
+        ((20, 10, 35), True),  # past the window: replaces it
+        ((20, 12, 30), False),
+        ((20, 0, 30), True),  # before the window: replaces it again
+        ((21, 0, 25), True),  # another N has its own window
+        ((20, 3, 9), False),
+        ((21, 24, 25), False),
+    ]
+    for (N, start, stop), miss in requests:
+        before = len(computed)
+        window = reused.band(N, stop, start)
+        assert len(computed) - before == miss, (N, start, stop)
+        fresh = makers[2]().band(N, stop)
+        assert np.array_equal(window, fresh[:, start:]), (N, start, stop)
 
 
 def test_tridiagonal_symmetry():
@@ -170,13 +199,6 @@ def test_registry_names():
         "charlier",
         "meixner",
     }
-
-
-def test_scheme_from_config():
-    s = scheme_from_config({"ensemble": "wishart", "params": {"alpha": 1.0}})
-    assert s.name == "wishart"
-    with pytest.raises(SchemeError):
-        scheme_from_config({"ensemble": "wishart", "params": {"gamma": 1.0}})
 
 
 def test_coeff_requires_tridiagonal():

@@ -54,12 +54,19 @@ def test_bit_reproducibility():
     assert first[0].values != other[0].values
 
 
-def test_sample_seed_derivation_is_xor():
+def test_neighbouring_seeds_share_no_samples():
+    # sample j is keyed (seed, j), so seeds 5 and 6 draw disjoint streams
     spec = MatrixModelSpec(kind="wishart", N=6, alpha=1.0)
-    batch = empirical_batch(spec, 2, 4, seed=5)
-    for j in range(4):
-        single = empirical_batch(spec, 2, 1, seed=5 ^ j)
-        assert np.array_equal(batch.table[j], single.table[0])
+    five, six = (
+        {row.tobytes() for row in empirical_batch(spec, 2, 50, seed=seed).table}
+        for seed in (5, 6)
+    )
+    assert len(five) == len(six) == 50
+    assert not five & six
+    with pytest.raises(ConfigError):
+        empirical_batch(spec, 2, 2, seed=-1)
+    with pytest.raises(ConfigError):
+        empirical_batch(spec, 2, 2, seed=2**64)
 
 
 def test_batch_is_immutable():
