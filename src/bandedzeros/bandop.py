@@ -106,24 +106,32 @@ def _crossing_sum(P: np.ndarray, lower: int, N: int, start: int = 0) -> float:
     ) / (N * N)
 
 
-def mean_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
-    """Mean of the ell-th empirical moment, (1/N) Tr(pi_N T^ell pi_N)."""
+def _diagonal_traces(scheme: RecurrenceScheme, N: int, ell_max: int, pad: int):
+    """(P, (1/N) Tr(pi_N P pi_N)) for the bands P of T, ..., T^ell_max,
+    with T the band of the truncation padded for ``pad`` steps: pad >=
+    ell_max gives the powers of T, pad = 0 those of pi_N T pi_N."""
+    r = scheme.down_band
+    powers = _powers(build_truncation(scheme, N, pad).matrix, r, ell_max)
+    return ((P, math.fsum(P[ell * r, :N].tolist()) / N) for ell, P in enumerate(powers, 1))
+
+
+def _moment(scheme: RecurrenceScheme, N: int, ell: int, pad: int) -> float:
     if ell < 0:
         raise SchemeError("need ell >= 0")
     if ell == 0:
         return 1.0
-    *_, P = _powers(build_truncation(scheme, N, ell).matrix, scheme.down_band, ell)
-    return math.fsum(P[ell * scheme.down_band, :N].tolist()) / N
+    *_, (_, trace) = _diagonal_traces(scheme, N, ell, pad)
+    return trace
+
+
+def mean_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
+    """Mean of the ell-th empirical moment, (1/N) Tr(pi_N T^ell pi_N)."""
+    return _moment(scheme, N, ell, ell)
 
 
 def zero_moment_trace(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     """ell-th moment of the zero distribution, (1/N) Tr((pi_N T pi_N)^ell)."""
-    if ell < 0:
-        raise SchemeError("need ell >= 0")
-    if ell == 0:
-        return 1.0
-    *_, P = _powers(build_truncation(scheme, N, 0).matrix, scheme.down_band, ell)
-    return math.fsum(P[ell * scheme.down_band, :N].tolist()) / N
+    return _moment(scheme, N, ell, 0)
 
 
 def variance_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
@@ -195,12 +203,10 @@ def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
     variance_bound) for ell = 1..ell_max, from the bands of T on indices
     < N + 2 up_band ell_max and of the N x N block."""
     r = scheme.down_band
-    powers = _powers(build_truncation(scheme, N, 2 * ell_max).matrix, r, ell_max)
-    block_powers = _powers(build_truncation(scheme, N, 0).matrix, r, ell_max)
+    powers = _diagonal_traces(scheme, N, ell_max, 2 * ell_max)
+    block_powers = _diagonal_traces(scheme, N, ell_max, 0)
     rows = []
-    for ell, P, Z in zip(range(1, ell_max + 1), powers, block_powers):
-        mean = math.fsum(P[ell * r, :N].tolist()) / N
-        zero = math.fsum(Z[ell * r, :N].tolist()) / N
+    for ell, (P, mean), (_, zero) in zip(range(1, ell_max + 1), powers, block_powers):
         rows.append(
             (
                 N,

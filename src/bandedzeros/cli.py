@@ -7,9 +7,13 @@ and all floats are written with 17 significant digits, so a rerun of
 the same command reproduces the file byte for byte.
 
 Commands can be driven by flags or by ``run config.json`` with a JSON
-object holding ``"command"`` plus the same keys the flags would set;
-unknown keys are rejected by name.  Exit codes: 0 on success, 2 on a
-validation problem, 3 when a computation fails numerically.
+object holding ``"command"`` plus the command's flag names without the
+dashes; unknown keys are rejected by name.  ``_COMMANDS`` declares each
+command once: its handler, its help and its flags, from which the
+parser, the keys a config may hold and the dispatch all follow.
+Handlers return their artifact and ``_run_command`` writes it.  Exit
+codes: 0 on success, 2 on a validation problem, 3 when a computation
+fails numerically.
 """
 
 import argparse
@@ -18,6 +22,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -212,18 +217,14 @@ def _sweep_ns(config):
     return ns
 
 
-def _moment_order(config, default=None):
-    raw = config.get("moments", default)
+def _moment_order(config):
+    raw = config.get("moments")
     if raw is None:
         raise ConfigError("missing key 'moments'")
     order = _as_int(raw, "moments")
     if order < 0:
         raise ConfigError(f"moments: need a nonnegative order, got {order}")
     return order
-
-
-def _out_path(config, command, ext):
-    return config.get("out") or command.replace("-", "_") + "." + ext
 
 
 def _loglog_slope(ns, values):
@@ -260,7 +261,7 @@ def _ell0_row(N):
 # command handlers
 
 
-def _cmd_traces(config, meta):
+def _cmd_traces(config):
     scheme = _scheme_from(config)
     ns = _sweep_ns(config)
     order = _moment_order(config)
@@ -268,12 +269,10 @@ def _cmd_traces(config, meta):
     for n in ns:
         rows.append(_ell0_row(n))
         rows.extend(trace_table(scheme, n, order))
-    out = _out_path(config, "traces", "csv")
-    _write_csv(out, meta, _TRACE_COLUMNS, rows)
-    return out
+    return _TRACE_COLUMNS, rows
 
 
-def _zero_summary(config, meta, scheme, stem):
+def _zero_summary(config, scheme):
     n = _single_n(config)
     order = _moment_order(config)
     form = config.get("format", "csv")
@@ -281,15 +280,11 @@ def _zero_summary(config, meta, scheme, stem):
         raise ConfigError(f"format: expected csv or json, got {form!r}")
     measure = spectrum(build_truncation(scheme, n, 0))
     if form == "csv":
-        rows = [
+        return ("index", "re", "im"), [
             (idx, z.real, z.imag) for idx, z in enumerate(measure.points)
         ]
-        out = config.get("out") or stem + ".csv"
-        _write_csv(out, meta, ("index", "re", "im"), rows)
-        return out
     moments, residuals = zero_moments(measure, order)
-    payload = {
-        "meta": meta,
+    return {
         "N": n,
         "moments": moments.floats(),
         "imag_residuals": residuals,
@@ -298,47 +293,30 @@ def _zero_summary(config, meta, scheme, stem):
         "route": measure.route,
         "certified": measure.certified,
     }
-    out = config.get("out") or stem + ".json"
-    _write_json(out, payload)
-    return out
 
 
-def _cmd_zeros(config, meta):
-    return _zero_summary(config, meta, _scheme_from(config), "zeros")
+def _cmd_zeros(config):
+    return _zero_summary(config, _scheme_from(config))
 
 
-def _cmd_mop_zeros(config, meta):
-    return _zero_summary(config, meta, _mop_scheme_from(config), "mop_zeros")
+def _cmd_mop_zeros(config):
+    return _zero_summary(config, _mop_scheme_from(config))
 
 
-def _cmd_gap_sweep(config, meta):
+def _cmd_gap_sweep(config):
     scheme = _scheme_from(config)
     ns = _sweep_ns(config)
     order = _moment_order(config)
-    table = {n: dict((row[1], row) for row in trace_table(scheme, n, order)) for n in ns}
+    # row ell of table[n] is the traces row (N = n, ell)
+    table = {n: [_ell0_row(n)] + trace_table(scheme, n, order) for n in ns}
     rows = []
     for ell in range(order + 1):
-        if ell == 0:
-            gaps = [0.0] * len(ns)
-            slope = _loglog_slope(ns, gaps)
-            rows.extend((n, 0, 1.0, 1.0, 0.0, 0.0, slope) for n in ns)
-            continue
-        gaps = [table[n][ell][4] for n in ns]
-        slope = _loglog_slope(ns, gaps)
-        for n in ns:
-            _, _, mean, zero, gap, bound, _, _ = table[n][ell]
-            rows.append((n, ell, mean, zero, gap, bound, slope))
-    out = _out_path(config, "gap-sweep", "csv")
-    _write_csv(
-        out,
-        meta,
-        ("N", "ell", "mean", "zero_side", "gap", "gap_bound", "slope"),
-        rows,
-    )
-    return out
+        slope = _loglog_slope(ns, [table[n][ell][4] for n in ns])
+        rows.extend((*table[n][ell][:6], slope) for n in ns)
+    return ("N", "ell", "mean", "zero_side", "gap", "gap_bound", "slope"), rows
 
 
-def _cmd_variance_sweep(config, meta):
+def _cmd_variance_sweep(config):
     scheme = _scheme_from(config)
     ns = _sweep_ns(config)
     order = _moment_order(config)
@@ -354,14 +332,10 @@ def _cmd_variance_sweep(config, meta):
         rows.extend(
             (n, ell, v, b, slope) for n, v, b in zip(ns, variances, bounds)
         )
-    out = _out_path(config, "variance-sweep", "csv")
-    _write_csv(
-        out, meta, ("N", "ell", "variance", "variance_bound", "slope"), rows
-    )
-    return out
+    return ("N", "ell", "variance", "variance_bound", "slope"), rows
 
 
-def _cmd_kva(config, meta):
+def _cmd_kva(config):
     a_fn, b_fn = coefficient_limits(_scheme_from(config))
     quad_order = _as_int(config.get("order", 200), "order")
     if quad_order < 1:
@@ -369,15 +343,9 @@ def _cmd_kva(config, meta):
     mixture = ArcsineMixture(a_fn, b_fn, order=quad_order)
     if config.get("density") is not None:
         xs = _float_list(config["density"], "density")
-        rows = [(x, mixture.density(x)) for x in xs]
-        out = _out_path(config, "kva", "csv")
-        _write_csv(out, meta, ("x", "density"), rows)
-        return out
+        return ("x", "density"), [(x, mixture.density(x)) for x in xs]
     order = _moment_order(config)
-    rows = [(ell, kva_moment(mixture, ell)) for ell in range(order + 1)]
-    out = _out_path(config, "kva", "csv")
-    _write_csv(out, meta, ("ell", "moment"), rows)
-    return out
+    return ("ell", "moment"), [(ell, kva_moment(mixture, ell)) for ell in range(order + 1)]
 
 
 def _parse_law(text, key):
@@ -408,7 +376,7 @@ def _parse_law(text, key):
     raise ConfigError(f"{key}: unknown law {text!r} (use sc, mp:RATE, point:X, atoms:X@W,...)")
 
 
-def _cmd_free_conv(config, meta):
+def _cmd_free_conv(config):
     op = _require(config, "op")
     if op not in ("add", "mul"):
         raise ConfigError(f"op: expected add or mul, got {op!r}")
@@ -417,16 +385,10 @@ def _cmd_free_conv(config, meta):
     order = _moment_order(config)
     convolve = free_add if op == "add" else free_mul
     moments = convolve(mu, nu, order)
-    payload = {
-        "meta": meta,
-        "op": op,
-        "moments": moments.floats(),
-    }
+    payload = {"op": op, "moments": moments.floats()}
     if all(isinstance(v, (int, Fraction)) for v in moments.values):
         payload["moments_exact"] = [str(v) for v in moments.values]
-    out = _out_path(config, "free-conv", "json")
-    _write_json(out, payload)
-    return out
+    return payload
 
 
 def _curve_from(config):
@@ -446,7 +408,7 @@ def _curve_from(config):
     raise ConfigError(f"kind: expected hermite or laguerre, got {kind!r}")
 
 
-def _cmd_curve(config, meta):
+def _cmd_curve(config):
     curve = _curve_from(config)
     if config.get("density") is not None:
         xs = _float_list(config["density"], "density")
@@ -454,15 +416,11 @@ def _cmd_curve(config, meta):
         if eps <= 0:
             raise ConfigError(f"eps: need a positive offset, got {eps}")
         richardson = bool(config.get("richardson", False))
-        rows = [
+        return ("x", "density"), [
             (x, stieltjes_density(curve, x, eps=eps, richardson=richardson))
             for x in xs
         ]
-        out = _out_path(config, "curve", "csv")
-        _write_csv(out, meta, ("x", "density"), rows)
-        return out
     payload = {
-        "meta": meta,
         "kind": config["kind"],
         "deg_w": curve.deg_w,
         "radius_hint": float(curve.radius_hint),
@@ -471,12 +429,10 @@ def _cmd_curve(config, meta):
     if config.get("moments") is not None:
         order = _moment_order(config)
         payload["moments"] = curve_moments(curve, order).floats()
-    out = _out_path(config, "curve", "json")
-    _write_json(out, payload)
-    return out
+    return payload
 
 
-def _cmd_sample(config, meta):
+def _cmd_sample(config):
     model = _require(config, "model")
     if model not in _MODELS:
         raise ConfigError(f"model: unknown matrix model {model!r}")
@@ -498,8 +454,8 @@ def _cmd_sample(config, meta):
     seed = _as_int(config.get("seed", 0), "seed")
     spec = MatrixModelSpec(kind=model, N=n, alpha=alpha, source=source)
     mean, var, se = mc_moments(spec, order, samples, seed)
-    payload = {
-        "meta": {**meta, "stream_version": STREAM_VERSION},
+    return {
+        "meta": {"stream_version": STREAM_VERSION},
         "model": model,
         "N": n,
         "samples": samples,
@@ -508,45 +464,130 @@ def _cmd_sample(config, meta):
         "var": [float(v) for v in var],
         "se": [float(s) for s in se],
     }
-    out = _out_path(config, "sample", "json")
-    _write_json(out, payload)
-    return out
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-_HANDLERS = {
-    "traces": _cmd_traces,
-    "zeros": _cmd_zeros,
-    "gap-sweep": _cmd_gap_sweep,
-    "variance-sweep": _cmd_variance_sweep,
-    "kva": _cmd_kva,
-    "mop-zeros": _cmd_mop_zeros,
-    "free-conv": _cmd_free_conv,
-    "curve": _cmd_curve,
-    "sample": _cmd_sample,
-}
 
-_ALLOWED_KEYS = {
-    "traces": {"scheme", "alpha", "beta", "kind", "q", "a", "n", "moments", "out"},
-    "zeros": {"scheme", "alpha", "beta", "kind", "q", "a", "n", "moments", "format", "out"},
-    "gap-sweep": {"scheme", "alpha", "beta", "kind", "q", "a", "n", "moments", "out"},
-    "variance-sweep": {"scheme", "alpha", "beta", "kind", "q", "a", "n", "moments", "out"},
-    "kva": {"scheme", "alpha", "beta", "moments", "order", "density", "out"},
-    "mop-zeros": {"kind", "q", "a", "alpha", "n", "moments", "format", "out"},
-    "free-conv": {"op", "mu", "nu", "moments", "out"},
-    "curve": {"kind", "q", "a", "alpha", "moments", "density", "eps", "richardson", "out"},
-    "sample": {"model", "n", "alpha", "ratios", "atoms", "samples", "seed", "moments", "out"},
+class _Command(NamedTuple):
+    """A command: ``handler(config)`` returns its artifact, (columns, rows)
+    for a CSV table or a dict for a JSON summary, whose own "meta" entry
+    extends the meta record.  Each flag is (name, argparse keyword
+    arguments): it parses as --name and is the config key name."""
+
+    handler: Callable
+    help: str
+    flags: tuple
+
+
+_LAW = "law: sc | mp:RATE | point:X | atoms:X@W,..."
+_CLASSICAL_FLAGS = (
+    ("scheme", dict(choices=_CLASSICAL, help="classical ensemble")),
+    ("alpha", dict(help="ensemble parameter, where applicable")),
+    ("beta", dict(help="second ensemble parameter (jacobi, meixner)")),
+)
+_SCHEME_FLAGS = (
+    *_CLASSICAL_FLAGS,
+    ("kind", dict(choices=_MOP_KINDS, help="multi-index family")),
+    ("q", dict(help="comma list of ratios, e.g. 1/2,1/2")),
+    ("a", dict(help="comma list of locations, e.g. 1,-1")),
+)
+_MOMENTS = ("moments", dict(required=True, help="highest moment order"))
+_FORMAT = ("format", dict(choices=("csv", "json"), default="csv"))
+_SWEEP_FLAGS = (
+    *_SCHEME_FLAGS,
+    ("n", dict(required=True, help="ascending rank list, e.g. 25,50,100")),
+    _MOMENTS,
+    ("out", dict(help="output CSV path")),
+)
+
+_COMMANDS = {
+    "traces": _Command(_cmd_traces, "moment/gap/variance table over N", (
+        *_SCHEME_FLAGS,
+        ("n", dict(required=True, help="truncation rank(s), comma list")),
+        _MOMENTS,
+        ("out", dict(help="output CSV path")),
+    )),
+    "zeros": _Command(_cmd_zeros, "zeros of the averaged characteristic polynomial", (
+        *_SCHEME_FLAGS,
+        ("n", dict(required=True, help="truncation rank")),
+        _MOMENTS,
+        _FORMAT,
+        ("out", dict(help="output path")),
+    )),
+    "gap-sweep": _Command(_cmd_gap_sweep, "gap decay over an N sweep", _SWEEP_FLAGS),
+    "variance-sweep": _Command(
+        _cmd_variance_sweep, "variance decay over an N sweep", _SWEEP_FLAGS
+    ),
+    "kva": _Command(_cmd_kva, "limiting zero law from coefficient profiles", (
+        *_CLASSICAL_FLAGS,
+        ("moments", dict(help="highest moment order")),
+        ("order", dict(help="quadrature order for the profile integral")),
+        ("density", dict(help="evaluate the density on these x values instead")),
+        ("out", dict(help="output CSV path")),
+    )),
+    "mop-zeros": _Command(_cmd_mop_zeros, "zeros of a multi-index family", (
+        ("kind", dict(required=True, choices=_MOP_KINDS)),
+        ("q", dict(required=True, help="comma list of ratios")),
+        ("a", dict(required=True, help="comma list of locations")),
+        ("alpha", dict(help="exponent parameter (multiple-laguerre)")),
+        ("n", dict(required=True, help="truncation rank")),
+        _MOMENTS,
+        _FORMAT,
+        ("out", dict(help="output path")),
+    )),
+    "free-conv": _Command(_cmd_free_conv, "free additive/multiplicative convolution", (
+        ("op", dict(required=True, choices=("add", "mul"))),
+        ("mu", dict(required=True, help=_LAW)),
+        ("nu", dict(required=True, help=_LAW)),
+        _MOMENTS,
+        ("out", dict(help="output JSON path")),
+    )),
+    "curve": _Command(_cmd_curve, "algebraic spectral curve: table, moments, density", (
+        ("kind", dict(required=True, choices=_CURVE_KINDS)),
+        ("q", dict(required=True, help="comma list of ratios")),
+        ("a", dict(required=True, help="comma list of locations")),
+        ("alpha", dict(help="rate parameter (laguerre)")),
+        ("moments", dict(help="also tabulate contour moments to this order")),
+        ("density", dict(help="evaluate the density on these x values (CSV mode)")),
+        ("eps", dict(help="imaginary offset for density evaluation")),
+        # default None: an absent switch stays out of the config like any
+        # absent flag
+        ("richardson", dict(action="store_true", default=None, help="extrapolate eps -> 0")),
+        ("out", dict(help="output path")),
+    )),
+    "sample": _Command(_cmd_sample, "Monte-Carlo moments of a random matrix model", (
+        ("model", dict(required=True, choices=_MODELS)),
+        ("n", dict(required=True, help="matrix size")),
+        ("alpha", dict(help="aspect offset (wishart models)")),
+        ("ratios", dict(help="source multiplicity ratios (source models)")),
+        ("atoms", dict(help="source diagonal values (source models)")),
+        ("samples", dict(required=True, help="number of independent samples")),
+        ("seed", dict(help="base seed (default 0)")),
+        _MOMENTS,
+        ("out", dict(help="output JSON path")),
+    )),
 }
 
 
 def _run_command(command, config) -> str:
-    extra = sorted(set(config) - _ALLOWED_KEYS[command])
+    """Run one command and write its artifact, by default to the command's
+    name with an extension after the artifact's format; returns the path."""
+    handler, _, flags = _COMMANDS[command]
+    extra = sorted(set(config) - {name for name, _ in flags})
     if extra:
         raise ConfigError(f"unknown key {extra[0]!r} for command {command!r}")
     meta = _meta(command, config)
-    return _HANDLERS[command](config, meta)
+    artifact = handler(config)
+    stem = command.replace("-", "_")
+    if isinstance(artifact, dict):
+        out = config.get("out") or stem + ".json"
+        _write_json(out, {**artifact, "meta": {**meta, **artifact.get("meta", {})}})
+    else:
+        out = config.get("out") or stem + ".csv"
+        _write_csv(out, meta, *artifact)
+    return out
 
 
 def _load_config(path) -> tuple:
@@ -563,7 +604,7 @@ def _load_config(path) -> tuple:
     if "command" not in config:
         raise ConfigError("missing key 'command'")
     command = config.pop("command")
-    if command not in _HANDLERS:
+    if command not in _COMMANDS:
         raise ConfigError(f"command: unknown command {command!r}")
     return command, config
 
@@ -572,114 +613,29 @@ def _load_config(path) -> tuple:
 # argument parsing
 
 
-def _add_scheme_flags(sub, mop=True):
-    sub.add_argument("--scheme", choices=_CLASSICAL, help="classical ensemble")
-    sub.add_argument("--alpha", help="ensemble parameter, where applicable")
-    sub.add_argument("--beta", help="second ensemble parameter (jacobi, meixner)")
-    if mop:
-        sub.add_argument("--kind", choices=_MOP_KINDS, help="multi-index family")
-        sub.add_argument("--q", help="comma list of ratios, e.g. 1/2,1/2")
-        sub.add_argument("--a", help="comma list of locations, e.g. 1,-1")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bandedzeros",
         description="Trace statistics and zero laws of banded recurrence operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("traces", help="moment/gap/variance table over N")
-    _add_scheme_flags(p)
-    p.add_argument("--n", required=True, help="truncation rank(s), comma list")
-    p.add_argument("--moments", required=True, help="highest moment order")
-    p.add_argument("--out", help="output CSV path")
-
-    p = sub.add_parser("zeros", help="zeros of the averaged characteristic polynomial")
-    _add_scheme_flags(p)
-    p.add_argument("--n", required=True, help="truncation rank")
-    p.add_argument("--moments", required=True, help="highest moment order")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="output path")
-
-    for name in ("gap-sweep", "variance-sweep"):
-        p = sub.add_parser(name, help=f"{name.split('-')[0]} decay over an N sweep")
-        _add_scheme_flags(p)
-        p.add_argument("--n", required=True, help="ascending rank list, e.g. 25,50,100")
-        p.add_argument("--moments", required=True, help="highest moment order")
-        p.add_argument("--out", help="output CSV path")
-
-    p = sub.add_parser("kva", help="limiting zero law from coefficient profiles")
-    _add_scheme_flags(p, mop=False)
-    p.add_argument("--moments", help="highest moment order")
-    p.add_argument("--order", help="quadrature order for the profile integral")
-    p.add_argument("--density", help="evaluate the density on these x values instead")
-    p.add_argument("--out", help="output CSV path")
-
-    p = sub.add_parser("mop-zeros", help="zeros of a multi-index family")
-    p.add_argument("--kind", required=True, choices=_MOP_KINDS)
-    p.add_argument("--q", required=True, help="comma list of ratios")
-    p.add_argument("--a", required=True, help="comma list of locations")
-    p.add_argument("--alpha", help="exponent parameter (multiple-laguerre)")
-    p.add_argument("--n", required=True, help="truncation rank")
-    p.add_argument("--moments", required=True, help="highest moment order")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="output path")
-
-    p = sub.add_parser("free-conv", help="free additive/multiplicative convolution")
-    p.add_argument("--op", required=True, choices=("add", "mul"))
-    p.add_argument("--mu", required=True, help="law: sc | mp:RATE | point:X | atoms:X@W,...")
-    p.add_argument("--nu", required=True, help="law: sc | mp:RATE | point:X | atoms:X@W,...")
-    p.add_argument("--moments", required=True, help="highest moment order")
-    p.add_argument("--out", help="output JSON path")
-
-    p = sub.add_parser("curve", help="algebraic spectral curve: table, moments, density")
-    p.add_argument("--kind", required=True, choices=_CURVE_KINDS)
-    p.add_argument("--q", required=True, help="comma list of ratios")
-    p.add_argument("--a", required=True, help="comma list of locations")
-    p.add_argument("--alpha", help="rate parameter (laguerre)")
-    p.add_argument("--moments", help="also tabulate contour moments to this order")
-    p.add_argument("--density", help="evaluate the density on these x values (CSV mode)")
-    p.add_argument("--eps", help="imaginary offset for density evaluation")
-    p.add_argument("--richardson", action="store_true", help="extrapolate eps -> 0")
-    p.add_argument("--out", help="output path")
-
-    p = sub.add_parser("sample", help="Monte-Carlo moments of a random matrix model")
-    p.add_argument("--model", required=True, choices=_MODELS)
-    p.add_argument("--n", required=True, help="matrix size")
-    p.add_argument("--alpha", help="aspect offset (wishart models)")
-    p.add_argument("--ratios", help="source multiplicity ratios (source models)")
-    p.add_argument("--atoms", help="source diagonal values (source models)")
-    p.add_argument("--samples", required=True, help="number of independent samples")
-    p.add_argument("--seed", help="base seed (default 0)")
-    p.add_argument("--moments", required=True, help="highest moment order")
-    p.add_argument("--out", help="output JSON path")
-
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kwargs in flags:
+            p.add_argument("--" + name, **kwargs)
     p = sub.add_parser("run", help="run a command described by a JSON config")
     p.add_argument("config", help="path to the JSON config")
-
     return parser
 
 
-def _config_from_args(args) -> dict:
-    skip = {"command", "config"}
-    config = {}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
-        if key == "richardson" and value is False:
-            continue
-        config[key] = value
-    return config
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
     try:
-        if args.command == "run":
-            command, config = _load_config(args.config)
+        if args["command"] == "run":
+            command, config = _load_config(args["config"])
         else:
-            command, config = args.command, _config_from_args(args)
+            command = args.pop("command")
+            config = {key: value for key, value in args.items() if value is not None}
         out = _run_command(command, config)
         print(out)
         return 0

@@ -25,10 +25,11 @@ then for j >= 1
 with the term of d taken as 0 once the product reaches a level where
 n^(l)_d = 0 (down_{n^(k)}[d] is 0 when n^(k)_d = 0).  So one pass over R
 levels, each an array product over all columns, builds a window of the
-band.  R is at most ceil(1 / min_d q_d); the path asserts (rather than
-assumes) that every coordinate is stepped at least once in any R
-consecutive steps, so every product has met a zero factor by j = R + 1
-and the band has no further rows.
+band.  R is the longest run of the path between two steps of one
+coordinate (see ``MultiIndexPath``), at least ceil(1 / min_d q_d); the
+path asserts (rather than assumes) that every coordinate is stepped at
+least once in any R consecutive steps, so every product has met a zero
+factor by j = R + 1 and the band has no further rows.
 """
 
 from __future__ import annotations
@@ -72,14 +73,29 @@ class NNCoefficients:
     down: np.ndarray
 
 
+# Steps of a greedy path with three or more coordinates that are scanned
+# for its longest run between two steps of one coordinate.
+_GAP_SCAN = 1024
+
+
 class MultiIndexPath:
     """Greedy ratio-faithful path through N^r.
 
     Step k increments the coordinate with the largest running deficit
     q_d * (k + 1) - n_d, ties broken by lowest index.  Prefixes are
     materialised lazily; the refresh property (every coordinate stepped
-    within any window of R steps, R = ceil(1 / min q)) is asserted for
-    every materialised step.
+    within any window of R steps) is asserted for every materialised
+    step.
+
+    R is ceil(1 / min q) for a fixed path and for a greedy path in two
+    coordinates, whose gaps between steps of coordinate d are floor or
+    ceil of 1 / q_d.  With three or more coordinates the greedy path can
+    leave one unstepped for longer (q = (0.4, 0.35, 0.25) goes 5 steps
+    without its last coordinate), so R widens to the longest gap in the
+    first _GAP_SCAN steps, which are materialised.  An exact rational q
+    repeats after its common denominator, so the scan sees all of its
+    gaps when that is at most _GAP_SCAN; a later, longer gap still
+    raises.
     """
 
     def __init__(self, ratios, steps=None):
@@ -101,6 +117,16 @@ class MultiIndexPath:
             for i in self._fixed_steps:
                 if not 0 <= i < self.r:
                     raise SchemeError(f"step direction {i} out of range")
+        elif self.r > 2:
+            # no refresh check fires while the scan measures the gaps
+            R, self.R = self.R, math.inf
+            self._ensure(_GAP_SCAN)
+            steps = np.array(self._steps)
+            for d in range(self.r):
+                # a run still open at the end of the scan counts as far as it goes
+                runs = np.diff(np.flatnonzero(steps == d), prepend=-1, append=_GAP_SCAN)
+                R = max(R, int(runs.max()))
+            self.R = R
 
     def _advance(self):
         k = len(self._steps)
@@ -314,14 +340,17 @@ def mop_scheme(
         path = MultiIndexPath(q)
     elif path.r != len(q):
         raise SchemeError("path dimension does not match ratios")
-    cached = {}  # N -> (first column, band of the last computed window)
+    cached = {}  # N -> (first column, band of the widest window computed)
 
     def band_fn(N, start, stop):
         first, band = cached.get(N, (0, np.zeros((path.R + 2, 0))))
-        if not first <= start <= stop <= first + band.shape[1]:
-            first, band = cached[N] = start, _cascade(path, coeff_fn, N, start, stop)
-            band.setflags(write=False)
-        return band[:, start - first : stop - first]
+        if first <= start <= stop <= first + band.shape[1]:
+            return band[:, start - first : stop - first]
+        window = _cascade(path, coeff_fn, N, start, stop)
+        window.setflags(write=False)
+        if stop - start > band.shape[1]:
+            cached[N] = start, window
+        return window
 
     return RecurrenceScheme(
         name=kind,

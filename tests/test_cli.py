@@ -8,6 +8,8 @@ wrap, plus a handful of closed-form values.
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,40 +287,96 @@ def test_byte_identical_reruns(tmp_path):
     assert outd.read_bytes() == firstd
 
 
-def test_run_config_reproduces_flag_invocation(tmp_path):
-    out = tmp_path / "eq.csv"
-    flags = ["traces", "--scheme", "gue", "--n", "5", "--moments", "2",
-             "--out", str(out)]
-    assert cli.main(flags) == 0
-    via_flags = out.read_bytes()
-    out.unlink()
+# one invocation per command; zeros and mop-zeros name their --format,
+# since its parser default would otherwise be in the flags' config only
+FLAG_INVOCATIONS = [
+    ["traces", "--scheme", "gue", "--n", "5", "--moments", "2"],
+    ["zeros", "--kind", "multiple-hermite", "--q", "1/2,1/2", "--a", "1,-1",
+     "--n", "6", "--moments", "3", "--format", "csv"],
+    ["gap-sweep", "--scheme", "wishart", "--alpha", "1", "--n", "5,10", "--moments", "2"],
+    ["variance-sweep", "--scheme", "jacobi", "--alpha", "1", "--beta", "1",
+     "--n", "5,10", "--moments", "2"],
+    ["kva", "--scheme", "gue", "--order", "40", "--density", "0,1"],
+    ["mop-zeros", "--kind", "multiple-laguerre", "--q", "1/2,1/2", "--a", "1,2",
+     "--alpha", "1", "--n", "8", "--moments", "2", "--format", "json"],
+    ["free-conv", "--op", "mul", "--mu", "mp:2", "--nu", "point:1/2", "--moments", "3"],
+    ["curve", "--kind", "hermite", "--q", "1/2,1/2", "--a", "1,-1",
+     "--density", "0", "--eps", "1e-4", "--richardson"],
+    ["sample", "--model", "gue_source", "--n", "6", "--ratios", "1/2,1/2",
+     "--atoms", "1,-1", "--samples", "3", "--seed", "2", "--moments", "2"],
+]
 
-    # same raw values as the flags, so the config hash in the meta agrees too
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "command": "traces",
-                "scheme": "gue",
-                "n": "5",
-                "moments": "2",
-                "out": str(out),
-            }
-        )
-    )
-    assert cli.main(["run", str(cfg)]) == 0
-    assert out.read_bytes() == via_flags
+
+def config_from_flags(argv):
+    """The run config holding each flag's raw value under its name
+    without dashes; a bare switch becomes true."""
+    config, args = {"command": argv[0]}, argv[1:]
+    while args:
+        key, args = args[0][2:], args[1:]
+        if args and not args[0].startswith("--"):
+            config[key], args = args[0], args[1:]
+        else:
+            config[key] = True
+    return config
+
+
+def test_run_config_reproduces_flag_invocation(tmp_path, capsys):
+    assert sorted(argv[0] for argv in FLAG_INVOCATIONS) == sorted(cli._COMMANDS)
+    out, cfg = tmp_path / "eq.out", tmp_path / "cfg.json"
+    for argv in FLAG_INVOCATIONS:
+        assert cli.main(argv + ["--out", str(out)]) == 0, argv
+        via_flags = out.read_bytes()
+        out.unlink()
+
+        # same raw values as the flags, so the config hash in the meta agrees too
+        config = {**config_from_flags(argv), "out": str(out)}
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["run", str(cfg)]) == 0, argv
+        assert out.read_bytes() == via_flags, argv
+
+        # a key that is another command's flag is still unknown here
+        extra = "seed" if argv[0] != "sample" else "format"
+        cfg.write_text(json.dumps({**config, extra: "1"}))
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg)]) == 2, argv
+        assert repr(extra) in capsys.readouterr().err, argv
 
     # JSON-typed values are accepted as well and produce the same rows
-    cfg2 = tmp_path / "cfg2.json"
-    cfg2.write_text(
+    assert cli.main(FLAG_INVOCATIONS[0] + ["--out", str(out)]) == 0
+    via_flags = out.read_bytes()
+    cfg.write_text(
         json.dumps(
             {"command": "traces", "scheme": "gue", "n": [5], "moments": 2,
              "out": str(out)}
         )
     )
-    assert cli.main(["run", str(cfg2)]) == 0
+    assert cli.main(["run", str(cfg)]) == 0
     assert out.read_bytes().splitlines()[1:] == via_flags.splitlines()[1:]
+
+
+def readme_block(lang):
+    """The first ``lang`` code block of README's Command line section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
+    lines = [shlex.split(line) for line in readme_block("sh").splitlines()]
+    parser = cli._build_parser()
+    for words in lines:
+        assert words[0] == "bandedzeros"
+        parser.parse_args(words[1:])
+    assert {words[1] for words in lines} == set(cli._COMMANDS) | {"run"}
+
+    # the config shown writes the first line's artifact byte for byte
+    monkeypatch.chdir(tmp_path)
+    config = json.loads(readme_block("json"))
+    Path("config.json").write_text(json.dumps(config))
+    assert cli.main(lines[0][1:]) == 0
+    via_flags = Path(config["out"]).read_bytes()
+    assert cli.main(["run", "config.json"]) == 0
+    assert Path(config["out"]).read_bytes() == via_flags
 
 
 def test_default_output_path(tmp_path, monkeypatch):
@@ -395,10 +453,10 @@ def test_run_config_validation(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
-    def boom(config, meta):
+    def boom(config):
         raise NumericalFailure("injected instability")
 
-    monkeypatch.setitem(cli._HANDLERS, "zeros", boom)
+    monkeypatch.setitem(cli._COMMANDS, "zeros", cli._COMMANDS["zeros"]._replace(handler=boom))
     code = cli.main(["zeros", "--scheme", "gue", "--n", "4", "--moments", "2",
                      "--out", str(tmp_path / "z.csv")])
     assert code == 3

@@ -28,9 +28,15 @@ from bandedzeros import (
     nn_coeffs_laguerre,
     path_from_ratios,
     spectrum,
+    zero_moment_trace,
 )
+from bandedzeros import mop
+from bandedzeros.bandop import trace_table
 
 HALF = (Fraction(1, 2), Fraction(1, 2))
+# a greedy path that goes 5 steps without its last coordinate, one more
+# than ceil(1 / min q)
+LONG_GAP = (Fraction(2, 5), Fraction(7, 20), Fraction(1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +141,16 @@ def test_laguerre_rows_match_orthogonality_oracle(N, alpha):
     check_rows_against_oracle(path, coeff_fn, moments, N, 7)
 
 
+def test_long_gap_path_rows_match_oracle():
+    # k_max = 10 reaches the first 5-step gap, whose column has a 5th
+    # lower row
+    path = MultiIndexPath(LONG_GAP)
+    assert path.R == 5
+    a_vec = (Fraction(1), Fraction(0), Fraction(-1))
+    moments = [gaussian_moments(a, 40, 30) for a in a_vec]
+    check_rows_against_oracle(path, hermite_coeff_fn(a_vec), moments, 40, 10)
+
+
 def test_round_robin_path_rows_match_oracle():
     # same weights, different admissible path: the expansion must track
     # the path's own polynomial sequence
@@ -183,6 +199,7 @@ def test_index_exchange_relation(maker, args):
         ("multiple-laguerre", (1, 2), (0.5, 0.5), 1),
         ("multiple-hermite", (1, 0, -1), (1 / 3,) * 3, None),
         ("multiple-laguerre", (1, 2, 4), (0.25, 0.25, 0.5), 2),
+        ("multiple-hermite", (1, 0, -1), (0.4, 0.35, 0.25), None),
     ],
 )
 def test_float_band_matches_exact_cascade(kind, a, q, alpha):
@@ -265,7 +282,13 @@ def test_greedy_path_skewed_ratios():
 
 def test_refresh_window_holds_along_path():
     # n^(k+R) >= n^(k) + 1 coordinatewise, checked exhaustively
-    for ratios in (HALF, (Fraction(1, 3), Fraction(2, 3)), (0.2, 0.3, 0.5)):
+    for ratios in (
+        HALF,
+        (Fraction(1, 3), Fraction(2, 3)),
+        (0.2, 0.3, 0.5),
+        LONG_GAP,
+        (0.4, 0.35, 0.25),
+    ):
         path = path_from_ratios(ratios, 200 + path_from_ratios(ratios).R)
         R = path.R
         for k in range(200):
@@ -342,6 +365,27 @@ def test_path_choice_does_not_move_the_moments():
     m_flipped = mean_moment(flipped, 40, 2)
     assert abs(m_greedy - m_flipped) < 0.02
     assert abs(m_flipped - 2.0) < 0.05
+
+
+def test_trace_table_keeps_the_full_band(monkeypatch):
+    # trace_table's last band request, the variance bound's window, ends
+    # past the full band it asked for first; the full band stays cached,
+    # so the moments at the same N compute no column again
+    computed = []
+    cascade = mop._cascade
+
+    def counting(path, coeff_fn, N, start, stop):
+        computed.append((N, start, stop))
+        return cascade(path, coeff_fn, N, start, stop)
+
+    monkeypatch.setattr(mop, "_cascade", counting)
+    scheme = mop_scheme("multiple-hermite", (1, -1), (0.5, 0.5))
+    trace_table(scheme, 200, 6)
+    assert computed[0] == (200, 0, 212)
+    computed.clear()
+    mean_moment(scheme, 200, 6)
+    zero_moment_trace(scheme, 200, 6)
+    assert computed == []
 
 
 def test_laguerre_mean_ell1_regression():

@@ -137,8 +137,9 @@ def test_band_start_selects_columns(monkeypatch):
             # a fresh scheme, so no column is served from an earlier call
             assert np.array_equal(make().band(20, 30, start), full[:, start:])
 
-    # one reused multi-index scheme keeps one window per N: requests
-    # inside it are slices (hits), others recompute and replace it
+    # one reused multi-index scheme keeps its widest window per N:
+    # requests inside it are slices (hits), others are computed and
+    # replace it only when wider
     computed = []
     cascade = mop._cascade
 
@@ -152,9 +153,12 @@ def test_band_start_selects_columns(monkeypatch):
         ((20, 0, 30), True),  # first request for N = 20
         ((20, 5, 12), False),
         ((20, 29, 30), False),
-        ((20, 10, 35), True),  # past the window: replaces it
+        ((20, 10, 35), True),  # past the window, and narrower: kept out
         ((20, 12, 30), False),
-        ((20, 0, 30), True),  # before the window: replaces it again
+        ((20, 0, 30), False),
+        ((20, 30, 35), True),
+        ((20, 0, 40), True),  # wider: replaces the window
+        ((20, 10, 35), False),
         ((21, 0, 25), True),  # another N has its own window
         ((20, 3, 9), False),
         ((21, 24, 25), False),
