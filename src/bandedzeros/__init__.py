@@ -56,7 +56,6 @@ from .mop import (
     mop_scheme,
     nn_coeffs_hermite,
     nn_coeffs_laguerre,
-    path_from_ratios,
 )
 from .freeprob import (
     AlgebraicCurve,

@@ -2,7 +2,9 @@
 
 A family indexed by n in N^r is flattened along a path n^(0) = 0,
 n^(k+1) = n^(k) + e_{i_k} whose coordinate ratios track a prescribed
-vector q.  Along the path the nearest-neighbour recurrence
+vector q: the merge of the progressions (j + 1/2) / q_d of the times at
+which coordinate d steps (``MultiIndexPath``).  Along the path the
+nearest-neighbour recurrence
 
     x P_n = P_{n + e_d} + diag_n[d] P_n + sum_j down_n[j] P_{n - e_j}
 
@@ -25,10 +27,8 @@ then for j >= 1
 with the term of d taken as 0 once the product reaches a level where
 n^(l)_d = 0 (down_{n^(k)}[d] is 0 when n^(k)_d = 0).  So one pass over R
 levels, each an array product over all columns, builds a window of the
-band.  R is the longest run of the path between two steps of one
-coordinate (see ``MultiIndexPath``), at least ceil(1 / min_d q_d); the
-path asserts (rather than assumes) that every coordinate is stepped at
-least once in any R consecutive steps, so every product has met a zero
+band.  R = max_d (1 + sum_{e != d} ceil(q_e / q_d)) bounds the distance
+between two steps of one coordinate, so every product has met a zero
 factor by j = R + 1 and the band has no further rows.
 """
 
@@ -46,7 +46,6 @@ from .recurrence import RecurrenceScheme
 __all__ = [
     "MultiIndexPath",
     "NNCoefficients",
-    "path_from_ratios",
     "nn_coeffs_hermite",
     "nn_coeffs_laguerre",
     "hermite_coeff_fn",
@@ -73,29 +72,27 @@ class NNCoefficients:
     down: np.ndarray
 
 
-# Steps of a greedy path with three or more coordinates that are scanned
-# for its longest run between two steps of one coordinate.
-_GAP_SCAN = 1024
-
-
 class MultiIndexPath:
-    """Greedy ratio-faithful path through N^r.
+    """Ratio-faithful path through N^r: a merge of arithmetic progressions.
 
-    Step k increments the coordinate with the largest running deficit
-    q_d * (k + 1) - n_d, ties broken by lowest index.  Prefixes are
-    materialised lazily; the refresh property (every coordinate stepped
-    within any window of R steps) is asserted for every materialised
-    step.
+    Coordinate d steps at the times (j + 1/2) / q_d, j = 0, 1, ..., taken
+    in time order with ties to the lowest index: sequential Sainte-Lague
+    (Webster) apportionment (Balinski & Young, *Fair Representation*,
+    1982; Tijdeman, Discrete Math. 32, 1980).  Times are compared exactly,
+    a float ratio at its binary value: rounding could turn a near tie into
+    a tie that goes against the exact order and lengthens a run past R.
 
-    R is ceil(1 / min q) for a fixed path and for a greedy path in two
-    coordinates, whose gaps between steps of coordinate d are floor or
-    ceil of 1 / q_d.  With three or more coordinates the greedy path can
-    leave one unstepped for longer (q = (0.4, 0.35, 0.25) goes 5 steps
-    without its last coordinate), so R widens to the longest gap in the
-    first _GAP_SCAN steps, which are materialised.  An exact rational q
-    repeats after its common denominator, so the scan sees all of its
-    gaps when that is at most _GAP_SCAN; a later, longer gap still
-    raises.
+    R = max_d (1 + sum_{e != d} ceil(q_e / q_d)), on the exact q, bounds
+    the distance between two steps of d, and d steps within the first R:
+    two steps of d lie 1/q_d apart in time, the tie rule makes that a
+    half-open interval, and it holds at most ceil(q_e / q_d) steps of each
+    other coordinate e (the run before d's first step is shorter).  For
+    r = 2 and for equal ratios, R = ceil(1 / min q).
+
+    ``steps`` gives a fixed path in place of the merge, with the same R
+    (never below ceil(1 / min q)).  Steps are materialised on demand, at
+    least twice as many as held, and a coordinate left unstepped for R
+    steps raises ``SchemeError``.
     """
 
     def __init__(self, ratios, steps=None):
@@ -108,71 +105,66 @@ class MultiIndexPath:
             raise SchemeError(f"ratios must sum to 1, got {ratios}")
         self.ratios = ratios
         self.r = len(ratios)
-        self.R = math.ceil(1.0 / float(min(ratios)) - 1e-9)
-        self._steps = []  # i_k for materialised k
-        self._prefixes = [(0,) * self.r]  # n^(k) for k <= len(_steps)
-        self._last_step = [-1] * self.r
-        self._fixed_steps = list(steps) if steps is not None else None
-        if self._fixed_steps is not None:
-            for i in self._fixed_steps:
-                if not 0 <= i < self.r:
-                    raise SchemeError(f"step direction {i} out of range")
-        elif self.r > 2:
-            # no refresh check fires while the scan measures the gaps
-            R, self.R = self.R, math.inf
-            self._ensure(_GAP_SCAN)
-            steps = np.array(self._steps)
-            for d in range(self.r):
-                # a run still open at the end of the scan counts as far as it goes
-                runs = np.diff(np.flatnonzero(steps == d), prepend=-1, append=_GAP_SCAN)
-                R = max(R, int(runs.max()))
-            self.R = R
+        q = [Fraction(x) for x in ratios]
+        # the term e = d is ceil(1) = 1, the 1 of the formula
+        self.R = max(sum(math.ceil(qe / qd) for qe in q) for qd in q)
+        # with q_d = a_d / D, the time (j + 1/2) / q_d times 2 lcm(a) / D is
+        # the integer key (2j + 1) lcm(a) / a_d
+        den = math.lcm(*(x.denominator for x in q))
+        a = [int(x * den) for x in q]
+        self._scale = [math.lcm(*a) // ad for ad in a]
+        self._fixed = None if steps is None else np.array(list(steps), dtype=np.int64)
+        if self._fixed is not None and ((self._fixed < 0) | (self._fixed >= self.r)).any():
+            raise SchemeError(f"step direction out of range in {list(steps)}")
+        self._steps = np.zeros(0, dtype=np.int64)  # i_k for materialised k
+        self._prefixes = np.zeros((1, self.r), dtype=np.int64)  # n^(k), k <= len(_steps)
 
-    def _advance(self):
-        k = len(self._steps)
-        n = list(self._prefixes[k])
-        if self._fixed_steps is not None:
-            if k >= len(self._fixed_steps):
-                raise SchemeError(f"fixed path exhausted at step {k}")
-            d = self._fixed_steps[k]
+    def _materialise(self, count: int):
+        if count <= len(self._steps):
+            return
+        length = max(count, 2 * len(self._steps))
+        if self._fixed is None:
+            # step ``length`` comes by time length + r/2, when d has stepped
+            # at most q_d (length + r/2) + 1/2 times
+            counts = [int(float(q) * (length + self.r)) + 2 for q in self.ratios]
+            big = max((2 * c - 1) * s for c, s in zip(counts, self._scale)) >= 2**63
+            keys = [
+                (2 * np.arange(c).astype(object if big else np.int64) + 1) * s
+                for c, s in zip(counts, self._scale)
+            ]
+            # the stable sort keeps the lower coordinate first on equal keys
+            order = np.argsort(np.concatenate(keys), kind="stable")[:length]
+            steps = np.repeat(np.arange(self.r), counts)[order]
+            assert (np.bincount(steps, minlength=self.r) < counts).all(), "merge ran short"
+        elif count > len(self._fixed):
+            raise SchemeError(f"fixed path exhausted at step {len(self._fixed)}")
         else:
-            deficits = [self.ratios[j] * (k + 1) - n[j] for j in range(self.r)]
-            d = max(range(self.r), key=lambda j: (deficits[j], -j))
-        self._steps.append(d)
-        n[d] += 1
-        self._prefixes.append(tuple(n))
-        self._last_step[d] = k
-        for j in range(self.r):
-            if k - self._last_step[j] >= self.R:
-                raise SchemeError(
-                    f"coordinate {j} not stepped within {self.R} steps at k={k}; "
-                    f"path does not track ratios {self.ratios}"
-                )
-
-    def _ensure(self, upto: int):
-        while len(self._steps) < upto:
-            self._advance()
+            steps = self._fixed[:length]
+        prefixes = np.zeros((len(steps) + 1, self.r), dtype=np.int64)
+        np.cumsum(np.eye(self.r, dtype=np.int64)[steps], axis=0, out=prefixes[1:])
+        # n^(k+R) > n^(k) in every coordinate: no R steps without d
+        stale = np.argwhere(prefixes[self.R :] == prefixes[: max(len(steps) + 1 - self.R, 0)])
+        if stale.size:
+            k, d = stale[0]
+            raise SchemeError(
+                f"coordinate {d} not stepped within {self.R} steps at k={k + self.R - 1}; "
+                f"path does not track ratios {self.ratios}"
+            )
+        self._steps, self._prefixes = steps, prefixes
 
     def index(self, N: int):
         """n^(N), the multi-index after N steps (sum of coordinates N)."""
         if N < 0:
             raise SchemeError("need N >= 0")
-        self._ensure(N)
-        return self._prefixes[N]
+        self._materialise(N)
+        return tuple(self._prefixes[N].tolist())
 
     def step(self, k: int) -> int:
         """Direction i_k of the step from n^(k) to n^(k+1)."""
         if k < 0:
             raise SchemeError("need k >= 0")
-        self._ensure(k + 1)
-        return self._steps[k]
-
-
-def path_from_ratios(ratios, n_max: int = 0) -> MultiIndexPath:
-    """Greedy path for the given ratios, materialised up to n_max."""
-    path = MultiIndexPath(ratios)
-    path._ensure(n_max)
-    return path
+        self._materialise(k + 1)
+        return int(self._steps[k])
 
 
 def _exact(*params) -> bool:
@@ -249,13 +241,11 @@ def _cascade(path: MultiIndexPath, coeff_fn, N: int, start: int, stop: int) -> n
     """
     R, r = path.R, path.r
     path.index(start)  # a negative column raises here
-    lo = max(0, start - R)  # lowest level any requested column reads
-    first = path.index(lo)
     path.index(stop)
-    steps = np.array(path._steps[lo:stop], dtype=np.int64)  # i_l for l = lo..stop-1
+    lo = max(0, start - R)  # lowest level any requested column reads
+    steps = path._steps[lo:stop]  # i_l for l = lo..stop-1
+    n = path._prefixes[lo:stop]  # n^(l) for l = lo..stop-1
     eye = np.eye(r, dtype=np.int64)
-    onehot = eye[steps]
-    n = np.cumsum(onehot, axis=0) - onehot + first  # n^(l) for l = lo..stop-1
     K, L = stop - start, stop - lo
     # one evaluation: the columns' indices n^(k), then the shifted
     # indices n^(l) - e_d whose diag gives the exchange factors c_l^(d)
@@ -316,8 +306,13 @@ def mop_scheme(
     q : coordinate ratios, positive, summing to 1.
     alpha : exponent parameter, multiple-laguerre only (>= 0).
     path : MultiIndexPath, optional
-        Defaults to the greedy path for ``q``.
+        Defaults to ``MultiIndexPath(q)``, on q as given.
     """
+    q = tuple(q)
+    if path is None:
+        # the ratios as given: exact ones walk the exact merge, as the
+        # sampler's source diagonal does
+        path = MultiIndexPath(q)
     a, q = _validate_locations(kind, a, q)
     if kind == "multiple-hermite":
         if alpha is not None:
@@ -336,9 +331,7 @@ def mop_scheme(
         params = {"a": a, "q": q, "alpha": alpha}
     else:
         raise SchemeError(f"unknown multi-index kind {kind!r}")
-    if path is None:
-        path = MultiIndexPath(q)
-    elif path.r != len(q):
+    if path.r != len(q):
         raise SchemeError("path dimension does not match ratios")
     cached = {}  # N -> (first column, band of the widest window computed)
 

@@ -54,8 +54,8 @@ STREAM_VERSION = 2
 def realize_diagonal(q, a, N: int) -> np.ndarray:
     """Length-N diagonal with each a_d repeated n_d^(N) times.
 
-    Multiplicities follow the same greedy multi-index path the
-    deterministic side uses, so sampled and operator-side ensembles
+    Multiplicities follow ``MultiIndexPath(q)``, the path ``mop_scheme``
+    builds from the same q, so sampled and operator-side ensembles
     describe the same source at every N.  Entries are grouped by
     component, in input order.
     """

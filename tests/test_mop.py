@@ -9,6 +9,7 @@ Everything on the oracle side is a Fraction, so agreement is tested for
 exact equality, which is stronger than the 1e-8 relative contract.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,6 @@ from bandedzeros import (
     mop_scheme,
     nn_coeffs_hermite,
     nn_coeffs_laguerre,
-    path_from_ratios,
     spectrum,
     zero_moment_trace,
 )
@@ -34,8 +34,8 @@ from bandedzeros import mop
 from bandedzeros.bandop import trace_table
 
 HALF = (Fraction(1, 2), Fraction(1, 2))
-# a greedy path that goes 5 steps without its last coordinate, one more
-# than ceil(1 / min q)
+# a path that goes 5 steps without its last coordinate, one more than
+# ceil(1 / min q)
 LONG_GAP = (Fraction(2, 5), Fraction(7, 20), Fraction(1, 4))
 
 
@@ -149,6 +149,22 @@ def test_long_gap_path_rows_match_oracle():
     a_vec = (Fraction(1), Fraction(0), Fraction(-1))
     moments = [gaussian_moments(a, 40, 30) for a in a_vec]
     check_rows_against_oracle(path, hermite_coeff_fn(a_vec), moments, 40, 10)
+
+
+def test_band_wider_than_the_longest_run_adds_a_zero_row():
+    # R = 1 + ceil(3/2) + ceil(5/2) = 6, but two steps of one coordinate
+    # are at most 5 apart on this path (period 10): the sixth lower row
+    # must come out exactly zero
+    path = MultiIndexPath((Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)))
+    assert path.R == 6
+    path.index(20)
+    steps = path._steps[:20]
+    assert max(np.diff(np.flatnonzero(steps == d), prepend=-1).max() for d in range(3)) == 5
+    a_vec = (Fraction(1), Fraction(0), Fraction(-1))
+    moments = [gaussian_moments(a, 40, 30) for a in a_vec]
+    check_rows_against_oracle(path, hermite_coeff_fn(a_vec), moments, 40, 10)
+    for k in range(6, 11):
+        assert dict(banded_entries(path, hermite_coeff_fn(a_vec), k, 40))[k - 6] == 0
 
 
 def test_round_robin_path_rows_match_oracle():
@@ -268,14 +284,14 @@ def test_dimension_mismatch_rejected():
 
 
 def test_greedy_path_balanced_ratios_alternates():
-    path = path_from_ratios(HALF, 8)
+    path = MultiIndexPath(HALF)
     assert path.index(4) == (2, 2)
     assert [path.step(k) for k in range(6)] == [0, 1, 0, 1, 0, 1]
     assert path.R == 2
 
 
 def test_greedy_path_skewed_ratios():
-    path = path_from_ratios((Fraction(1, 3), Fraction(2, 3)))
+    path = MultiIndexPath((Fraction(1, 3), Fraction(2, 3)))
     assert path.index(3) == (1, 2)
     assert path.R == 3
 
@@ -289,7 +305,7 @@ def test_refresh_window_holds_along_path():
         LONG_GAP,
         (0.4, 0.35, 0.25),
     ):
-        path = path_from_ratios(ratios, 200 + path_from_ratios(ratios).R)
+        path = MultiIndexPath(ratios)
         R = path.R
         for k in range(200):
             lo = path.index(k)
@@ -297,8 +313,44 @@ def test_refresh_window_holds_along_path():
             assert all(h >= l + 1 for l, h in zip(lo, hi))
 
 
+def test_band_width_bounds_every_run():
+    # R = max_d sum_e ceil(q_e / q_d) bounds the distance between two
+    # steps of one coordinate, and the first step of each, over the first
+    # 1e5 steps of random ratios, exact and rounded to floats; most reach it
+    rng = np.random.default_rng(2024)
+    length, trials, reached = 100_000, 100, 0
+    for trial in range(trials):
+        weights = [int(w) for w in rng.integers(1, 1000, size=2 + trial % 4)]
+        exact = tuple(Fraction(w, sum(weights)) for w in weights)
+        for ratios in (exact, tuple(float(q) for q in exact)):
+            path = MultiIndexPath(ratios)
+            path.index(length)
+            steps = path._steps[:length]
+            runs = max(
+                np.diff(np.flatnonzero(steps == d), prepend=-1).max() for d in range(path.r)
+            )
+            assert math.ceil(1 / min(exact)) <= runs <= path.R, ratios
+            reached += runs == path.R
+    assert reached >= 0.8 * 2 * trials
+
+
+def test_generic_float_ratios_get_a_proven_band():
+    # the terms 1 + sum_{e != d} ceil(q_e / q_d) of R are 5, 4 and 3, and
+    # the longest runs of the three coordinates reach each of them
+    ratios = (0.3276, 0.3329, 0.3395)
+    path = MultiIndexPath(ratios)
+    assert path.R == 5
+    path.index(20_000)
+    runs = [np.diff(np.flatnonzero(path._steps == d), prepend=-1).max() for d in range(3)]
+    assert runs == [5, 4, 3]
+    # floats are merged at their binary values, whose keys pass int64
+    binary = MultiIndexPath(tuple(Fraction(q) for q in ratios))
+    binary.index(20_000)
+    assert (binary._steps == path._steps).all()
+
+
 def test_ratio_tracking():
-    path = path_from_ratios((Fraction(1, 3), Fraction(2, 3)), 3000)
+    path = MultiIndexPath((Fraction(1, 3), Fraction(2, 3)))
     n = path.index(3000)
     assert abs(n[0] / 3000 - 1 / 3) < 1e-3
     assert abs(n[1] / 3000 - 2 / 3) < 1e-3
@@ -354,16 +406,16 @@ def test_hermite_mean_ell2_near_free_limit():
 
 
 def test_path_choice_does_not_move_the_moments():
-    greedy = mop_scheme("multiple-hermite", (1, -1), (0.5, 0.5))
+    merged = mop_scheme("multiple-hermite", (1, -1), (0.5, 0.5))
     flipped = mop_scheme(
         "multiple-hermite",
         (1, -1),
         (0.5, 0.5),
         path=MultiIndexPath(HALF, steps=[1, 0] * 32),
     )
-    m_greedy = mean_moment(greedy, 40, 2)
+    m_merged = mean_moment(merged, 40, 2)
     m_flipped = mean_moment(flipped, 40, 2)
-    assert abs(m_greedy - m_flipped) < 0.02
+    assert abs(m_merged - m_flipped) < 0.02
     assert abs(m_flipped - 2.0) < 0.05
 
 

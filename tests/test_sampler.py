@@ -32,6 +32,7 @@ from bandedzeros import (
     sample_spectrum,
     variance_moment,
 )
+from bandedzeros import cli
 
 GUE = classical_scheme("gue")
 
@@ -188,6 +189,21 @@ def test_realize_diagonal_follows_path_multiplicities():
     assert diag.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0]
     longer = realize_diagonal((0.5, 0.5), (2.0, 3.0), 8)
     assert longer.tolist() == [2.0] * 4 + [3.0] * 4
+
+
+def test_realize_diagonal_walks_the_path_of_mop_scheme():
+    # `mop-zeros --q` and `sample --ratios` both parse to Fractions; the
+    # multiple Hermite diagonal a_{i_k} names each step of the scheme's path
+    config = {"kind": "multiple-hermite", "q": "2/5,7/20,1/4", "a": "1,0,-1"}
+    scheme = cli._mop_scheme_from(config)
+    ratios = cli._number_list("2/5,7/20,1/4", "ratios")
+    a = [1.0, 0.0, -1.0]
+    diagonal = scheme.band(400, 400)[scheme.down_band]
+    counts = [0, 0, 0]
+    for N in range(1, 401):
+        counts[a.index(diagonal[N - 1])] += 1
+        source = realize_diagonal(ratios, a, N)
+        assert [int(np.sum(source == x)) for x in a] == counts, N
 
 
 def test_realize_diagonal_counts_sum_to_n():
