@@ -8,12 +8,16 @@ wrap, plus a handful of closed-form values.
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bandedzeros
 from bandedzeros import ArcsineMixture, cli, kva_functions
 from bandedzeros.errors import NumericalFailure
 
@@ -385,6 +389,28 @@ def test_default_output_path(tmp_path, monkeypatch):
     assert (tmp_path / "kva.csv").exists()
 
 
+def test_module_entry_point(tmp_path):
+    # `python3 -m bandedzeros` runs the CLI from a source checkout too
+    src = str(Path(bandedzeros.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "bandedzeros", "sample", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    done = run("--model", "gue", "--n", "8", "--samples", "4", "--moments", "2",
+               "--out", "s.json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "s.json").read_text())["mean"][0] == 1.0
+    refused = run("--model", "gue", "--n", "8", "--alpha", "3", "--samples", "4",
+                  "--moments", "2")
+    assert refused.returncode == 2
+    assert "alpha" in refused.stderr
+
+
 def test_validation_exit_codes(tmp_path, capsys):
     # conflicting / missing scheme specification
     assert cli.main(["traces", "--n", "5", "--moments", "2"]) == 2
@@ -426,6 +452,14 @@ def test_validation_exit_codes(tmp_path, capsys):
                   "--moments", "1", "--ratios", "1/2,1/2", "--atoms", "1,-1"])
         == 2
     )
+    capsys.readouterr()
+    # gue takes no aspect offset
+    assert (
+        cli.main(["sample", "--model", "gue", "--n", "8", "--alpha", "3",
+                  "--samples", "4", "--moments", "2"])
+        == 2
+    )
+    assert "alpha" in capsys.readouterr().err
 
 
 def test_run_config_validation(tmp_path, capsys):

@@ -33,12 +33,22 @@ from bandedzeros import (
     variance_moment,
 )
 from bandedzeros import cli
+from bandedzeros.sampler import _sample_matrix
 
 GUE = classical_scheme("gue")
+KINDS = ("gue", "wishart", "gue_source", "wishart_cov")
 
 
 def source_spec(kind, N, q, a, alpha=0.0):
     return MatrixModelSpec(kind=kind, N=N, alpha=alpha, source=realize_diagonal(q, a, N))
+
+
+def model_spec(kind, N):
+    """A spec of each kind; the wishart kinds take rectangular factors."""
+    alpha = 1.0 if kind.startswith("wishart") else 0.0
+    if kind in ("gue_source", "wishart_cov"):
+        return source_spec(kind, N, (0.5, 0.5), (1.0, 0.5), alpha=alpha)
+    return MatrixModelSpec(kind=kind, N=N, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +86,32 @@ def test_batch_is_immutable():
     assert batch.L == 2
     with pytest.raises(ValueError):
         batch.table[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# moments as traces against the eigenvalues of the same sample
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("N", [1, 2, 7, 40])
+def test_trace_moments_match_eigenvalue_power_means(kind, N):
+    spec = model_spec(kind, N)
+    L, seed = 8, 424242
+    batch = empirical_batch(spec, L, 4, seed=seed)
+    for j, row in enumerate(batch.table):
+        x = np.linalg.eigvalsh(_sample_matrix(spec, seed, j))
+        for ell in range(L + 1):
+            scale = max(1.0, float(np.mean(np.abs(x) ** ell)))
+            assert abs(row[ell] - np.mean(x**ell)) <= 1e-12 * scale, (j, ell)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_moment_columns_do_not_depend_on_the_order(kind):
+    spec = model_spec(kind, 7)
+    short = empirical_batch(spec, 2, 20, seed=8).table
+    long = empirical_batch(spec, 5, 20, seed=8).table
+    assert short.tobytes() == np.ascontiguousarray(long[:, :3]).tobytes()
+    assert np.all(long[:, 0] == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +267,15 @@ def test_spec_validation():
         MatrixModelSpec(kind="gue_source", N=10, source=np.ones(9))
     with pytest.raises(ConfigError):
         MatrixModelSpec(kind="wishart_cov", N=4, source=np.array([1.0, 1.0, 0.0, 2.0]))
+    # parameters a model would ignore are refused, not dropped
+    with pytest.raises(ConfigError, match="alpha"):
+        MatrixModelSpec(kind="gue", N=8, alpha=3.0)
+    with pytest.raises(ConfigError, match="alpha"):
+        MatrixModelSpec(kind="gue_source", N=4, alpha=1.0, source=np.ones(4))
+    with pytest.raises(ConfigError, match="source"):
+        MatrixModelSpec(kind="gue", N=4, source=np.ones(4))
+    with pytest.raises(ConfigError, match="source"):
+        MatrixModelSpec(kind="wishart", N=4, alpha=1.0, source=np.ones(4))
 
 
 def test_wishart_columns():
