@@ -20,8 +20,11 @@ Statistics (all per the projection pi_N onto indices < N):
   (1/N^2) sum_{k < N <= m} (T^ell)[k, m] (T^ell)[m, k], which is free of
   the O(N) cancellation between the two traces.
 
-The gap and variance bounds multiply a path-count factor by the largest
-entry magnitude in an index window around N.
+The gap and variance bounds multiply a path-count factor by a window
+peak: the largest entry magnitude over max(|m - N|, |k - N|) <= w.
+trace_table reads every row from one band, on indices <= N + 2 q ell_max:
+its truncations give both power tables, and its cumulative window peaks
+for w = 0..2 q ell_max give both bounds, so a table builds the band once.
 """
 
 from __future__ import annotations
@@ -106,12 +109,21 @@ def _crossing_sum(P: np.ndarray, lower: int, N: int, start: int = 0) -> float:
     ) / (N * N)
 
 
-def _diagonal_traces(scheme: RecurrenceScheme, N: int, ell_max: int, pad: int):
+def _cut(band: np.ndarray, r: int, stop: int) -> np.ndarray:
+    """Band of the truncation to indices < stop, from a band of lower
+    width r whose columns start at index 0 and reach past stop - 1."""
+    T = band[:, :stop].copy()
+    for i in range(r + 1, len(T)):  # row i holds T[k + i - r, k]
+        T[i, max(0, stop - i + r) :] = 0.0
+    return T
+
+
+def _diagonal_traces(T: np.ndarray, r: int, N: int, ell_max: int):
     """(P, (1/N) Tr(pi_N P pi_N)) for the bands P of T, ..., T^ell_max,
-    with T the band of the truncation padded for ``pad`` steps: pad >=
-    ell_max gives the powers of T, pad = 0 those of pi_N T pi_N."""
-    r = scheme.down_band
-    powers = _powers(build_truncation(scheme, N, pad).matrix, r, ell_max)
+    with T a band of lower width r whose columns start at index 0: the
+    truncation to N + up_band ell_max gives the powers of T, to N those
+    of pi_N T pi_N."""
+    powers = _powers(T, r, ell_max)
     return ((P, math.fsum(P[ell * r, :N].tolist()) / N) for ell, P in enumerate(powers, 1))
 
 
@@ -120,7 +132,8 @@ def _moment(scheme: RecurrenceScheme, N: int, ell: int, pad: int) -> float:
         raise SchemeError("need ell >= 0")
     if ell == 0:
         return 1.0
-    *_, (_, trace) = _diagonal_traces(scheme, N, ell, pad)
+    T = build_truncation(scheme, N, pad).matrix
+    *_, (_, trace) = _diagonal_traces(T, scheme.down_band, N, ell)
     return trace
 
 
@@ -152,13 +165,24 @@ def variance_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     return _crossing_sum(P, ell * R, N, start)
 
 
-def _window_entry_max(scheme: RecurrenceScheme, N: int, lo: int, hi: int) -> float:
-    lo = max(0, lo)
-    if lo > hi:
-        raise SchemeError("empty index window")
-    band = scheme.band(N, hi + 1, lo)
-    m = np.arange(lo, hi + 1) + np.arange(-scheme.down_band, scheme.up_band + 1)[:, None]
-    return float(np.abs(band[m >= lo]).max())
+def _window_peaks(band: np.ndarray, r: int, N: int, W: int) -> np.ndarray:
+    """peak[w] = max |T[m, k]| over m, k >= 0 with max(|m - N|, |k - N|) <= w,
+    for w = 0..W, from a band of lower width r on the columns max(0, N - W)
+    to N + W whose rows past N + W are zeroed.  Every window holds (N, N),
+    so none is empty."""
+    k = np.arange(max(0, N - W), N + W + 1)
+    m = k + np.arange(-r, len(band) - r)[:, None]
+    d = np.maximum(abs(m - N), abs(k - N))
+    inside = d <= W
+    peak = np.zeros(W + 1)
+    np.maximum.at(peak, d[inside], np.abs(band[inside]))
+    return np.maximum.accumulate(peak)
+
+
+def _peak(scheme: RecurrenceScheme, N: int, w: int) -> float:
+    """Largest |T[m, k]| over m, k >= 0 with |m - N|, |k - N| <= w."""
+    band = scheme.band(N, N + w + 1, max(0, N - w))
+    return _window_peaks(band, scheme.down_band, N, w)[w].item()
 
 
 def gap_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
@@ -170,8 +194,10 @@ def gap_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     if ell < 1:
         raise SchemeError("need ell >= 1")
     q = scheme.up_band
-    w = q * ell
-    peak = _window_entry_max(scheme, N, N - w, N + w)
+    return _gap_bound(q, N, ell, _peak(scheme, N, q * ell))
+
+
+def _gap_bound(q: int, N: int, ell: int, peak: float) -> float:
     return (2 * q * ell) ** ell / N * peak**ell
 
 
@@ -184,27 +210,36 @@ def variance_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     if ell < 1:
         raise SchemeError("need ell >= 1")
     q = scheme.up_band
-    w = 2 * q * ell
-    peak = _window_entry_max(scheme, N, N - w, N + w)
+    return _variance_bound(q, N, ell, _peak(scheme, N, 2 * q * ell))
+
+
+def _variance_bound(q: int, N: int, ell: int, peak: float) -> float:
     return (4 * q * ell) ** (2 * ell) / (N * N) * peak ** (2 * ell)
 
 
 def window_max(scheme: RecurrenceScheme, N: int, eps: float) -> float:
-    """Largest |entry(m, k, N)| over |k/N - 1| <= eps, |m/N - 1| <= eps."""
+    """Largest |entry(m, k, N)| over |k - N|, |m - N| <= floor(N eps)
+    (with a 1e-9 tolerance on the floor), that is over |k/N - 1| <= eps,
+    |m/N - 1| <= eps."""
     if eps <= 0:
         raise SchemeError("need eps > 0")
-    lo = math.ceil(N * (1 - eps) - 1e-9)
-    hi = math.floor(N * (1 + eps) + 1e-9)
-    return _window_entry_max(scheme, N, lo, hi)
+    return _peak(scheme, N, math.floor(N * eps + 1e-9))
 
 
 def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
     """Rows (N, ell, mean, zero_side, gap, gap_bound, variance,
-    variance_bound) for ell = 1..ell_max, from the bands of T on indices
-    < N + 2 up_band ell_max and of the N x N block."""
-    r = scheme.down_band
-    powers = _diagonal_traces(scheme, N, ell_max, 2 * ell_max)
-    block_powers = _diagonal_traces(scheme, N, ell_max, 0)
+    variance_bound) for ell = 1..ell_max, all read from one band of T on
+    indices <= N + 2 up_band ell_max: its truncation to N + 2 up_band
+    ell_max gives the mean and variance, to N the zero side, and its
+    window peaks around N both bounds."""
+    if ell_max < 0:
+        raise SchemeError(f"need ell_max >= 0, got {ell_max}")
+    r, q = scheme.down_band, scheme.up_band
+    W = 2 * q * ell_max
+    band = scheme.band(N, N + W + 1)
+    peak = _window_peaks(band[:, max(0, N - W) :], r, N, W).tolist()
+    powers = _diagonal_traces(_cut(band, r, N + W), r, N, ell_max)
+    block_powers = _diagonal_traces(_cut(band, r, N), r, N, ell_max)
     rows = []
     for ell, (P, mean), (_, zero) in zip(range(1, ell_max + 1), powers, block_powers):
         rows.append(
@@ -214,9 +249,9 @@ def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
                 mean,
                 zero,
                 abs(mean - zero),
-                gap_bound(scheme, N, ell),
+                _gap_bound(q, N, ell, peak[q * ell]),
                 _crossing_sum(P, ell * r, N),
-                variance_bound(scheme, N, ell),
+                _variance_bound(q, N, ell, peak[2 * q * ell]),
             )
         )
     return rows

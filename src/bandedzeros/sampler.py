@@ -29,6 +29,8 @@ dense eigvalsh, and 4.9 ms against 4.2 ms at L = 16: eigenvalues are
 cheaper only from L near 14.  Reading traces consumes no draws, so
 ``sample_spectrum``, the eigenvalue route, sees the same stream-version-2
 matrices.
+scipy.special (for ndtri) is imported on the first draw, not with the
+package.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import ConfigError
 from .measures import MomentSequence
@@ -128,6 +129,8 @@ def _gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
     centres each uniform in its lattice cell, keeping the transform
     away from ndtri's poles at 0 and 1.
     """
+    import scipy.special
+
     u = rng.random(count) + 2.0**-54
     return scipy.special.ndtri(u)
 

@@ -21,6 +21,9 @@ polish and ``charpoly_eval`` all run on it.
 Moments of the zero distribution are averages of Re(z^ell); the
 imaginary residual |mean Im(z^ell)| is surfaced alongside rather than
 silently dropped, so a complex-contaminated spectrum is visible.
+
+scipy.linalg is imported inside the functions that call it, so importing
+the package, and with it the trace layers, loads no scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bandop import BandedOperator
 from .errors import CharpolyOverflow, NumericalFailure
@@ -93,6 +95,8 @@ def _balanced_eigvals(block: np.ndarray) -> np.ndarray:
     i, j = np.nonzero(block)
     scaled = np.zeros_like(block)
     scaled[i, j] = block[i, j] * np.exp(logd[i] - logd[j])
+    import scipy.linalg
+
     return scipy.linalg.eigvals(scaled)
 
 
@@ -335,6 +339,8 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
       estimates for a simultaneous root polish, whose result is not
       certified.
     """
+    import scipy.linalg
+
     scheme = op.scheme
     try:
         if scheme.symmetric and scheme.down_band == 1:
@@ -351,7 +357,7 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
             if vals is None:
                 route = "aberth"
                 vals = _polish_roots(op, _balanced_eigvals(op.block()))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"eigenvalue solver failed on {scheme.name!r} block of size {op.N}: {exc}"
         ) from exc

@@ -2,11 +2,17 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bandedzeros
 from bandedzeros.bandop import (
+    _cut,
     build_truncation,
     gap_bound,
     mean_moment,
@@ -232,3 +238,114 @@ def test_banded_traces_match_dense_matrix_powers(label, scheme):
             (row_var, var),
         ):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (ell, got, ref)
+
+
+TABLE_SCHEMES = [s for s in SCHEMES if s[0] not in ("jacobi11", "meixner")]
+
+
+def _brute_peaks(scheme, N, W):
+    """peak[w] = max |entry(m, k, N)| over m, k >= 0 with |m - N|, |k - N| <= w,
+    one entry at a time."""
+    return [
+        max(
+            abs(scheme.entry(m, k, N))
+            for m in range(max(0, N - w), N + w + 1)
+            for k in range(max(0, N - w), N + w + 1)
+        )
+        for w in range(W + 1)
+    ]
+
+
+@pytest.mark.parametrize("label,scheme", TABLE_SCHEMES)
+def test_trace_table_rows_match_the_public_functions(label, scheme):
+    # every row comes from one band; each column must still be what the
+    # public function computes on its own, and each bound's peak what a
+    # scan of single entries over the window finds (N = 1 and 2 clip the
+    # window at index 0)
+    q = scheme.up_band
+    for N in (1, 2, 3, 7, 50, 201):
+        peaks = _brute_peaks(scheme, N, 2 * q * 6)
+        for w, peak in enumerate(peaks[1:], 1):
+            assert window_max(scheme, N, w / N) == peak
+        for L in (1, 6):
+            rows = trace_table(scheme, N, L)
+            assert [row[:2] for row in rows] == [(N, ell) for ell in range(1, L + 1)]
+            for _, ell, mean, zero, gap, gbound, var, vbound in rows:
+                assert mean == mean_moment(scheme, N, ell)
+                assert zero == zero_moment_trace(scheme, N, ell)
+                assert gap == abs(mean - zero)
+                assert gbound == gap_bound(scheme, N, ell)
+                assert vbound == variance_bound(scheme, N, ell)
+                assert var == variance_moment(scheme, N, ell)
+                assert gbound == (2 * q * ell) ** ell / N * peaks[q * ell] ** ell
+                assert vbound == (4 * q * ell) ** (2 * ell) / N**2 * peaks[2 * q * ell] ** (2 * ell)
+
+
+@pytest.mark.parametrize("label,scheme", TABLE_SCHEMES)
+def test_cut_of_the_one_band_is_the_exact_truncation(label, scheme):
+    # trace_table's power tables start from cuts of its one band; each cut
+    # must equal the band of the truncation it stands for, entry by entry
+    r, q = scheme.down_band, scheme.up_band
+    for N in (1, 2, 7, 50):
+        band = scheme.band(N, N + 2 * q * 6 + 1)
+        for stop in (N, N + 2 * q * 6):
+            assert np.array_equal(_cut(band, r, stop), scheme.band(N, stop))
+
+
+def test_trace_table_builds_one_band():
+    calls = []
+
+    def band_fn(N, start, stop):
+        calls.append((N, start, stop))
+        return GUE.band_fn(N, start, stop)
+
+    counted = dataclasses.replace(GUE, band_fn=band_fn)
+    rows = trace_table(counted, 40, 6)
+    assert calls == [(40, 0, 53)]
+    assert rows == trace_table(GUE, 40, 6)
+
+
+def test_trace_table_argument_checks():
+    with pytest.raises(SchemeError):
+        trace_table(GUE, 5, -1)
+    assert trace_table(GUE, 5, 0) == []
+    for L in (0, 3):
+        with pytest.raises(SchemeError):
+            trace_table(GUE, 0, L)
+
+
+def test_trace_path_loads_no_scipy():
+    # the trace, path and bound layers run on numpy alone; scipy loads on
+    # first use of spectrum or the sampler, which must then still work
+    code = """
+import sys
+import numpy as np
+import bandedzeros as bz
+from bandedzeros.bandop import trace_table
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.special")))
+
+gue = bz.classical_scheme("gue")
+assert len(trace_table(gue, 20, 4)) == 4
+assert abs(bz.lattice_sum(gue, 5, 2) - 1.0) < 1e-12
+assert bz.mean_moment(gue, 20, 2) == 1.0
+assert bz.gap_bound(gue, 20, 2) > 0
+assert loaded() == [], loaded()
+
+points = bz.spectrum(bz.build_truncation(gue, 5, 0)).points
+r = np.sqrt(10.0)
+he5 = np.array([-np.sqrt(5 + r), -np.sqrt(5 - r), 0.0, np.sqrt(5 - r), np.sqrt(5 + r)])
+assert np.allclose(points.real, he5 / np.sqrt(5), rtol=0, atol=1e-13), points
+mean, var, se = bz.mc_moments(bz.MatrixModelSpec("gue", 5), 2, 400, 1)
+assert mean[0] == 1.0
+assert abs(mean[1]) < 5 * se[1] and abs(mean[2] - 1.0) < 5 * se[2], (mean, se)
+assert "scipy.linalg" in loaded() and "scipy.special" in loaded()
+"""
+    src = str(Path(bandedzeros.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

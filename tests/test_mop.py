@@ -420,9 +420,9 @@ def test_path_choice_does_not_move_the_moments():
 
 
 def test_trace_table_keeps_the_full_band(monkeypatch):
-    # trace_table's last band request, the variance bound's window, ends
-    # past the full band it asked for first; the full band stays cached,
-    # so the moments at the same N compute no column again
+    # trace_table asks for one band, on indices <= N + 2 q L, and reads
+    # every row from it; that band stays cached, so the moments at the
+    # same N compute no column again
     computed = []
     cascade = mop._cascade
 
@@ -433,7 +433,7 @@ def test_trace_table_keeps_the_full_band(monkeypatch):
     monkeypatch.setattr(mop, "_cascade", counting)
     scheme = mop_scheme("multiple-hermite", (1, -1), (0.5, 0.5))
     trace_table(scheme, 200, 6)
-    assert computed[0] == (200, 0, 212)
+    assert computed == [(200, 0, 213)]
     computed.clear()
     mean_moment(scheme, 200, 6)
     zero_moment_trace(scheme, 200, 6)
