@@ -15,6 +15,7 @@ return only the absolutely continuous part.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +74,21 @@ class MomentSequence:
         return [float(v) for v in self.values]
 
 
+def _arcsine_moment(alpha, beta, ell: int, two):
+    """l-th moment of the arcsine law of [alpha, beta], in the arithmetic
+    of ``two`` (2 as a Fraction or a float), elementwise for arrays of
+    endpoints.  With c = (alpha+beta)/2 and rho = (beta-alpha)/2,
+    m_l = sum_j C(l, 2j) C(2j, j) c^(l-2j) (rho/2)^(2j).
+    """
+    c = (alpha + beta) / two
+    half_rho = (beta - alpha) / (two * two)
+    total = 0 * two
+    for j in range(ell // 2 + 1):
+        term = math.comb(ell, 2 * j) * math.comb(2 * j, j)
+        total += term * c ** (ell - 2 * j) * half_rho ** (2 * j)
+    return total
+
+
 class ArcsineLaw:
     """Equilibrium measure of the interval [alpha, beta].
 
@@ -95,22 +111,13 @@ class ArcsineLaw:
         self.beta = beta
 
     def moment(self, ell: int):
-        """l-th moment via the binomial closed form.
-
-        With c = (alpha+beta)/2 and rho = (beta-alpha)/2,
-        m_l = sum_j C(l, 2j) C(2j, j) c^(l-2j) (rho/2)^(2j).
+        """l-th moment via the binomial closed form (``_arcsine_moment``).
         Exact (int/Fraction) when the endpoints are exact.
         """
         if ell < 0:
             raise ValueError("negative moment index")
         exact = _is_exact(self.alpha, self.beta)
-        two = Fraction(2) if exact else 2.0
-        c = (self.alpha + self.beta) / two
-        half_rho = (self.beta - self.alpha) / (two * two)
-        total = Fraction(0) if exact else 0.0
-        for j in range(ell // 2 + 1):
-            term = math.comb(ell, 2 * j) * math.comb(2 * j, j)
-            total += term * c ** (ell - 2 * j) * half_rho ** (2 * j)
+        total = _arcsine_moment(self.alpha, self.beta, ell, Fraction(2) if exact else 2.0)
         if exact and total.denominator == 1:
             return int(total)
         return total
@@ -231,13 +238,26 @@ class AtomicMeasure:
         return list(self._atoms)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights of ``order`` points, mapped from
+    [-1, 1] to [0, 1]; read-only, shared by every mixture of that order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 class ArcsineMixture:
     """Mixture of arcsine laws over a coefficient profile on [0, 1].
 
     Given limit functions a(s) >= 0 and b(s), the law is
     integral_0^1 w_{[b(s) - 2a(s), b(s) + 2a(s)]} ds, where w_I is the
     arcsine law of the interval I.  Moments and densities integrate the
-    arcsine closed forms with Gauss-Legendre quadrature.
+    arcsine closed forms with Gauss-Legendre quadrature: a(s) and b(s)
+    are evaluated once per node when the mixture is built, and each
+    moment or density runs the ``ArcsineLaw`` closed form over the arrays
+    of node endpoints.
 
     Parameters
     ----------
@@ -253,30 +273,28 @@ class ArcsineMixture:
         self.a = a
         self.b = b
         self.order = order
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        # map from [-1, 1] to [0, 1]
-        self._nodes = 0.5 * (nodes + 1.0)
-        self._weights = 0.5 * weights
+        nodes, self._weights = _gauss_legendre(order)
+        a_s = np.array([a(s) for s in nodes], dtype=float)
+        b_s = np.array([b(s) for s in nodes], dtype=float)
+        lo, hi = b_s - 2.0 * a_s, b_s + 2.0 * a_s
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("endpoints must be finite")
+        # per-node ArcsineLaw endpoints, stored sorted
+        self._alpha, self._beta = np.minimum(lo, hi), np.maximum(lo, hi)
 
     def moment(self, ell: int) -> float:
+        """Weighted sum of ``ArcsineLaw.moment`` over the nodes."""
         if ell < 0:
             raise ValueError("negative moment index")
-        vals = []
-        for s, w in zip(self._nodes, self._weights):
-            a_s = self.a(s)
-            b_s = self.b(s)
-            law = ArcsineLaw(b_s - 2.0 * a_s, b_s + 2.0 * a_s)
-            vals.append(w * float(law.moment(ell)))
-        return math.fsum(vals)
+        total = _arcsine_moment(self._alpha, self._beta, ell, 2.0)
+        return math.fsum((self._weights * total).tolist())
 
     def density(self, x) -> float:
-        vals = []
-        for s, w in zip(self._nodes, self._weights):
-            a_s = self.a(s)
-            b_s = self.b(s)
-            law = ArcsineLaw(b_s - 2.0 * a_s, b_s + 2.0 * a_s)
-            vals.append(w * law.density(x))
-        return math.fsum(vals)
+        """Weighted sum of ``ArcsineLaw.density`` over the nodes."""
+        inside = (self._alpha < x) & (x < self._beta)
+        alpha, beta = self._alpha[inside], self._beta[inside]
+        law = 1.0 / (np.pi * np.sqrt((beta - x) * (x - alpha)))
+        return math.fsum((self._weights[inside] * law).tolist())
 
     def atoms(self):
         return []

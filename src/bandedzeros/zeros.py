@@ -16,14 +16,20 @@ real part, then imaginary part, with the route that found them.
 One banded leading-minor recurrence (``_charpoly``) evaluates the
 characteristic polynomial and its derivative, vectorised over points
 with power-of-two rescaling; the scan, the Newton solve, the root
-polish and ``charpoly_eval`` all run on it.
+polish and ``charpoly_eval`` all run on it.  Its z-independent parts
+(the diagonal and the band coefficient products) are computed once per
+``spectrum`` or ``charpoly_eval`` call (``_minors``).  Each step updates
+the value and derivative of the newest minor as one stacked row, and
+reads only that minor to decide whether the window needs rescaling,
+which is exact: the older minors passed the same test at earlier steps.
 
 Moments of the zero distribution are averages of Re(z^ell); the
 imaginary residual |mean Im(z^ell)| is surfaced alongside rather than
 silently dropped, so a complex-contaminated spectrum is visible.
 
-scipy.linalg is imported inside the functions that call it, so importing
-the package, and with it the trace layers, loads no scipy.
+scipy.linalg is imported only where a route needs it (the tridiagonal
+solver and the dense Aberth fallback), so importing the package, the
+trace layers and a certified multi-index spectrum load no scipy.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +107,40 @@ def _balanced_eigvals(block: np.ndarray) -> np.ndarray:
     return scipy.linalg.eigvals(scaled)
 
 
-def _charpoly(op: BandedOperator, zs):
+class _Minors(NamedTuple):
+    """The z-independent parts of the leading-minor recurrence of one
+    N x N block, built once per ``spectrum`` or ``charpoly_eval`` call by
+    ``_minors``.
+
+    ``diag[j]`` is T[j, j] and ``terms[j]`` holds, for i = j-1 down to
+    j-R, the window slot of d_{i-1} with the coefficient
+    T[i, j] * prod_{t=i}^{j-1} T[t+1, t], omitted where T[i, j] is 0.
+    """
+
+    N: int
+    width: int
+    diag: list
+    terms: list
+
+
+def _minors(op: BandedOperator) -> _Minors:
+    N, R = op.N, op.scheme.down_band
+    B = op.matrix[:, :N].tolist()  # T[m, k] = B[R + m - k][k]
+    width = R + 2
+    terms = []
+    for j in range(N):
+        column = []
+        sub_prod = 1.0
+        for i in range(j - 1, max(j - R, 0) - 1, -1):
+            sub_prod *= B[R + 1][i]
+            upper = B[R + i - j][j]  # T[i, j]
+            if upper != 0.0:
+                column.append((i % width, upper * sub_prod))
+        terms.append(tuple(column))
+    return _Minors(N, width, B[R], terms)
+
+
+def _charpoly(minors: _Minors, zs):
     """(p, dp, exponent) with det(z - pi_N T pi_N) = p * 2**exponent and
     its z-derivative dp * 2**exponent, vectorised over the points ``zs``
     (in float64 when the points are real, in complex arithmetic otherwise).
@@ -111,47 +151,54 @@ def _charpoly(op: BandedOperator, zs):
       d_j = (z - T[j,j]) d_{j-1}
             - sum_i T[i,j] (prod_{t=i}^{j-1} T[t+1,t]) d_{i-1}
     with i ranging over the upper band j-R <= i <= j-1, and the same
-    recurrence differentiated for d_j'.  Only the last R+2 minors are
-    kept (d_k in row (k+1) mod (R+2)).  A point's minors are multiplied
-    by 2**-512 or 2**512 only when its window leaves [2**-512, 2**512];
-    power-of-two scaling rounds nothing.
+    recurrence differentiated for d_j'.  The diagonal and the products
+    in the sum do not depend on z; ``minors`` holds them precomputed.
+    Only the last R+2 minors are kept: d_k and d_k' are the stacked
+    row pair (k+1) mod (R+2) of the window, updated in place.  A point's
+    minors are multiplied by 2**-512 or 2**512 only when its window
+    leaves [2**-512, 2**512]; power-of-two scaling rounds nothing.  The
+    older minors passed that test at the previous step (after every step
+    no minor in the window exceeds 2**512), so while the minors are
+    finite the window can leave the range only if the newest minor does:
+    each step tests the newest minor, and the whole window only when that
+    minor is out of range.
     """
-    B = op.matrix  # T[m, k] = B[R + m - k, k]
-    R = op.scheme.down_band
     zs = np.asarray(zs)
     zs = zs.astype(float if np.isrealobj(zs) else complex)
-    width = R + 2
-    win = np.zeros((width, len(zs)), dtype=zs.dtype)
-    dwin = np.zeros_like(win)
-    win[0] = 1.0  # d_{-1}
+    width = minors.width
+    win = np.zeros((width, 2, len(zs)), dtype=zs.dtype)
+    win[0, 0] = 1.0  # d_{-1}
     exponent = np.zeros(len(zs), dtype=int)
-    for j in range(op.N):
-        prev = j % width
-        shift = zs - B[R, j]
-        val = shift * win[prev]
-        dval = win[prev] + shift * dwin[prev]
-        sub_prod = 1.0
-        for i in range(j - 1, max(j - R, 0) - 1, -1):
-            sub_prod *= B[R + 1, i]
-            upper = B[R + i - j, j]  # T[i, j]
-            if upper != 0.0:
-                c = upper * sub_prod
-                val -= c * win[i % width]
-                dval -= c * dwin[i % width]
-        win[(j + 1) % width] = val
-        dwin[(j + 1) % width] = dval
-        scale = np.abs(win).max(axis=0)
+    rows = list(win)
+    values = [row[0] for row in rows]
+    derivs = [row[1] for row in rows]
+    for j, (diag, terms) in enumerate(zip(minors.diag, minors.terms)):
+        k = (j + 1) % width
+        new = rows[k]
+        shift = zs - diag
+        # shift * prev, not prev * shift: numpy's complex multiply is not
+        # bitwise commutative
+        np.multiply(shift, rows[j % width], out=new)
+        derivs[k] += values[j % width]
+        for slot, c in terms:
+            new -= c * rows[slot]
+        size = np.abs(values[k])
+        if (
+            np.minimum.reduce(size, initial=np.inf) >= 2.0**-512
+            and np.maximum.reduce(size, initial=0.0) <= 2.0**512
+        ):
+            continue
+        scale = np.abs(win[:, 0]).max(axis=0)
         shifts = np.where(scale > 2.0**512, -512, 0)
         shifts[(scale > 0.0) & (scale < 2.0**-512)] = 512
         if shifts.any():
-            factor = np.ldexp(1.0, shifts)
-            win *= factor
-            dwin *= factor
+            win *= np.ldexp(1.0, shifts)
             exponent -= shifts
-    return win[op.N % width], dwin[op.N % width], exponent
+    last = win[minors.N % width]
+    return last[0], last[1], exponent
 
 
-def _polish_roots(op: BandedOperator, guesses: np.ndarray) -> np.ndarray:
+def _polish_roots(minors: _Minors, guesses: np.ndarray) -> np.ndarray:
     """Simultaneous Newton (Aberth) iteration on the characteristic
     polynomial, starting from eigenvalue estimates.
 
@@ -171,7 +218,7 @@ def _polish_roots(op: BandedOperator, guesses: np.ndarray) -> np.ndarray:
             z[b] += 1e-9 * span * (1.0 + 1.0j)
     last = math.inf
     for _ in range(80):
-        v, dv = _charpoly(op, z)[:2]
+        v, dv = _charpoly(minors, z)[:2]
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         # keep the repulsion finite when iterates collide (which happens
@@ -213,7 +260,7 @@ def _gershgorin_interval(op: BandedOperator):
     return lo - pad, hi + pad
 
 
-def _sign_scan(op: BandedOperator, lo: float, hi: float):
+def _sign_scan(minors: _Minors, lo: float, hi: float):
     """Points x and signs s of the characteristic polynomial on a Chebyshev
     grid over [lo, hi], with the number of zeros the grid shows: the sign
     changes plus the points where p is exactly 0.
@@ -223,7 +270,7 @@ def _sign_scan(op: BandedOperator, lo: float, hi: float):
     read, and the power-of-two exponent cannot change it, so the signs
     hold past the double range.
     """
-    N = op.N
+    N = minors.N
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def grid(j, M):
@@ -233,7 +280,7 @@ def _sign_scan(op: BandedOperator, lo: float, hi: float):
 
     M = 4 * N
     x = grid(np.arange(M + 1), M)
-    s = np.sign(_charpoly(op, x)[0])
+    s = np.sign(_charpoly(minors, x)[0])
     while True:
         found = np.count_nonzero(s == 0) + np.count_nonzero(s[:-1] * s[1:] < 0)
         if found >= N or M >= 32 * N:
@@ -241,10 +288,10 @@ def _sign_scan(op: BandedOperator, lo: float, hi: float):
         M *= 2
         fresh = grid(np.arange(1, M, 2), M)
         x = np.insert(x, range(1, len(x)), fresh)
-        s = np.insert(s, range(1, len(s)), np.sign(_charpoly(op, fresh)[0]))
+        s = np.insert(s, range(1, len(s)), np.sign(_charpoly(minors, fresh)[0]))
 
 
-def _bracketed_newton(op: BandedOperator, lo, hi, sign_lo, span: float):
+def _bracketed_newton(minors: _Minors, lo, hi, sign_lo, span: float):
     """The zero inside each bracket (lo, hi), where p has the sign
     ``sign_lo`` at lo and the opposite sign at hi; lo and hi are updated
     in place.
@@ -265,7 +312,7 @@ def _bracketed_newton(op: BandedOperator, lo, hi, sign_lo, span: float):
         if not len(live):
             break
         z = x[live]
-        p, dp, _ = _charpoly(op, z)
+        p, dp, _ = _charpoly(minors, z)
         below = np.sign(p) == sign_lo[live]  # the zero lies above z
         a = np.where(below, z, lo[live])
         b = np.where(below, hi[live], z)
@@ -283,7 +330,7 @@ def _bracketed_newton(op: BandedOperator, lo, hi, sign_lo, span: float):
     return x
 
 
-def _certified_real_zeros(op: BandedOperator):
+def _certified_real_zeros(op: BandedOperator, minors: _Minors):
     """The N zeros, sorted, when a sign scan certifies them as real and
     simple; otherwise None.
 
@@ -296,13 +343,13 @@ def _certified_real_zeros(op: BandedOperator):
     """
     N, R = op.N, op.scheme.down_band
     lo, hi = _gershgorin_interval(op)
-    x, s, found = _sign_scan(op, lo, hi)
+    x, s, found = _sign_scan(minors, lo, hi)
     if found != N:
         return None
     cross = np.flatnonzero(s[:-1] * s[1:] < 0)
     span = max(1.0, abs(lo), abs(hi))
     zeros = np.sort(
-        np.concatenate([x[s == 0], _bracketed_newton(op, x[cross], x[cross + 1], s[cross], span)])
+        np.concatenate([x[s == 0], _bracketed_newton(minors, x[cross], x[cross + 1], s[cross], span)])
     )
     diag = op.matrix[R, :N]
     # Tr(B^2) pairs T[k+1, k] with T[k, k+1]; wider offsets hold no pairs
@@ -339,11 +386,11 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
       estimates for a simultaneous root polish, whose result is not
       certified.
     """
-    import scipy.linalg
-
     scheme = op.scheme
     try:
         if scheme.symmetric and scheme.down_band == 1:
+            import scipy.linalg
+
             route = "tridiagonal"
             d = op.matrix[1, : op.N].copy()
             e = op.matrix[2, : op.N - 1].copy()
@@ -353,10 +400,11 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
                 vals = scipy.linalg.eigvalsh_tridiagonal(d, e).astype(complex)
         else:
             route = "sign-scan"
-            vals = _certified_real_zeros(op)
+            minors = _minors(op)
+            vals = _certified_real_zeros(op, minors)
             if vals is None:
                 route = "aberth"
-                vals = _polish_roots(op, _balanced_eigvals(op.block()))
+                vals = _polish_roots(minors, _balanced_eigvals(op.block()))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"eigenvalue solver failed on {scheme.name!r} block of size {op.N}: {exc}"
@@ -403,7 +451,7 @@ def charpoly_eval(op: BandedOperator, z) -> complex:
     ``CharpolyOverflow`` error carries the scaled log-determinant
     (log-magnitude and phase).
     """
-    p, _, exponent = _charpoly(op, [complex(z)])
+    p, _, exponent = _charpoly(_minors(op), [complex(z)])
     result = complex(p[0])
     exponent = int(exponent[0])
     try:

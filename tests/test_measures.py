@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import bandedzeros.measures as measures_mod
+from bandedzeros import kva_functions
 from bandedzeros.measures import (
     ArcsineLaw,
     ArcsineMixture,
@@ -120,8 +122,65 @@ def test_kva_point_profile():
 
 
 def test_mixture_rejects_bad_order():
+    calls = []
+
+    def a(s):
+        calls.append(s)
+        return 1.0
+
     with pytest.raises(ValueError):
-        ArcsineMixture(lambda s: 1.0, lambda s: 0.0, order=0)
+        ArcsineMixture(a, lambda s: 0.0, order=0)
+    assert calls == []
+
+
+CLASSICAL_PROFILES = {
+    "gue": {},
+    "wishart": {"alpha": 1.0},
+    "jacobi": {"alpha": 1.0, "beta": 1.0},
+    "charlier": {"alpha": 1.0},
+    "meixner": {"alpha": 0.5, "beta": 1.0},
+}
+
+
+def node_by_node(a, b, order, ell=None, x=None):
+    """A mixture's moment ``ell`` or density at ``x``, one ArcsineLaw per
+    Gauss-Legendre node."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    terms = []
+    for s, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        law = ArcsineLaw(b(s) - 2.0 * a(s), b(s) + 2.0 * a(s))
+        terms.append(w * (float(law.moment(ell)) if x is None else law.density(x)))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_PROFILES))
+def test_mixture_matches_per_node_arcsine_laws(name):
+    # within 4 ulp, not bitwise: numpy's ** on arrays need not round as
+    # the scalar pow does
+    a, b = kva_functions(name, **CLASSICAL_PROFILES[name])
+    mix = ArcsineMixture(a, b)
+    for ell in range(9):
+        ref = node_by_node(a, b, 200, ell=ell)
+        assert abs(mix.moment(ell) - ref) <= 4 * math.ulp(ref), ell
+    for x in np.linspace(-3.0, 7.0, 41):
+        ref = node_by_node(a, b, 200, x=x)
+        assert abs(mix.density(x) - ref) <= 4 * math.ulp(ref), x
+
+
+def test_mixture_runs_leggauss_once_per_order(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(order):
+        calls.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    measures_mod._gauss_legendre.cache_clear()
+    for order in (37, 41, 37, 41):
+        mix = ArcsineMixture(lambda s: 1.0, lambda s: 0.0, order=order)
+        assert mix.moment(2) == pytest.approx(2.0, rel=1e-14)
+    assert calls == [37, 41]
 
 
 def test_density_eval_values():

@@ -2,10 +2,16 @@
 recurrence."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bandedzeros
+import bandedzeros.zeros as zeros_mod
 from bandedzeros.bandop import BandedOperator, build_truncation, zero_moment_trace
 from bandedzeros.errors import CharpolyOverflow, NumericalFailure
 from bandedzeros.mop import mop_scheme
@@ -316,3 +322,144 @@ def test_rounding_dominated_scan_is_not_certified(n):
     except NumericalFailure:
         return
     assert measure.route == "aberth"
+
+
+# The leading-minor recurrence one column at a time, as a plain reference
+# for ``zeros._charpoly``: the band products are formed inside the loop,
+# value and derivative windows are separate arrays, and every step tests
+# the whole window for rescaling.
+
+ML13 = mop_scheme("multiple-laguerre", a=(1.0, 3.0), q=(0.3, 0.7), alpha=0.5)
+ML0 = mop_scheme("multiple-laguerre", a=(1.0, 2.0), q=(0.5, 0.5), alpha=0.0)
+
+
+def reference_charpoly(op, zs, shifted=None):
+    """(p, dp, exponent) as ``zeros._charpoly`` defines them; every
+    nonzero power-of-two shift it applies is added to ``shifted``."""
+    B = op.matrix
+    R = op.scheme.down_band
+    zs = np.asarray(zs)
+    zs = zs.astype(float if np.isrealobj(zs) else complex)
+    width = R + 2
+    win = np.zeros((width, len(zs)), dtype=zs.dtype)
+    dwin = np.zeros_like(win)
+    win[0] = 1.0
+    exponent = np.zeros(len(zs), dtype=int)
+    for j in range(op.N):
+        prev = j % width
+        shift = zs - B[R, j]
+        val = shift * win[prev]
+        dval = win[prev] + shift * dwin[prev]
+        sub_prod = 1.0
+        for i in range(j - 1, max(j - R, 0) - 1, -1):
+            sub_prod *= B[R + 1, i]
+            upper = B[R + i - j, j]
+            if upper != 0.0:
+                c = upper * sub_prod
+                val -= c * win[i % width]
+                dval -= c * dwin[i % width]
+        win[(j + 1) % width] = val
+        dwin[(j + 1) % width] = dval
+        scale = np.abs(win).max(axis=0)
+        shifts = np.where(scale > 2.0**512, -512, 0)
+        shifts[(scale > 0.0) & (scale < 2.0**-512)] = 512
+        if shifts.any():
+            if shifted is not None:
+                shifted.update(shifts[shifts != 0].tolist())
+            factor = np.ldexp(1.0, shifts)
+            win *= factor
+            dwin *= factor
+            exponent -= shifts
+    return win[op.N % width], dwin[op.N % width], exponent
+
+
+def assert_charpoly_matches_reference(op, zs, shifted=None):
+    got = zeros_mod._charpoly(zeros_mod._minors(op), zs)
+    ref = reference_charpoly(op, zs, shifted)
+    for name, g, r in zip(("p", "dp", "exponent"), got, ref):
+        assert g.dtype == r.dtype and np.array_equal(g, r), name
+
+
+@pytest.mark.parametrize("scheme", [MH, ML, MH3, ML13], ids=["mh2", "ml2", "mh3", "ml13"])
+@pytest.mark.parametrize("n", [30, 120, 420])
+def test_charpoly_matches_reference_bitwise(scheme, n):
+    op = build_truncation(scheme, n, 0)
+    lo, hi = zeros_mod._gershgorin_interval(op)
+    # z = T[0, 0] makes the first new minor exactly 0
+    grid = np.append(np.linspace(lo, hi, 257), op.matrix[scheme.down_band, 0])
+    assert_charpoly_matches_reference(op, grid)
+    assert_charpoly_matches_reference(op, grid[::16] + 0.37j * (hi - lo))
+    assert_charpoly_matches_reference(op, [complex(grid[-1]), 1e3 - 2e3j, -0.5 + 1e-9j])
+
+
+def test_charpoly_matches_reference_across_both_rescales():
+    # T[0, 0] = 0, a diagonal of 1e3 up to column 200, then 1e-3 with a
+    # sub-diagonal of 1e-3: the minors climb past 2**512 and then fall
+    # below 2**-512
+    def band(N, start, stop):
+        k = np.arange(start, stop)
+        one = np.ones(len(k))
+        diag = np.where(k == 0, 0.0, np.where(k < 200, 1e3, 1e-3))
+        return np.stack([0.5 * one, -0.25 * one, diag, 1e-3 * one])
+
+    scheme = RecurrenceScheme(name="two-phase", params={}, down_band=2, up_band=1, band_fn=band)
+    op = build_truncation(scheme, 600, 0)
+    shifted = set()
+    zs = np.array([0.0, 0.25, -0.5, 1e-3, 7.0])
+    assert_charpoly_matches_reference(op, zs, shifted)
+    assert shifted == {-512, 512}
+    shifted.clear()
+    assert_charpoly_matches_reference(op, zs + 0.1j, shifted)
+    assert shifted == {-512, 512}
+    # at z = 1e-200 the minor d_0 = z is below 2**-512 but d_{-1} = 1 keeps
+    # the window in range, so nothing is rescaled
+    shifted.clear()
+    assert_charpoly_matches_reference(build_truncation(scheme, 2, 0), [1e-200, 1e-200j], shifted)
+    assert not shifted
+
+
+@pytest.mark.parametrize(
+    "scheme, route",
+    [(MH, "sign-scan"), (ML, "sign-scan"), (MH3, "sign-scan"), (ML0, "aberth"), (ML13, None)],
+    ids=["mh2", "ml2", "mh3", "ml0", "ml13"],
+)
+def test_spectrum_matches_reference_recurrence(scheme, route, monkeypatch):
+    # N = 420 is the benchmark's multi-index size; ml0 takes the Aberth
+    # route, and on ml13 both recurrences stall the polish
+    op = build_truncation(scheme, 420, 0)
+
+    def solve():
+        try:
+            measure = spectrum(op)
+        except NumericalFailure as exc:
+            return None, str(exc)
+        return measure.route, measure.points
+
+    got = solve()
+    monkeypatch.setattr(zeros_mod, "_charpoly", lambda minors, zs: reference_charpoly(op, zs))
+    ref = solve()
+    assert got[0] == ref[0] == route
+    if route is None:
+        assert got[1] == ref[1]
+    else:
+        assert np.array_equal(got[1], ref[1])
+
+
+def test_certified_spectrum_loads_no_scipy():
+    code = """
+import sys
+import bandedzeros as bz
+
+scheme = bz.mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
+measure = bz.spectrum(bz.build_truncation(scheme, 60, 0))
+assert measure.route == "sign-scan" and len(measure) == 60, measure.route
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+assert "scipy.linalg" not in loaded, loaded
+"""
+    src = str(Path(bandedzeros.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
