@@ -348,9 +348,8 @@ def _certified_real_zeros(op: BandedOperator, minors: _Minors):
         return None
     cross = np.flatnonzero(s[:-1] * s[1:] < 0)
     span = max(1.0, abs(lo), abs(hi))
-    zeros = np.sort(
-        np.concatenate([x[s == 0], _bracketed_newton(minors, x[cross], x[cross + 1], s[cross], span)])
-    )
+    solved = _bracketed_newton(minors, x[cross], x[cross + 1], s[cross], span)
+    zeros = np.sort(np.concatenate([x[s == 0], solved]))
     diag = op.matrix[R, :N]
     # Tr(B^2) pairs T[k+1, k] with T[k, k+1]; wider offsets hold no pairs
     couples = op.matrix[R + 1, : N - 1] * op.matrix[R - 1, 1:N] if R else np.zeros(0)
