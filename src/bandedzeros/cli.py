@@ -11,7 +11,10 @@ object holding ``"command"`` plus the command's flag names without the
 dashes; unknown keys are rejected by name.  ``_COMMANDS`` declares each
 command once: its handler, its help and its flags, from which the
 parser, the keys a config may hold and the dispatch all follow.
-Handlers return their artifact and ``_run_command`` writes it.  Exit
+``_run_command`` checks each config, from flags or from ``run``, against
+the flags' ``required`` and ``choices``, so handlers check only rules
+that involve more than one key; it then writes the handler's artifact,
+to ``--out``, which every command takes.  Exit
 codes: 0 on success, 2 on a validation problem, 3 when a computation
 fails numerically.
 """
@@ -51,16 +54,15 @@ from .measures import (
     kva_moment,
 )
 from .mop import mop_scheme
-from .recurrence import classical_scheme, coefficient_limits
+from .recurrence import CLASSICAL_ENSEMBLES, classical_scheme, coefficient_limits
+from .sampler import _KINDS as _MODELS
 from .sampler import STREAM_VERSION, MatrixModelSpec, mc_moments, realize_diagonal
 from .zeros import reality_check, spectrum, zero_moments
 
 __all__ = ["main"]
 
-_CLASSICAL = ("gue", "wishart", "jacobi", "charlier", "meixner")
 _MOP_KINDS = ("multiple-hermite", "multiple-laguerre")
 _CURVE_KINDS = ("hermite", "laguerre")
-_MODELS = ("gue", "wishart", "gue_source", "wishart_cov")
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +70,8 @@ _MODELS = ("gue", "wishart", "gue_source", "wishart_cov")
 
 
 def _require(config, key):
-    if key not in config:
+    """config[key]; an absent or null value is missing."""
+    if config.get(key) is None:
         raise ConfigError(f"missing key {key!r}")
     return config[key]
 
@@ -85,13 +88,6 @@ def _as_int(value, key):
     return out
 
 
-def _as_float(value, key):
-    try:
-        return float(Fraction(value) if isinstance(value, str) else value)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-
 def _as_number(value, key):
     """Exact-friendly scalar: strings parse as fractions/decimals."""
     if isinstance(value, str):
@@ -102,6 +98,10 @@ def _as_number(value, key):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     raise ConfigError(f"{key}: expected a number, got {value!r}")
+
+
+def _as_float(value, key):
+    return float(_as_number(value, key))
 
 
 def _split(value, key):
@@ -168,39 +168,29 @@ def _scheme_from(config):
     if "scheme" in config and "kind" in config:
         raise ConfigError("give either scheme or kind, not both")
     if "scheme" in config:
-        name = config["scheme"]
-        if name not in _CLASSICAL:
-            raise ConfigError(f"scheme: unknown ensemble {name!r}")
         params = {}
         for key in ("alpha", "beta"):
             if config.get(key) is not None:
                 params[key] = _as_float(config[key], key)
         try:
-            return classical_scheme(name, **params)
+            return classical_scheme(config["scheme"], **params)
         except SchemeError as exc:
             raise ConfigError(str(exc)) from None
-    if "kind" in config:
-        return _mop_scheme_from(config)
-    raise ConfigError("missing key 'scheme' (or 'kind')")
-
-
-def _mop_scheme_from(config):
-    kind = _require(config, "kind")
-    if kind not in _MOP_KINDS:
-        raise ConfigError(f"kind: unknown multi-index kind {kind!r}")
+    if "kind" not in config:
+        raise ConfigError("missing key 'scheme' (or 'kind')")
     a = _number_list(_require(config, "a"), "a")
     q = _number_list(_require(config, "q"), "q")
     alpha = config.get("alpha")
     if alpha is not None:
         alpha = _as_float(alpha, "alpha")
     try:
-        return mop_scheme(kind, a=a, q=q, alpha=alpha)
+        return mop_scheme(config["kind"], a=a, q=q, alpha=alpha)
     except SchemeError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _single_n(config):
-    ns = _int_list(_require(config, "n"), "n")
+    ns = _int_list(config["n"], "n")
     if len(ns) != 1:
         raise ConfigError("n: this command takes a single truncation rank")
     if ns[0] < 1:
@@ -209,7 +199,7 @@ def _single_n(config):
 
 
 def _sweep_ns(config):
-    ns = _int_list(_require(config, "n"), "n")
+    ns = _int_list(config["n"], "n")
     if any(n < 1 for n in ns):
         raise ConfigError("n: ranks must be positive")
     if list(ns) != sorted(set(ns)):
@@ -218,10 +208,7 @@ def _sweep_ns(config):
 
 
 def _moment_order(config):
-    raw = config.get("moments")
-    if raw is None:
-        raise ConfigError("missing key 'moments'")
-    order = _as_int(raw, "moments")
+    order = _as_int(config["moments"], "moments")
     if order < 0:
         raise ConfigError(f"moments: need a nonnegative order, got {order}")
     return order
@@ -272,14 +259,12 @@ def _cmd_traces(config):
     return _TRACE_COLUMNS, rows
 
 
-def _zero_summary(config, scheme):
+def _cmd_zeros(config):
+    scheme = _scheme_from(config)
     n = _single_n(config)
     order = _moment_order(config)
-    form = config.get("format", "csv")
-    if form not in ("csv", "json"):
-        raise ConfigError(f"format: expected csv or json, got {form!r}")
     measure = spectrum(build_truncation(scheme, n, 0))
-    if form == "csv":
+    if config.get("format", "csv") == "csv":
         return ("index", "re", "im"), [
             (idx, z.real, z.imag) for idx, z in enumerate(measure.points)
         ]
@@ -293,14 +278,6 @@ def _zero_summary(config, scheme):
         "route": measure.route,
         "certified": measure.certified,
     }
-
-
-def _cmd_zeros(config):
-    return _zero_summary(config, _scheme_from(config))
-
-
-def _cmd_mop_zeros(config):
-    return _zero_summary(config, _mop_scheme_from(config))
 
 
 def _cmd_gap_sweep(config):
@@ -344,6 +321,7 @@ def _cmd_kva(config):
     if config.get("density") is not None:
         xs = _float_list(config["density"], "density")
         return ("x", "density"), [(x, mixture.density(x)) for x in xs]
+    _require(config, "moments")
     order = _moment_order(config)
     return ("ell", "moment"), [(ell, kva_moment(mixture, ell)) for ell in range(order + 1)]
 
@@ -377,35 +355,29 @@ def _parse_law(text, key):
 
 
 def _cmd_free_conv(config):
-    op = _require(config, "op")
-    if op not in ("add", "mul"):
-        raise ConfigError(f"op: expected add or mul, got {op!r}")
-    mu = _parse_law(_require(config, "mu"), "mu")
-    nu = _parse_law(_require(config, "nu"), "nu")
+    mu = _parse_law(config["mu"], "mu")
+    nu = _parse_law(config["nu"], "nu")
     order = _moment_order(config)
-    convolve = free_add if op == "add" else free_mul
+    convolve = free_add if config["op"] == "add" else free_mul
     moments = convolve(mu, nu, order)
-    payload = {"op": op, "moments": moments.floats()}
+    payload = {"op": config["op"], "moments": moments.floats()}
     if all(isinstance(v, (int, Fraction)) for v in moments.values):
         payload["moments_exact"] = [str(v) for v in moments.values]
     return payload
 
 
 def _curve_from(config):
-    kind = _require(config, "kind")
-    q = _number_list(_require(config, "q"), "q")
-    a = _number_list(_require(config, "a"), "a")
+    q = _number_list(config["q"], "q")
+    a = _number_list(config["a"], "a")
     try:
-        if kind == "hermite":
+        if config["kind"] == "hermite":
             if config.get("alpha") is not None:
                 raise ConfigError("alpha: the hermite curve takes no alpha")
             return curve_hermite(q, a)
-        if kind == "laguerre":
-            alpha = _as_number(config.get("alpha", 0), "alpha")
-            return curve_laguerre(q, a, alpha)
+        alpha = _as_number(config.get("alpha", 0), "alpha")
+        return curve_laguerre(q, a, alpha)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    raise ConfigError(f"kind: expected hermite or laguerre, got {kind!r}")
 
 
 def _cmd_curve(config):
@@ -433,10 +405,8 @@ def _cmd_curve(config):
 
 
 def _cmd_sample(config):
-    model = _require(config, "model")
-    if model not in _MODELS:
-        raise ConfigError(f"model: unknown matrix model {model!r}")
-    n = _as_int(_require(config, "n"), "n")
+    model = config["model"]
+    n = _as_int(config["n"], "n")
     if n < 1:
         raise ConfigError(f"n: need a positive size, got {n}")
     alpha = _as_float(config.get("alpha", 0.0), "alpha")
@@ -444,13 +414,11 @@ def _cmd_sample(config):
     if model in ("gue_source", "wishart_cov"):
         ratios = _number_list(_require(config, "ratios"), "ratios")
         atoms = _float_list(_require(config, "atoms"), "atoms")
-        if len(ratios) != len(atoms):
-            raise ConfigError("atoms: need one location per ratio")
         source = realize_diagonal(ratios, atoms, n)
     elif "ratios" in config or "atoms" in config:
         raise ConfigError(f"ratios: model {model!r} takes no source diagonal")
     order = _moment_order(config)
-    samples = _as_int(_require(config, "samples"), "samples")
+    samples = _as_int(config["samples"], "samples")
     seed = _as_int(config.get("seed", 0), "seed")
     spec = MatrixModelSpec(kind=model, N=n, alpha=alpha, source=source)
     mean, var, se = mc_moments(spec, order, samples, seed)
@@ -474,7 +442,9 @@ class _Command(NamedTuple):
     """A command: ``handler(config)`` returns its artifact, (columns, rows)
     for a CSV table or a dict for a JSON summary, whose own "meta" entry
     extends the meta record.  Each flag is (name, argparse keyword
-    arguments): it parses as --name and is the config key name."""
+    arguments): it parses as --name and is the config key name, and
+    ``_run_command`` applies its ``required`` and ``choices`` to every
+    config before the handler sees it."""
 
     handler: Callable
     help: str
@@ -483,7 +453,7 @@ class _Command(NamedTuple):
 
 _LAW = "law: sc | mp:RATE | point:X | atoms:X@W,..."
 _CLASSICAL_FLAGS = (
-    ("scheme", dict(choices=_CLASSICAL, help="classical ensemble")),
+    ("scheme", dict(choices=tuple(CLASSICAL_ENSEMBLES), help="classical ensemble")),
     ("alpha", dict(help="ensemble parameter, where applicable")),
     ("beta", dict(help="second ensemble parameter (jacobi, meixner)")),
 )
@@ -494,12 +464,13 @@ _SCHEME_FLAGS = (
     ("a", dict(help="comma list of locations, e.g. 1,-1")),
 )
 _MOMENTS = ("moments", dict(required=True, help="highest moment order"))
-_FORMAT = ("format", dict(choices=("csv", "json"), default="csv"))
+# no parser default: "csv" applies after the config is hashed, as every
+# other flag's default does, so a flag invocation and its run config agree
+_FORMAT = ("format", dict(choices=("csv", "json"), help="artifact format (default csv)"))
 _SWEEP_FLAGS = (
     *_SCHEME_FLAGS,
     ("n", dict(required=True, help="ascending rank list, e.g. 25,50,100")),
     _MOMENTS,
-    ("out", dict(help="output CSV path")),
 )
 
 _COMMANDS = {
@@ -507,14 +478,12 @@ _COMMANDS = {
         *_SCHEME_FLAGS,
         ("n", dict(required=True, help="truncation rank(s), comma list")),
         _MOMENTS,
-        ("out", dict(help="output CSV path")),
     )),
     "zeros": _Command(_cmd_zeros, "zeros of the averaged characteristic polynomial", (
         *_SCHEME_FLAGS,
         ("n", dict(required=True, help="truncation rank")),
         _MOMENTS,
         _FORMAT,
-        ("out", dict(help="output path")),
     )),
     "gap-sweep": _Command(_cmd_gap_sweep, "gap decay over an N sweep", _SWEEP_FLAGS),
     "variance-sweep": _Command(
@@ -525,9 +494,8 @@ _COMMANDS = {
         ("moments", dict(help="highest moment order")),
         ("order", dict(help="quadrature order for the profile integral")),
         ("density", dict(help="evaluate the density on these x values instead")),
-        ("out", dict(help="output CSV path")),
     )),
-    "mop-zeros": _Command(_cmd_mop_zeros, "zeros of a multi-index family", (
+    "mop-zeros": _Command(_cmd_zeros, "zeros of a multi-index family", (
         ("kind", dict(required=True, choices=_MOP_KINDS)),
         ("q", dict(required=True, help="comma list of ratios")),
         ("a", dict(required=True, help="comma list of locations")),
@@ -535,14 +503,12 @@ _COMMANDS = {
         ("n", dict(required=True, help="truncation rank")),
         _MOMENTS,
         _FORMAT,
-        ("out", dict(help="output path")),
     )),
     "free-conv": _Command(_cmd_free_conv, "free additive/multiplicative convolution", (
         ("op", dict(required=True, choices=("add", "mul"))),
         ("mu", dict(required=True, help=_LAW)),
         ("nu", dict(required=True, help=_LAW)),
         _MOMENTS,
-        ("out", dict(help="output JSON path")),
     )),
     "curve": _Command(_cmd_curve, "algebraic spectral curve: table, moments, density", (
         ("kind", dict(required=True, choices=_CURVE_KINDS)),
@@ -555,7 +521,6 @@ _COMMANDS = {
         # default None: an absent switch stays out of the config like any
         # absent flag
         ("richardson", dict(action="store_true", default=None, help="extrapolate eps -> 0")),
-        ("out", dict(help="output path")),
     )),
     "sample": _Command(_cmd_sample, "Monte-Carlo moments of a random matrix model", (
         ("model", dict(required=True, choices=_MODELS)),
@@ -566,7 +531,6 @@ _COMMANDS = {
         ("samples", dict(required=True, help="number of independent samples")),
         ("seed", dict(help="base seed (default 0)")),
         _MOMENTS,
-        ("out", dict(help="output JSON path")),
     )),
 }
 
@@ -575,9 +539,17 @@ def _run_command(command, config) -> str:
     """Run one command and write its artifact, by default to the command's
     name with an extension after the artifact's format; returns the path."""
     handler, _, flags = _COMMANDS[command]
-    extra = sorted(set(config) - {name for name, _ in flags})
+    extra = sorted(set(config) - {name for name, _ in flags} - {"out"})
     if extra:
         raise ConfigError(f"unknown key {extra[0]!r} for command {command!r}")
+    for name, kwargs in flags:
+        if kwargs.get("required"):
+            _require(config, name)
+        choices = kwargs.get("choices")
+        if choices and name in config and config[name] not in choices:
+            raise ConfigError(
+                f"{name}: expected one of {', '.join(choices)}, got {config[name]!r}"
+            )
     meta = _meta(command, config)
     artifact = handler(config)
     stem = command.replace("-", "_")
@@ -622,7 +594,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name, kwargs in flags:
-            p.add_argument("--" + name, **kwargs)
+            # required and choices are _run_command's to check; the help lists choices
+            shown = {k: v for k, v in kwargs.items() if k not in ("required", "choices")}
+            if "choices" in kwargs:
+                shown["metavar"] = "{" + ",".join(kwargs["choices"]) + "}"
+            p.add_argument("--" + name, **shown)
+        p.add_argument("--out", help="output path (default: the command name)")
     p = sub.add_parser("run", help="run a command described by a JSON config")
     p.add_argument("config", help="path to the JSON config")
     return parser

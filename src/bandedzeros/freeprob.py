@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContinuationError, NumericalFailure
-from .measures import MomentSequence
+from .measures import MomentSequence, _is_exact
 
 __all__ = [
     "FormalSeries",
@@ -52,14 +52,10 @@ __all__ = [
 ]
 
 
-def _exact(*values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
 def _lift(values):
     """Fractions when all inputs are exact, floats otherwise."""
     vals = list(values)
-    if _exact(*vals):
+    if _is_exact(*vals):
         return [Fraction(v) for v in vals], True
     return [float(v) for v in vals], False
 
@@ -387,7 +383,7 @@ def curve_laguerre(q, a, alpha) -> AlgebraicCurve:
     q, a, exact = _validate_curve_inputs(q, a)
     if any(float(x) <= 0 for x in a):
         raise ValueError("locations must be positive")
-    alpha = Fraction(alpha) if exact and _exact(alpha) else float(alpha)
+    alpha = Fraction(alpha) if exact and _is_exact(alpha) else float(alpha)
     if float(alpha) < 0:
         raise ValueError("need alpha >= 0")
     one = q[0] / q[0]
@@ -501,8 +497,11 @@ def stieltjes_density(curve: AlgebraicCurve, x: float, eps: float = 1e-6,
     return 2.0 * d1 - d2
 
 
-def _contour_moments(curve: AlgebraicCurve, rho: float, ell_max: int, points: int):
-    thetas = 2.0 * math.pi * np.arange(points) / points
+_CONTOUR_POINTS = 1024  # equispaced points per circle in curve_moments
+
+
+def _contour_moments(curve: AlgebraicCurve, rho: float, ell_max: int):
+    thetas = 2.0 * math.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS
     zs = rho * np.exp(1j * thetas)
     ws = np.array([solve_G(curve, z) for z in zs])
     moments = []
@@ -512,9 +511,9 @@ def _contour_moments(curve: AlgebraicCurve, rho: float, ell_max: int, points: in
     return moments
 
 
-def curve_moments(curve: AlgebraicCurve, ell_max: int, points: int = 1024) -> MomentSequence:
+def curve_moments(curve: AlgebraicCurve, ell_max: int) -> MomentSequence:
     """Moments of the curve's law by contour integration of z^ell G(z),
-    G from ``solve_G``, over ``points`` equispaced points of a circle.
+    G from ``solve_G``, over 1024 equispaced points of a circle.
 
     The circle radius starts at the curve's support hint and doubles
     until two consecutive radii agree to 1e-9 (at most four doublings);
@@ -526,7 +525,7 @@ def curve_moments(curve: AlgebraicCurve, ell_max: int, points: int = 1024) -> Mo
     previous = None
     for _ in range(5):
         try:
-            current = _contour_moments(curve, rho, ell_max, points)
+            current = _contour_moments(curve, rho, ell_max)
         except ContinuationError:
             current = None
         if current is not None and previous is not None:

@@ -41,6 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SchemeError
+from .measures import _is_exact
 from .recurrence import RecurrenceScheme
 
 __all__ = [
@@ -167,10 +168,6 @@ class MultiIndexPath:
         return int(self._steps[k])
 
 
-def _exact(*params) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in params)
-
-
 def _indices(n, a_vec, exact: bool) -> np.ndarray:
     """Index array of shape (..., r): Python ints when exact, else float64."""
     n = np.asarray(n, dtype=np.int64)
@@ -186,7 +183,7 @@ def nn_coeffs_hermite(n, N: int, a_vec) -> NNCoefficients:
     arrays of Fractions) when a_vec entries are Fractions or integers.
     """
     a_vec = tuple(a_vec)
-    exact = _exact(*a_vec)
+    exact = _is_exact(*a_vec)
     n = _indices(n, a_vec, exact)
     one = Fraction(1) if exact else 1.0
     diag = np.broadcast_to(np.array([one * a for a in a_vec], dtype=n.dtype), n.shape)
@@ -208,7 +205,7 @@ def nn_coeffs_laguerre(n, N: int, alpha, a_vec) -> NNCoefficients:
     Fractions) when alpha and a_vec are Fractions or integers.
     """
     a_vec = tuple(a_vec)
-    exact = _exact(alpha, *a_vec)
+    exact = _is_exact(alpha, *a_vec)
     n = _indices(n, a_vec, exact)
     if exact:
         alpha = Fraction(alpha)

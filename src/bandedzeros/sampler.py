@@ -70,6 +70,8 @@ def realize_diagonal(q, a, N: int) -> np.ndarray:
     describe the same source at every N.  Entries are grouped by
     component, in input order.
     """
+    if len(q) != len(a):
+        raise ConfigError("atoms: need one location per ratio")
     path = MultiIndexPath(tuple(q))
     counts = path.index(N)
     out = np.concatenate([np.full(n_d, float(a_d)) for n_d, a_d in zip(counts, a)])

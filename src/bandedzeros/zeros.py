@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bandop import BandedOperator
+from .bandop import BandedOperator, _diagonal_traces
 from .errors import CharpolyOverflow, NumericalFailure
 from .measures import MomentSequence
 
@@ -350,13 +350,7 @@ def _certified_real_zeros(op: BandedOperator, minors: _Minors):
     span = max(1.0, abs(lo), abs(hi))
     solved = _bracketed_newton(minors, x[cross], x[cross + 1], s[cross], span)
     zeros = np.sort(np.concatenate([x[s == 0], solved]))
-    diag = op.matrix[R, :N]
-    # Tr(B^2) pairs T[k+1, k] with T[k, k+1]; wider offsets hold no pairs
-    couples = op.matrix[R + 1, : N - 1] * op.matrix[R - 1, 1:N] if R else np.zeros(0)
-    traces = (
-        math.fsum(diag.tolist()) / N,
-        (math.fsum((diag * diag).tolist()) + 2.0 * math.fsum(couples.tolist())) / N,
-    )
+    traces = [trace for _, trace in _diagonal_traces(op.matrix, R, N, 2)]
     for power, trace in enumerate(traces, start=1):
         if abs(math.fsum((zeros**power).tolist()) / N - trace) > 1e-9 * max(1.0, abs(trace)):
             return None

@@ -291,12 +291,12 @@ def test_byte_identical_reruns(tmp_path):
     assert outd.read_bytes() == firstd
 
 
-# one invocation per command; zeros and mop-zeros name their --format,
-# since its parser default would otherwise be in the flags' config only
+# one invocation per command; zeros leaves --format to its default, and
+# mop-zeros names it
 FLAG_INVOCATIONS = [
     ["traces", "--scheme", "gue", "--n", "5", "--moments", "2"],
     ["zeros", "--kind", "multiple-hermite", "--q", "1/2,1/2", "--a", "1,-1",
-     "--n", "6", "--moments", "3", "--format", "csv"],
+     "--n", "6", "--moments", "3"],
     ["gap-sweep", "--scheme", "wishart", "--alpha", "1", "--n", "5,10", "--moments", "2"],
     ["variance-sweep", "--scheme", "jacobi", "--alpha", "1", "--beta", "1",
      "--n", "5,10", "--moments", "2"],
@@ -484,6 +484,61 @@ def test_run_config_validation(tmp_path, capsys):
     assert cli.main(["run", str(unknown)]) == 2
     err = capsys.readouterr().err
     assert "bogus" in err
+
+
+def run_both_ways(config, tmp_path):
+    """Exit codes of a config run as flags and as a ``run`` config."""
+    config = {**config, "out": str(tmp_path / "artifact")}
+    argv = [config["command"]]
+    for key, value in config.items():
+        if key != "command":
+            argv += ["--" + key] + ([] if value is True else [str(value)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return cli.main(argv), cli.main(["run", str(cfg)])
+
+
+REQUIRED = [
+    (argv, name)
+    for argv in FLAG_INVOCATIONS
+    for name, kwargs in cli._COMMANDS[argv[0]].flags
+    if kwargs.get("required")
+]
+
+
+@pytest.mark.parametrize("argv, name", REQUIRED, ids=[f"{a[0]}-{n}" for a, n in REQUIRED])
+def test_missing_required_key_is_named(argv, name, tmp_path, capsys):
+    config = {key: value for key, value in config_from_flags(argv).items() if key != name}
+    assert run_both_ways(config, tmp_path) == (2, 2)
+    assert capsys.readouterr().err.count(f"error: missing key {name!r}") == 2
+
+
+CHOICES = [(0, "scheme"), (1, "kind"), (5, "kind"), (5, "format"), (6, "op"), (7, "kind"),
+           (8, "model")]
+
+
+@pytest.mark.parametrize(
+    "index, key", CHOICES, ids=[f"{FLAG_INVOCATIONS[i][0]}-{k}" for i, k in CHOICES]
+)
+def test_invalid_choice_is_named(index, key, tmp_path, capsys):
+    config = {**config_from_flags(FLAG_INVOCATIONS[index]), key: "bogus"}
+    assert run_both_ways(config, tmp_path) == (2, 2)
+    err = capsys.readouterr().err
+    assert err.count(f"error: {key}: expected one of ") == 2
+    assert "'bogus'" in err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"command": "traces", "scheme": "wishart", "alpha": True, "n": 5, "moments": 2},
+     "alpha"),
+    ({"command": "kva", "scheme": "gue", "density": [True, 0.5]}, "density"),
+], ids=["traces-alpha", "kva-density"])
+def test_json_booleans_are_not_numbers(config, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "out": str(tmp_path / "x.out")}))
+    assert cli.main(["run", str(cfg)]) == 2
+    assert f"error: {key}: expected a number, got True" in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

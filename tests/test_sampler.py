@@ -231,7 +231,7 @@ def test_realize_diagonal_walks_the_path_of_mop_scheme():
     # `mop-zeros --q` and `sample --ratios` both parse to Fractions; the
     # multiple Hermite diagonal a_{i_k} names each step of the scheme's path
     config = {"kind": "multiple-hermite", "q": "2/5,7/20,1/4", "a": "1,0,-1"}
-    scheme = cli._mop_scheme_from(config)
+    scheme = cli._scheme_from(config)
     ratios = cli._number_list("2/5,7/20,1/4", "ratios")
     a = [1.0, 0.0, -1.0]
     diagonal = scheme.band(400, 400)[scheme.down_band]
@@ -246,6 +246,12 @@ def test_realize_diagonal_counts_sum_to_n():
     for N in (1, 7, 33):
         diag = realize_diagonal((1 / 3, 2 / 3), (0.0, 1.0), N)
         assert len(diag) == N
+
+
+@pytest.mark.parametrize("q, a", [((1,), (1, 2)), ((1 / 2, 1 / 2), (1,))])
+def test_realize_diagonal_needs_one_location_per_ratio(q, a):
+    with pytest.raises(ConfigError, match="atoms: need one location per ratio"):
+        realize_diagonal(q, a, 6)
 
 
 # ---------------------------------------------------------------------------
