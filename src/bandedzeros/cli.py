@@ -13,8 +13,9 @@ command once: its handler, its help and its flags, from which the
 parser, the keys a config may hold and the dispatch all follow.
 ``_run_command`` checks each config, from flags or from ``run``, against
 the flags' ``required`` and ``choices``, so handlers check only rules
-that involve more than one key; it then writes the handler's artifact,
-to ``--out``, which every command takes.  Exit
+that involve more than one key.  It checks ``--out``, which every command
+takes, before the handler runs, and then writes the handler's artifact
+there.  Exit
 codes: 0 on success, 2 on a validation problem, 3 when a computation
 fails numerically.
 """
@@ -22,6 +23,7 @@ fails numerically.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -81,7 +83,7 @@ def _as_int(value, key):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     try:
         out = int(str(value), 10) if isinstance(value, str) else int(value)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
     if isinstance(value, float) and value != out:
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
@@ -89,15 +91,24 @@ def _as_int(value, key):
 
 
 def _as_number(value, key):
-    """Exact-friendly scalar: strings parse as fractions/decimals."""
+    """Exact-friendly scalar: strings parse as fractions/decimals.  The
+    numerics run in doubles, so the value must be a finite float."""
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            number = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{key}: expected a number, got {value!r}")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = value
+    else:
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    try:
+        finite = math.isfinite(number)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_float(value, key):
@@ -550,14 +561,22 @@ def _run_command(command, config) -> str:
             raise ConfigError(
                 f"{name}: expected one of {', '.join(choices)}, got {config[name]!r}"
             )
+    out = config.get("out")
+    if out is not None:
+        if not isinstance(out, str):
+            raise ConfigError(f"out: expected a file path, got {out!r}")
+        if not Path(out).parent.is_dir():
+            raise ConfigError(f"out: no directory {str(Path(out).parent)!r}")
+        if Path(out).is_dir():
+            raise ConfigError(f"out: {out!r} is a directory")
     meta = _meta(command, config)
     artifact = handler(config)
     stem = command.replace("-", "_")
     if isinstance(artifact, dict):
-        out = config.get("out") or stem + ".json"
+        out = out or stem + ".json"
         _write_json(out, {**artifact, "meta": {**meta, **artifact.get("meta", {})}})
     else:
-        out = config.get("out") or stem + ".csv"
+        out = out or stem + ".csv"
         _write_csv(out, meta, *artifact)
     return out
 

@@ -11,15 +11,21 @@ Four models are sampled:
 - ``wishart_cov``: A^(1/2) W A^(1/2) for a wishart sample W and the
   same diagonal A (entrywise square root, so all a_d must be > 0).
 
-Reproducibility contract (stream version 2): sample j draws from
+Reproducibility contract (stream version 3): sample j draws from
 Philox keyed by the two-word key (seed, j), that is ``seed + (j << 64)``
 for a seed in [0, 2^64), so different seeds share no sample (Salmon et
-al., SC11).  Version 1 keyed on ``seed XOR j``; sample 0 is the same.
-Gaussians come from inverse-CDF transform of the 64-bit uniform stream
-(no rejection), so the draw count per sample is a fixed function of the
-model shape, and identical (spec, L, samples, seed) inputs give
-bit-identical results.  Accumulation across samples uses numpy pairwise
-summation over a fixed-shape array, which is likewise deterministic.
+al., SC11).  Version 1 keyed on ``seed XOR j``; version 2 turned
+uniforms into normals by inverse CDF.  The normals come from numpy's
+ziggurat sampler (``Generator.standard_normal``), whose rejections make
+the number of 64-bit words a sample consumes vary from sample to
+sample.  Independence does not rest on that count: every sample starts
+its own key, so no sample reads another's words, and identical (spec,
+L, samples, seed) inputs give bit-identical results.  numpy does not
+promise stable distribution streams across releases (NEP 19), so
+``tests/test_sampler.py`` pins the bytes of a few samples; a release
+that changes them calls for a new stream version.  Accumulation across
+samples uses numpy pairwise summation over a fixed-shape array, which
+is likewise deterministic.
 
 Empirical moments are traces, (1/N) sum_i x_i^ell = (1/N) Tr H^ell, read
 from Frobenius products of the powers H^k with k <= ceil(L/2), so a
@@ -27,10 +33,8 @@ sample costs ceil(L/2) - 1 matrix products and no eigensolve.  At
 N = 200 on a 2-vCPU VM that is 0.6 ms at L = 4 against 4.2 ms for a
 dense eigvalsh, and 4.9 ms against 4.2 ms at L = 16: eigenvalues are
 cheaper only from L near 14.  Reading traces consumes no draws, so
-``sample_spectrum``, the eigenvalue route, sees the same stream-version-2
-matrices.
-scipy.special (for ndtri) is imported on the first draw, not with the
-package.
+``sample_spectrum``, the eigenvalue route, sees the same matrices.
+The sampler loads no scipy.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ _KINDS = ("gue", "wishart", "gue_source", "wishart_cov")
 
 # written into the ``sample`` artifact; changes whenever the draws for a
 # given (spec, seed) change
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 
 def realize_diagonal(q, a, N: int) -> np.ndarray:
@@ -124,17 +128,12 @@ class MatrixModelSpec:
 
 
 def _gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Standard normals by inverse CDF of the uniform stream.
+    """``count`` standard normals from numpy's ziggurat sampler.
 
-    random() consumes exactly one 64-bit word per value, making the
-    draw count a fixed function of ``count``.  The half-ulp offset
-    centres each uniform in its lattice cell, keeping the transform
-    away from ndtri's poles at 0 and 1.
+    The number of words drawn varies with the sampler's rejections;
+    callers give each sample its own generator, so nothing depends on it.
     """
-    import scipy.special
-
-    u = rng.random(count) + 2.0**-54
-    return scipy.special.ndtri(u)
+    return rng.standard_normal(count)
 
 
 @functools.lru_cache(maxsize=8)
@@ -158,23 +157,23 @@ def _sample_matrix(spec: MatrixModelSpec, seed: int, j: int = 0) -> np.ndarray:
     N = spec.N
     if spec.kind in ("gue", "gue_source"):
         g = _gaussians(rng, N * N)
-        diag = g[:N] / math.sqrt(N)
-        off = (g[N::2] + 1j * g[N + 1 :: 2]) / math.sqrt(2.0 * N)
+        off = (g[N:] / math.sqrt(2.0 * N)).view(complex)
+        upper = _upper(N)
         H = np.zeros((N, N), dtype=complex)
-        H[_upper(N)] = off
-        H += H.conj().T
-        H[np.diag_indices(N)] = diag
+        H[upper] = off
+        H[upper[::-1]] = off.conj()
+        diag = g[:N] / math.sqrt(N)
         if spec.kind == "gue_source":
-            H[np.diag_indices(N)] += spec.source
+            diag += spec.source
+        H[np.diag_indices(N)] = diag
         return H
-    M = spec.columns
-    g = _gaussians(rng, 2 * N * M)
-    G = (g[0::2] + 1j * g[1::2]).reshape(N, M) / math.sqrt(2.0)
-    W = (G @ G.conj().T) / N
+    # W = (1/N) G G* with G = (g' + i g'') / sqrt(2); wishart_cov's
+    # A^(1/2) W A^(1/2) scales row i of G by sqrt(a_i) instead
+    scale = 1.0 / math.sqrt(2.0 * N)
     if spec.kind == "wishart_cov":
-        root = np.sqrt(spec.source)
-        W = root[:, None] * W * root[None, :]
-    return W
+        scale = np.sqrt(spec.source)[:, None] * scale
+    G = (_gaussians(rng, 2 * N * spec.columns).reshape(N, -1) * scale).view(complex)
+    return G @ G.conj().T
 
 
 def sample_spectrum(spec: MatrixModelSpec, seed: int) -> SpectralMeasure:

@@ -251,7 +251,7 @@ def test_sample_payload_shape(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["model"] == "gue"
-    assert payload["meta"]["stream_version"] == 2
+    assert payload["meta"]["stream_version"] == 3
     assert payload["N"] == 8 and payload["samples"] == 5 and payload["seed"] == 3
     assert len(payload["mean"]) == len(payload["var"]) == len(payload["se"]) == 3
     assert payload["mean"][0] == 1.0
@@ -550,3 +550,39 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "z.csv")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_numbers_beyond_double_range_are_refused(tmp_path, capsys):
+    config = {"command": "traces", "scheme": "wishart", "alpha": "1e400", "n": 5, "moments": 2}
+    assert run_both_ways(config, tmp_path) == (2, 2)
+    assert capsys.readouterr().err.count("error: alpha: expected a finite number") == 2
+    # a JSON number past the double range parses as inf
+    for text, key in [
+        ('{"command": "traces", "scheme": "wishart", "alpha": 1e400, "n": 5, "moments": 2}',
+         "alpha"),
+        ('{"command": "traces", "scheme": "gue", "n": 1e400, "moments": 2}', "n"),
+    ]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg)]) == 2
+        assert f"error: {key}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out, message", [
+    (5, "error: out: expected a file path, got 5"),
+    ("nonexistent/dir/k.csv", "error: out: no directory"),
+    (".", "error: out: '.' is a directory"),
+], ids=["number", "missing-directory", "directory"])
+def test_out_is_checked_before_the_computation(out, message, tmp_path, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._COMMANDS, "kva", cli._COMMANDS["kva"]._replace(handler=never))
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "kva", "scheme": "gue", "moments": 2, "out": out}))
+    codes = [cli.main(["run", str(cfg)])]
+    if isinstance(out, str):  # a flag value is always a string
+        codes.append(cli.main(["kva", "--scheme", "gue", "--moments", "2", "--out", out]))
+    assert codes == [2] * len(codes)
+    assert capsys.readouterr().err.count(message) == len(codes)

@@ -8,6 +8,7 @@ deterministic, the tolerances are sized so a correct implementation
 passes with overwhelming margin at the chosen seeds.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -78,6 +79,36 @@ def test_neighbouring_seeds_share_no_samples():
         empirical_batch(spec, 2, 2, seed=-1)
     with pytest.raises(ConfigError):
         empirical_batch(spec, 2, 2, seed=2**64)
+
+
+def _gue4_by_hand(seed, j):
+    """GUE at N = 4 assembled entry by entry from the (seed, j) stream."""
+    g = np.random.Generator(np.random.Philox(key=seed + (j << 64))).standard_normal(16)
+    H = np.zeros((4, 4), dtype=complex)
+    k = 4
+    for r in range(4):
+        H[r, r] = g[r] / 2.0
+        for c in range(r + 1, 4):
+            z = complex(g[k] / math.sqrt(8.0), g[k + 1] / math.sqrt(8.0))
+            H[r, c], H[c, r] = z, z.conjugate()
+            k += 2
+    return H
+
+
+@pytest.mark.parametrize(
+    "seed, j, digest",
+    [
+        (0, 0, "632dbcadc6479627ab90230fdf033b93dafa132672d2b2d31dc9945ed6c07861"),
+        (0, 1, "6b14d21db59a8a6601279f1987c43914706d0ae57ab1345933fefa2de4a201af"),
+        (2**64 - 1, 3, "56bbe2ec75f4dad1847e5064e3a7772734af4198113903cbeb4026a0a8c46d10"),
+    ],
+)
+def test_golden_stream(seed, j, digest):
+    # numpy promises no stable normal stream across releases (NEP 19): a
+    # release that changes it must fail here and bump STREAM_VERSION
+    H = _sample_matrix(MatrixModelSpec("gue", 4), seed, j)
+    assert H.tobytes() == _gue4_by_hand(seed, j).tobytes()
+    assert hashlib.sha256(H.tobytes()).hexdigest() == digest
 
 
 def test_batch_is_immutable():
