@@ -84,16 +84,20 @@ def _powers(T: np.ndarray, r: int, ell_max: int):
     """Bands of T, T^2, ..., T^ell_max for a band T of lower width r (the
     ``RecurrenceScheme.band`` layout); T^ell has lower width ell * r.
     Column k of T^ell T sums T[t, k] times column t of T^ell, so each band
-    row of T adds one shifted copy of T^ell, padded once per step."""
-    width, dim = T.shape
+    row of T adds one shifted copy of T^ell, padded once per step.  Leading
+    axes of T index independent bands (a stack of samples), each treated
+    elementwise as a band of its own."""
+    *lead, width, dim = T.shape
+    steps = [T[..., i, None, :] for i in range(width)]
     P = T
     for ell in range(1, ell_max + 1):
         if ell > 1:
-            padded = np.zeros((len(P), dim + width - 1))
-            padded[:, r : r + dim] = P
-            P = np.zeros((len(P) + width - 1, dim))
-            for i in range(width):
-                P[i : i + len(padded)] += T[i] * padded[:, i : i + dim]
+            rows = P.shape[-2]
+            padded = np.zeros((*lead, rows, dim + width - 1))
+            padded[..., r : r + dim] = P
+            P = np.zeros((*lead, rows + width - 1, dim))
+            for i, step in enumerate(steps):
+                P[..., i : i + rows, :] += step * padded[..., i : i + dim]
         yield P
 
 

@@ -140,7 +140,10 @@ def _float_list(value, key):
 
 
 def _config_sha(config) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    """sha256 of the config without its output path: the same computation
+    written to two paths hashes the same."""
+    computed = {key: value for key, value in config.items() if key != "out"}
+    blob = json.dumps(computed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -4,47 +4,72 @@ Four models are sampled:
 
 - ``gue``: Hermitian with diagonal entries Normal(0, 1/N) and
   independent off-diagonal real/imaginary parts Normal(0, 1/(2N));
-- ``wishart``: (1/N) G G* with G of shape N x (N + N alpha) filled
-  with standard complex Gaussians (N alpha must be an integer);
+- ``wishart``: (1/N) G G* with G of shape N x M, M = N + N alpha,
+  filled with standard complex Gaussians (N alpha must be an integer);
 - ``gue_source``: a gue sample plus a fixed diagonal whose entries
   repeat each location a_d with the path multiplicity n_d;
 - ``wishart_cov``: A^(1/2) W A^(1/2) for a wishart sample W and the
   same diagonal A (entrywise square root, so all a_d must be > 0).
 
-Reproducibility contract (stream version 3): sample j draws from
+gue and wishart are drawn from their beta = 2 band models (Dumitriu and
+Edelman, J. Math. Phys. 43, 2002), which have the eigenvalue law of the
+dense models from 2N - 1 draws in place of N^2 or 2 N M.  The gue model
+is tridiagonal with diagonal Normal(0, 1/N) and off-diagonal entries
+sqrt(Gamma(k) / N) for k = N - 1, ..., 1, Gamma(k) the standard gamma
+variate of shape k.  The wishart model is B B^T for the lower
+bidiagonal B with diagonal sqrt(Gamma(M - i) / N), i = 0, ..., N - 1,
+and subdiagonal sqrt(Gamma(k) / N), k = N - 1, ..., 1.  A source
+diagonal breaks the unitary invariance these models rest on, so
+gue_source and wishart_cov are drawn dense.
+
+Reproducibility contract (stream version 4): sample j draws from
 Philox keyed by the two-word key (seed, j), that is ``seed + (j << 64)``
 for a seed in [0, 2^64), so different seeds share no sample (Salmon et
-al., SC11).  Version 1 keyed on ``seed XOR j``; version 2 turned
-uniforms into normals by inverse CDF.  The normals come from numpy's
-ziggurat sampler (``Generator.standard_normal``), whose rejections make
-the number of 64-bit words a sample consumes vary from sample to
-sample.  Independence does not rest on that count: every sample starts
-its own key, so no sample reads another's words, and identical (spec,
-L, samples, seed) inputs give bit-identical results.  numpy does not
+al., SC11).  A batch builds one Philox and sets its state to that key,
+with counter 0 and an empty buffer, for each sample: the state a new
+generator starts in, at 1.6 us against 19 us for a new Philox on a
+2-vCPU VM.  Version 1 keyed on ``seed XOR j``; version 2 turned
+uniforms into normals by inverse CDF; version 3 drew dense gue/wishart.
+The normals and gammas come from numpy's samplers
+(``Generator.standard_normal``, a ziggurat, and
+``Generator.standard_gamma``), whose rejections make the number of
+64-bit words a sample consumes vary from sample to sample.
+Independence does not rest on that count: every sample starts its own
+key, so no sample reads another's words, and identical (spec, L,
+samples, seed) inputs give bit-identical results.  numpy does not
 promise stable distribution streams across releases (NEP 19), so
-``tests/test_sampler.py`` pins the bytes of a few samples; a release
-that changes them calls for a new stream version.  Accumulation across
-samples uses numpy pairwise summation over a fixed-shape array, which
-is likewise deterministic.
+``tests/test_sampler.py`` pins the bytes of a few samples of each
+stream; a release that changes them calls for a new stream version.
+Accumulation across samples uses numpy pairwise summation over a
+fixed-shape array, which is likewise deterministic.
 
 Empirical moments are traces, (1/N) sum_i x_i^ell = (1/N) Tr H^ell, read
-from Frobenius products of the powers H^k with k <= ceil(L/2), so a
-sample costs ceil(L/2) - 1 matrix products and no eigensolve.  At
-N = 200 on a 2-vCPU VM that is 0.6 ms at L = 4 against 4.2 ms for a
-dense eigvalsh, and 4.9 ms against 4.2 ms at L = 16: eigenvalues are
-cheaper only from L near 14.  Reading traces consumes no draws, so
-``sample_spectrum``, the eigenvalue route, sees the same matrices.
-The sampler loads no scipy.
+from Frobenius products of the powers H^k with k <= ceil(L/2), so no
+sample needs an eigensolve.  The band models take their powers from
+``bandop``'s band products over a block of samples at once (each band
+array of a block holds at most 2^16 doubles), so a sample costs 2N - 1
+draws and O(N L^2) arithmetic and never forms an N x N array.  At
+N = 50, L = 2 on a 2-vCPU VM a gue sample takes 13 us against 87 us
+dense, a wishart (alpha = 1) sample 18 us against 330 us; at N = 1e5,
+100 gue samples at L = 4 take 2.0 s and 51 MB of peak memory, where one
+dense complex sample would need 160 GB.  The dense models pay ceil(L/2) - 1
+matrix products per sample (0.6 ms at N = 200, L = 4, against 4.2 ms
+for a dense eigvalsh; eigenvalues are cheaper only from L near 14).
+``_sample_matrix`` expands a band sample into its dense tridiagonal, so
+``sample_spectrum``, the eigenvalue route, sees the same matrices from
+the same draws.  The sampler loads no scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bandop import _powers
 from .errors import ConfigError
 from .measures import MomentSequence
 from .mop import MultiIndexPath
@@ -60,10 +85,16 @@ __all__ = [
 ]
 
 _KINDS = ("gue", "wishart", "gue_source", "wishart_cov")
+_BAND_KINDS = ("gue", "wishart")
+
+# a block of band samples keeps each of its band arrays within this many
+# doubles (512 KiB), or holds a single sample
+_BLOCK_DOUBLES = 2**16
 
 # written into the ``sample`` artifact; changes whenever the draws for a
-# given (spec, seed) change
-STREAM_VERSION = 3
+# given (spec, seed) change.  Version 4 draws gue and wishart from their
+# band models.
+STREAM_VERSION = 4
 
 
 def realize_diagonal(q, a, N: int) -> np.ndarray:
@@ -127,13 +158,60 @@ class MatrixModelSpec:
         return self.N + int(round(self.N * self.alpha))
 
 
-def _gaussians(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` standard normals from numpy's ziggurat sampler.
+def _generators(seed: int, start: int = 0):
+    """Generators of samples j = start, start + 1, ... of ``seed``.
 
-    The number of words drawn varies with the sampler's rejections;
-    callers give each sample its own generator, so nothing depends on it.
+    One Philox serves every sample: for sample j its state is set to the
+    key (seed, j) with counter 0 and an empty buffer, the state a fresh
+    ``Philox(key=seed + (j << 64))`` starts in, so sample j reads the same
+    words as from a generator of its own.  Each generator yielded is the
+    same object, valid until the next one is taken.
     """
-    return rng.standard_normal(count)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    bits = np.random.Philox(key=seed)
+    state = bits.state
+    rng = np.random.Generator(bits)
+    for j in itertools.count(start):
+        state["state"]["key"][1] = j
+        bits.state = state
+        yield rng
+
+
+def _sample_bands(spec: MatrixModelSpec, rngs, count: int) -> np.ndarray:
+    """Bands (count, 3, N) of ``count`` gue or wishart samples, one from
+    each of the next ``count`` generators in ``rngs``, in the
+    ``RecurrenceScheme.band`` layout with down_band 1: row 0 holds
+    H[k - 1, k], row 1 H[k, k] and row 2 H[k + 1, k] in column k."""
+    N = spec.N
+    off_shapes = np.arange(N - 1, 0, -1, dtype=float)
+    first = np.empty((count, N))
+    second = np.empty((count, N - 1))
+    if spec.kind == "gue":
+        for b, rng in zip(range(count), rngs):
+            first[b] = rng.standard_normal(N)
+            second[b] = rng.standard_gamma(off_shapes)
+        diagonal = first / math.sqrt(N)
+        off = np.sqrt(second / N)
+    else:
+        diagonal_shapes = spec.columns - np.arange(N, dtype=float)
+        for b, rng in zip(range(count), rngs):
+            first[b] = rng.standard_gamma(diagonal_shapes)
+            second[b] = rng.standard_gamma(off_shapes)
+        # B B^T for B with diagonal sqrt(first / N), subdiagonal sqrt(second / N)
+        diagonal = first / N
+        diagonal[:, 1:] += second / N
+        off = np.sqrt(first[:, :-1] * second) / N
+    bands = np.zeros((count, 3, N))
+    bands[:, 0, 1:] = off
+    bands[:, 1] = diagonal
+    bands[:, 2, :-1] = off
+    return bands
+
+
+def _tridiagonal(band: np.ndarray) -> np.ndarray:
+    """Dense symmetric tridiagonal matrix of a band from ``_sample_bands``."""
+    return np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -149,31 +227,31 @@ def _upper(N: int) -> tuple:
     return iu
 
 
-def _sample_matrix(spec: MatrixModelSpec, seed: int, j: int = 0) -> np.ndarray:
-    """Sample j of the stream for ``seed``."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=seed + (j << 64)))
+def _dense_sample(spec: MatrixModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """A gue_source or wishart_cov sample, drawn dense from ``rng``."""
     N = spec.N
-    if spec.kind in ("gue", "gue_source"):
-        g = _gaussians(rng, N * N)
+    if spec.kind == "gue_source":
+        g = rng.standard_normal(N * N)
         off = (g[N:] / math.sqrt(2.0 * N)).view(complex)
         upper = _upper(N)
         H = np.zeros((N, N), dtype=complex)
         H[upper] = off
         H[upper[::-1]] = off.conj()
-        diag = g[:N] / math.sqrt(N)
-        if spec.kind == "gue_source":
-            diag += spec.source
-        H[np.diag_indices(N)] = diag
+        H[np.diag_indices(N)] = g[:N] / math.sqrt(N) + spec.source
         return H
-    # W = (1/N) G G* with G = (g' + i g'') / sqrt(2); wishart_cov's
-    # A^(1/2) W A^(1/2) scales row i of G by sqrt(a_i) instead
-    scale = 1.0 / math.sqrt(2.0 * N)
-    if spec.kind == "wishart_cov":
-        scale = np.sqrt(spec.source)[:, None] * scale
-    G = (_gaussians(rng, 2 * N * spec.columns).reshape(N, -1) * scale).view(complex)
+    # A^(1/2) W A^(1/2) with W = (1/N) G G* and G = (g' + i g'') / sqrt(2)
+    # scales row i of G by sqrt(a_i)
+    scale = np.sqrt(spec.source)[:, None] / math.sqrt(2.0 * N)
+    G = (rng.standard_normal(2 * N * spec.columns).reshape(N, -1) * scale).view(complex)
     return G @ G.conj().T
+
+
+def _sample_matrix(spec: MatrixModelSpec, seed: int, j: int = 0) -> np.ndarray:
+    """Sample j of the stream for ``seed``, as a dense matrix."""
+    rngs = _generators(seed, j)
+    if spec.kind in _BAND_KINDS:
+        return _tridiagonal(_sample_bands(spec, rngs, 1)[0])
+    return _dense_sample(spec, next(rngs))
 
 
 def sample_spectrum(spec: MatrixModelSpec, seed: int) -> SpectralMeasure:
@@ -219,6 +297,29 @@ def _trace_moments(H: np.ndarray, L: int) -> np.ndarray:
     return moments
 
 
+def _band_moments(bands: np.ndarray, L: int) -> np.ndarray:
+    """(1/N) Tr H^ell for ell = 0..L of each band in a stack from
+    ``_sample_bands``.
+
+    P = H^k is symmetric and its band holds each entry once, so
+    Tr H^(2k) sums P^2 over the band and Tr H^(2k+1) sums P times the band
+    of P H on the same entries: as in ``_trace_moments``, moment ell reads
+    the powers up to ceil(ell/2), whatever L is.
+    """
+    count, _, N = bands.shape
+    moments = np.ones((count, L + 1))
+    if L >= 1:
+        moments[:, 1] = bands[:, 1].sum(axis=1) / N
+    previous = None
+    for k, P in enumerate(_powers(bands, 1, (L + 1) // 2), 1):
+        if previous is not None:
+            moments[:, 2 * k - 1] = (previous * P[:, 1:-1]).reshape(count, -1).sum(axis=1) / N
+        if 2 * k <= L:
+            moments[:, 2 * k] = (P * P).reshape(count, -1).sum(axis=1) / N
+        previous = P
+    return moments
+
+
 def empirical_batch(spec: MatrixModelSpec, L: int, samples: int, seed: int) -> EmpiricalBatch:
     """Draw ``samples`` independent matrices and tabulate their moments."""
     if L < 0:
@@ -226,9 +327,18 @@ def empirical_batch(spec: MatrixModelSpec, L: int, samples: int, seed: int) -> E
     if samples < 1:
         raise ConfigError("need at least 1 sample")
     seed = int(seed)
+    rngs = _generators(seed)
     table = np.empty((samples, L + 1))
-    for j in range(samples):
-        table[j] = _trace_moments(_sample_matrix(spec, seed, j), L)
+    if spec.kind in _BAND_KINDS:
+        # the widest band array is the padded band of the highest power read
+        top = max((L + 1) // 2, 1)
+        block = max(1, _BLOCK_DOUBLES // ((2 * top + 1) * (spec.N + 2)))
+        for start in range(0, samples, block):
+            count = min(block, samples - start)
+            table[start : start + count] = _band_moments(_sample_bands(spec, rngs, count), L)
+    else:
+        for j in range(samples):
+            table[j] = _trace_moments(_dense_sample(spec, next(rngs)), L)
     table.setflags(write=False)
     return EmpiricalBatch(seed=seed, samples=samples, table=table)
 

@@ -251,7 +251,7 @@ def test_sample_payload_shape(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["model"] == "gue"
-    assert payload["meta"]["stream_version"] == 3
+    assert payload["meta"]["stream_version"] == 4
     assert payload["N"] == 8 and payload["samples"] == 5 and payload["seed"] == 3
     assert len(payload["mean"]) == len(payload["var"]) == len(payload["se"]) == 3
     assert payload["mean"][0] == 1.0
@@ -289,6 +289,20 @@ def test_byte_identical_reruns(tmp_path):
     firstd = outd.read_bytes()
     assert cli.main(argsd) == 0
     assert outd.read_bytes() == firstd
+
+
+def test_output_path_stays_out_of_the_artifact(tmp_path):
+    # the config hash leaves out the output path, so one computation
+    # written to two paths gives the same bytes
+    config = {"command": "sample", "model": "wishart_cov", "alpha": 1, "ratios": "1/2,1/2",
+              "atoms": "1,0.5", "n": 12, "samples": 30, "seed": 5, "moments": 3}
+    written = []
+    for name in ("s1.json", "s2.json"):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**config, "out": str(tmp_path / name)}))
+        assert cli.main(["run", str(cfg)]) == 0
+        written.append((tmp_path / name).read_bytes())
+    assert written[0] == written[1]
 
 
 # one invocation per command; zeros leaves --format to its default, and

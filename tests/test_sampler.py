@@ -34,7 +34,7 @@ from bandedzeros import (
     variance_moment,
 )
 from bandedzeros import cli
-from bandedzeros.sampler import _sample_matrix
+from bandedzeros.sampler import _generators, _sample_bands, _sample_matrix, _tridiagonal
 
 GUE = classical_scheme("gue")
 KINDS = ("gue", "wishart", "gue_source", "wishart_cov")
@@ -82,7 +82,7 @@ def test_neighbouring_seeds_share_no_samples():
 
 
 def _gue4_by_hand(seed, j):
-    """GUE at N = 4 assembled entry by entry from the (seed, j) stream."""
+    """Dense GUE at N = 4 assembled entry by entry from the (seed, j) stream."""
     g = np.random.Generator(np.random.Philox(key=seed + (j << 64))).standard_normal(16)
     H = np.zeros((4, 4), dtype=complex)
     k = 4
@@ -105,10 +105,59 @@ def _gue4_by_hand(seed, j):
 )
 def test_golden_stream(seed, j, digest):
     # numpy promises no stable normal stream across releases (NEP 19): a
-    # release that changes it must fail here and bump STREAM_VERSION
-    H = _sample_matrix(MatrixModelSpec("gue", 4), seed, j)
+    # release that changes it must fail here and bump STREAM_VERSION.  The
+    # dense gue_source draws with a zero source are stream 3's gue draws.
+    H = _sample_matrix(MatrixModelSpec("gue_source", 4, source=np.zeros(4)), seed, j)
     assert H.tobytes() == _gue4_by_hand(seed, j).tobytes()
     assert hashlib.sha256(H.tobytes()).hexdigest() == digest
+
+
+def _band4_by_hand(kind, seed, j):
+    """Band of a gue or wishart (alpha = 1/2, so 6 columns) sample at N = 4,
+    entry by entry from a fresh generator on the (seed, j) stream."""
+    rng = np.random.Generator(np.random.Philox(key=seed + (j << 64)))
+    band = np.zeros((3, 4))
+    if kind == "gue":
+        for i in range(4):
+            band[1, i] = rng.standard_normal() / 2.0
+        off = [math.sqrt(rng.standard_gamma(k) / 4.0) for k in (3, 2, 1)]
+    else:
+        g = [rng.standard_gamma(6 - i) for i in range(4)]
+        h = [rng.standard_gamma(k) for k in (3, 2, 1)]
+        for i in range(4):
+            band[1, i] = g[i] / 4.0 + (h[i - 1] / 4.0 if i else 0.0)
+        off = [math.sqrt(g[i] * h[i]) / 4.0 for i in range(3)]
+        # the band is B B^T for the lower bidiagonal B of the model
+        B = np.diag(np.sqrt(np.array(g) / 4.0)) + np.diag(np.sqrt(np.array(h) / 4.0), -1)
+        dense = np.diag(band[1]) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.allclose(dense, B @ B.T, rtol=1e-15, atol=0.0)
+    band[0, 1:] = off
+    band[2, :-1] = off
+    return band
+
+
+@pytest.mark.parametrize(
+    "kind, seed, j, digest",
+    [
+        ("gue", 0, 0, "6e95cfcc634f0fd9f95b6fd1c21d850454e78735733266c8ce6280e6fdc76f8a"),
+        ("gue", 2**64 - 1, 3, "bce817569fa657758f8656c5a97b9288a50a92b30bdf3c4ef99def3bd3b96ae0"),
+        ("wishart", 0, 1, "74b5014ac5419643eeec43c724ccdf47c9947d84a472efe6b5e970ab9be07ad0"),
+        (
+            "wishart",
+            2**64 - 1,
+            3,
+            "7695eb1ea9fa772fc583d607b64ba68d15f9ee3cfa2ba6b707cfbdd7326e0223",
+        ),
+    ],
+)
+def test_golden_band_stream(kind, seed, j, digest):
+    # stream 4's band models; samples 0..j come from one re-keyed Philox,
+    # and sample j matches a fresh generator on the key (seed, j)
+    spec = MatrixModelSpec(kind, 4, alpha=0.5 if kind == "wishart" else 0.0)
+    band = _sample_bands(spec, _generators(seed), j + 1)[j]
+    assert band.tobytes() == _band4_by_hand(kind, seed, j).tobytes()
+    assert hashlib.sha256(band.tobytes()).hexdigest() == digest
+    assert _sample_matrix(spec, seed, j).tobytes() == _tridiagonal(band).tobytes()
 
 
 def test_batch_is_immutable():
@@ -166,7 +215,9 @@ def test_wishart_1x1_is_exponential():
 
 def test_scalar_source_shifts_the_spectrum():
     N = 20
-    plain = sample_spectrum(MatrixModelSpec(kind="gue", N=N), seed=3).points.real
+    plain = sample_spectrum(
+        MatrixModelSpec(kind="gue_source", N=N, source=np.zeros(N)), seed=3
+    ).points.real
     shifted = sample_spectrum(
         MatrixModelSpec(kind="gue_source", N=N, source=np.full(N, 0.75)), seed=3
     ).points.real
@@ -232,6 +283,25 @@ def test_source_models_reach_free_convolution_limits():
     for ell in range(1, 5):
         tol = max(3 * se[ell], 0.05)
         assert abs(mean.values[ell] - float(target.values[ell])) <= tol
+
+
+def test_band_gue_variance_decays_like_one_over_n_squared():
+    # the paper's mechanism at scale: the sample variance of m_1 and m_2
+    # follows the exact variance_moment over two decades of N, within 4
+    # standard errors sqrt(2 / (S - 1)) of a sample variance, with
+    # log-log slope -2
+    S, sizes = 400, (100, 1000, 10_000)
+    variances = {1: [], 2: []}
+    for N in sizes:
+        table = empirical_batch(MatrixModelSpec(kind="gue", N=N), 2, S, seed=20261019).table
+        for ell in (1, 2):
+            var = float(np.var(table[:, ell], ddof=1))
+            exact = variance_moment(GUE, N, ell)
+            assert abs(var / exact - 1) <= 4 * math.sqrt(2 / (S - 1)), (N, ell)
+            variances[ell].append(var)
+    for ell, var in variances.items():
+        slope = np.polyfit(np.log(sizes), np.log(var), 1)[0]
+        assert -2.1 <= slope <= -1.9, (ell, slope)
 
 
 def test_empirical_gap_shrinks_with_dimension():
