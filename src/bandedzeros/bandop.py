@@ -1,13 +1,13 @@
 """Banded truncations of the recurrence operator and trace statistics.
 
-For a scheme with band widths (down_band, up_band) the operator is
-stored as its band (``RecurrenceScheme.band``): an array of
-down_band + up_band + 1 rows with T[m, k] in row down_band + m - k of
-column k, truncated to indices < N + up_band * ell_max.  That padding
-makes every trace below exact: a product of ell band steps starting
-below index N never reaches the boundary of the storage, so the
-truncated powers agree with the infinite operator wherever they are
-read.  Powers of T are products of bands, never N x N arrays.
+For a scheme of lower band width R = down_band the operator is stored
+as its band (``RecurrenceScheme.band``): an array of R + 2 rows with
+T[m, k] in row R + m - k of column k (one superdiagonal), truncated to
+indices < N + ell_max.  That padding makes every trace below exact: a
+product of ell band steps starting below index N never reaches the
+boundary of the storage, so the truncated powers agree with the
+infinite operator wherever they are read.  Powers of T are products of
+bands, never N x N arrays.
 
 Statistics (all per the projection pi_N onto indices < N):
 
@@ -22,9 +22,12 @@ Statistics (all per the projection pi_N onto indices < N):
 
 The gap and variance bounds multiply a path-count factor by a window
 peak: the largest entry magnitude over max(|m - N|, |k - N|) <= w.
-trace_table reads every row from one band, on indices <= N + 2 q ell_max:
-its truncations give both power tables, and its cumulative window peaks
-for w = 0..2 q ell_max give both bounds, so a table builds the band once.
+
+The gap and the variance are sums over closed walks that cross index
+N, so only the zero side needs the whole N-block.  trace_table reads two
+bands: the block gives the zero side and the mean's diagonal terms
+below N - ell + 1, and one window of O(R ell_max) columns around N gives
+the mean's top terms, the variance and the window peaks of both bounds.
 """
 
 from __future__ import annotations
@@ -74,10 +77,10 @@ class BandedOperator:
 
 
 def build_truncation(scheme: RecurrenceScheme, N: int, ell_max: int) -> BandedOperator:
-    """Band of T on indices < N + up_band * ell_max."""
+    """Band of T on indices < N + ell_max."""
     if ell_max < 0:
         raise SchemeError(f"need ell_max >= 0, got {ell_max}")
-    return BandedOperator(scheme, N, scheme.band(N, N + scheme.up_band * ell_max))
+    return BandedOperator(scheme, N, scheme.band(N, N + ell_max))
 
 
 def _powers(T: np.ndarray, r: int, ell_max: int):
@@ -113,32 +116,17 @@ def _crossing_sum(P: np.ndarray, lower: int, N: int, start: int = 0) -> float:
     ) / (N * N)
 
 
-def _cut(band: np.ndarray, r: int, stop: int) -> np.ndarray:
-    """Band of the truncation to indices < stop, from a band of lower
-    width r whose columns start at index 0 and reach past stop - 1."""
-    T = band[:, :stop].copy()
-    for i in range(r + 1, len(T)):  # row i holds T[k + i - r, k]
-        T[i, max(0, stop - i + r) :] = 0.0
-    return T
-
-
-def _diagonal_traces(T: np.ndarray, r: int, N: int, ell_max: int):
-    """(P, (1/N) Tr(pi_N P pi_N)) for the bands P of T, ..., T^ell_max,
-    with T a band of lower width r whose columns start at index 0: the
-    truncation to N + up_band ell_max gives the powers of T, to N those
-    of pi_N T pi_N."""
-    powers = _powers(T, r, ell_max)
-    return ((P, math.fsum(P[ell * r, :N].tolist()) / N) for ell, P in enumerate(powers, 1))
-
-
 def _moment(scheme: RecurrenceScheme, N: int, ell: int, pad: int) -> float:
+    """(1/N) Tr(pi_N P pi_N) for the band P of the ell-th power of the
+    truncation to N + pad: pad = ell gives the powers of T, 0 those of
+    pi_N T pi_N."""
     if ell < 0:
         raise SchemeError("need ell >= 0")
     if ell == 0:
         return 1.0
-    T = build_truncation(scheme, N, pad).matrix
-    *_, (_, trace) = _diagonal_traces(T, scheme.down_band, N, ell)
-    return trace
+    r = scheme.down_band
+    *_, P = _powers(build_truncation(scheme, N, pad).matrix, r, ell)
+    return math.fsum(P[ell * r, :N].tolist()) / N
 
 
 def mean_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
@@ -154,19 +142,27 @@ def zero_moment_trace(scheme: RecurrenceScheme, N: int, ell: int) -> float:
 def variance_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     """Variance of the ell-th empirical moment under the ensemble.
 
-    The crossing sum reads columns of T^ell within ell * min(R, q) of N,
-    and a product of ell band steps from those columns never leaves the
-    indices from N - ell (R + q) - ell R to N + 2 q ell, so the band of
-    that window alone gives the exact value at a cost independent of N.
+    The crossing sum reads columns of T^ell within ell of N, and a
+    product of ell band steps from those columns never leaves the
+    indices from N - ell (2 R + 1) to N + 2 ell, so the band of that
+    window alone gives the exact value at a cost independent of N.
     """
     if ell < 0:
         raise SchemeError("need ell >= 0")
     if ell == 0:
         return 0.0
-    R, q = scheme.down_band, scheme.up_band
-    start = max(0, N - ell * (R + q) - ell * R)
-    *_, P = _powers(scheme.band(N, N + 2 * q * ell, start), R, ell)
-    return _crossing_sum(P, ell * R, N, start)
+    start, window = _window(scheme, N, ell, N + 2 * ell)
+    *_, P = _powers(window, scheme.down_band, ell)
+    return _crossing_sum(P, ell * scheme.down_band, N, start)
+
+
+def _window(scheme: RecurrenceScheme, N: int, ell: int, stop: int):
+    """(start, band of T on the columns start..stop-1), with start =
+    max(0, N - ell (2 R + 1)) at or below every index that a product of
+    ell band steps reaches from the columns the variance and the mean's
+    top terms read."""
+    start = max(0, N - ell * (2 * scheme.down_band + 1))
+    return start, scheme.band(N, stop, start)
 
 
 def _window_peaks(band: np.ndarray, r: int, N: int, W: int) -> np.ndarray:
@@ -192,33 +188,31 @@ def _peak(scheme: RecurrenceScheme, N: int, w: int) -> float:
 def gap_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     """Upper bound on |mean_moment - zero_moment_trace|.
 
-    (2 q ell)^ell / N times the ell-th power of the largest entry
-    magnitude in the window |k - N| <= q ell, |m - N| <= q ell.
+    (2 ell)^ell / N times the ell-th power of the largest entry
+    magnitude in the window |k - N| <= ell, |m - N| <= ell.
     """
     if ell < 1:
         raise SchemeError("need ell >= 1")
-    q = scheme.up_band
-    return _gap_bound(q, N, ell, _peak(scheme, N, q * ell))
+    return _gap_bound(N, ell, _peak(scheme, N, ell))
 
 
-def _gap_bound(q: int, N: int, ell: int, peak: float) -> float:
-    return (2 * q * ell) ** ell / N * peak**ell
+def _gap_bound(N: int, ell: int, peak: float) -> float:
+    return (2 * ell) ** ell / N * peak**ell
 
 
 def variance_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     """Upper bound on variance_moment.
 
-    (4 q ell)^(2 ell) / N^2 times the (2 ell)-th power of the largest
-    entry magnitude in the window of radius 2 q ell around N.
+    (4 ell)^(2 ell) / N^2 times the (2 ell)-th power of the largest
+    entry magnitude in the window of radius 2 ell around N.
     """
     if ell < 1:
         raise SchemeError("need ell >= 1")
-    q = scheme.up_band
-    return _variance_bound(q, N, ell, _peak(scheme, N, 2 * q * ell))
+    return _variance_bound(N, ell, _peak(scheme, N, 2 * ell))
 
 
-def _variance_bound(q: int, N: int, ell: int, peak: float) -> float:
-    return (4 * q * ell) ** (2 * ell) / (N * N) * peak ** (2 * ell)
+def _variance_bound(N: int, ell: int, peak: float) -> float:
+    return (4 * ell) ** (2 * ell) / (N * N) * peak ** (2 * ell)
 
 
 def window_max(scheme: RecurrenceScheme, N: int, eps: float) -> float:
@@ -232,20 +226,28 @@ def window_max(scheme: RecurrenceScheme, N: int, eps: float) -> float:
 
 def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
     """Rows (N, ell, mean, zero_side, gap, gap_bound, variance,
-    variance_bound) for ell = 1..ell_max, all read from one band of T on
-    indices <= N + 2 up_band ell_max: its truncation to N + 2 up_band
-    ell_max gives the mean and variance, to N the zero side, and its
-    window peaks around N both bounds."""
+    variance_bound) for ell = 1..ell_max, read from two bands of T: the
+    N-block and the window on the columns max(0, N - ell_max (2 R + 1))
+    to N + 2 ell_max.
+
+    The block's powers give the zero side.  A closed walk of ell steps
+    from k <= N - ell never reaches N, so the block's diagonal of T^ell
+    below N - ell + 1 holds the same bits as the mean's; the window's
+    powers give the mean's diagonal from there to N - 1 and the variance's
+    crossing sum, and its window peaks around N both bounds."""
     if ell_max < 0:
         raise SchemeError(f"need ell_max >= 0, got {ell_max}")
-    r, q = scheme.down_band, scheme.up_band
-    W = 2 * q * ell_max
-    band = scheme.band(N, N + W + 1)
-    peak = _window_peaks(band[:, max(0, N - W) :], r, N, W).tolist()
-    powers = _diagonal_traces(_cut(band, r, N + W), r, N, ell_max)
-    block_powers = _diagonal_traces(_cut(band, r, N), r, N, ell_max)
+    r, W = scheme.down_band, 2 * ell_max
+    start, window = _window(scheme, N, ell_max, N + W + 1)
+    peak = _window_peaks(window[:, max(0, N - W) - start :], r, N, W).tolist()
+    block_powers = _powers(scheme.band(N, N), r, ell_max)
+    window_powers = _powers(window, r, ell_max)
     rows = []
-    for ell, (P, mean), (_, zero) in zip(range(1, ell_max + 1), powers, block_powers):
+    for ell, B, P in zip(range(1, ell_max + 1), block_powers, window_powers):
+        top = max(0, N - ell + 1)
+        tail = P[ell * r, top - start : N - start].tolist()
+        mean = math.fsum(B[ell * r, :top].tolist() + tail) / N
+        zero = math.fsum(B[ell * r].tolist()) / N
         rows.append(
             (
                 N,
@@ -253,9 +255,9 @@ def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
                 mean,
                 zero,
                 abs(mean - zero),
-                _gap_bound(q, N, ell, peak[q * ell]),
-                _crossing_sum(P, ell * r, N),
-                _variance_bound(q, N, ell, peak[2 * q * ell]),
+                _gap_bound(N, ell, peak[ell]),
+                _crossing_sum(P, ell * r, N, start),
+                _variance_bound(N, ell, peak[2 * ell]),
             )
         )
     return rows

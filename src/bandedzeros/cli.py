@@ -401,7 +401,9 @@ def _cmd_curve(config):
         eps = _as_float(config.get("eps", 1e-6), "eps")
         if eps <= 0:
             raise ConfigError(f"eps: need a positive offset, got {eps}")
-        richardson = bool(config.get("richardson", False))
+        richardson = config.get("richardson", False)
+        if not isinstance(richardson, bool):  # bool("false") would be True
+            raise ConfigError(f"richardson: expected true or false, got {richardson!r}")
         return ("x", "density"), [
             (x, stieltjes_density(curve, x, eps=eps, richardson=richardson))
             for x in xs

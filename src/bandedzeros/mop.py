@@ -346,7 +346,6 @@ def mop_scheme(
         name=kind,
         params=params,
         down_band=path.R,
-        up_band=1,
         band_fn=band_fn,
         symmetric=False,
     )

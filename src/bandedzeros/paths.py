@@ -1,7 +1,7 @@
 """Independent lattice-path evaluation of the trace statistics.
 
 The recurrence graph has vertices (n, k) and edges (n, k) -> (n+1, m)
-for k - down_band <= m <= k + up_band with weight T[m, k] (the band).  The
+for k - down_band <= m <= k + 1 with weight T[m, k] (the band).  The
 trace statistics of ``bandop`` equal sums over closed walks on that
 graph, which this module evaluates by a forward walk count: for every
 starting ordinate it carries the total weight of the walks ending at
@@ -112,9 +112,9 @@ def lattice_sum(
         start_lo, start_hi = start_range
         if not (0 <= start_lo <= start_hi <= N):
             raise OracleScaleError(f"start range must lie in [0, {N}], got {start_range}")
-    band = scheme.band(N, N + scheme.up_band * length + 1)
+    band = scheme.band(N, N + length + 1)
     # walks that stay below N never need ordinates >= N; the others
-    # reach at most N - 1 + up_band * length, inside the band
+    # reach at most N - 1 + length, inside the band
     width = N if constraint is Constraint.STAY_BELOW else band.shape[1]
     starts = np.arange(start_lo, start_hi)
     total = _closed_walk_sum(band, scheme.down_band, starts, length, width, N, mid)

@@ -3,11 +3,12 @@
 A scheme packages the expansion coefficients of x P_k over a family
 (P_m): T[m, k] is the coefficient of P_m in x P_k at truncation
 parameter N.  Entries vanish outside the band k - down_band <= m <=
-k + up_band, and a scheme hands them out only as a band (columns of T
+k + 1: one superdiagonal, the monic Hessenberg form in which x P_k
+reaches P_{k+1}, which the zero solvers and the determinant recurrence
+assume.  A scheme hands the entries out only as a band (columns of T
 with T[m, k] in row down_band + m - k).  The classical orthonormal
-families are tridiagonal (down_band = up_band = 1, symmetric);
-multi-index families from ``mop.mop_scheme`` have one superdiagonal and
-a wider lower band.
+families are tridiagonal (down_band = 1, symmetric); multi-index
+families from ``mop.mop_scheme`` have a wider lower band.
 
 Classical coefficients are evaluated at the rescaled index k/N,
 vectorised over k, so one scheme instance serves every N.  Each
@@ -46,17 +47,13 @@ class RecurrenceScheme:
     params : dict
         Scheme parameters, held constant across N.
     down_band : int
-        Entries vanish below m = k - down_band.
-    up_band : int
-        Entries vanish above m = k + up_band.  Always 1 (the monic
-        Hessenberg form: x P_k reaches P_{k+1} with a nonzero
-        coefficient); construction raises ``SchemeError`` otherwise,
-        since the zero solvers and the determinant recurrence assume it.
+        Entries vanish below m = k - down_band (and above m = k + 1).
     band_fn : callable
         band_fn(N, start, stop) returns columns start..stop-1 of T as
-        an array B of down_band + up_band + 1 rows with
+        an array B of down_band + 2 rows with
         B[down_band + m - k, k - start] = T[m, k].  Entries with m < 0
-        or m >= stop are ignored (``band`` zeroes them).
+        or m >= stop are ignored (``band`` zeroes them); any other shape
+        makes ``band`` raise ``SchemeError``.
     symmetric : bool
         True for orthonormal tridiagonal data (entry(m,k) == entry(k,m)).
     limit_a, limit_b : callable or None
@@ -66,15 +63,10 @@ class RecurrenceScheme:
     name: str
     params: dict
     down_band: int
-    up_band: int
     band_fn: Callable[[int, int, int], np.ndarray]
     symmetric: bool = False
     limit_a: Optional[Callable[[float], float]] = None
     limit_b: Optional[Callable[[float], float]] = None
-
-    def __post_init__(self):
-        if self.up_band != 1:
-            raise SchemeError(f"scheme {self.name!r} needs up_band = 1, got {self.up_band}")
 
     def band(self, N: int, stop: int, start: int = 0) -> np.ndarray:
         """Columns start..stop-1 of the truncation of T to indices < stop,
@@ -82,7 +74,10 @@ class RecurrenceScheme:
         if N < 1:
             raise SchemeError(f"need N >= 1, got {N}")
         band = np.array(self.band_fn(N, start, stop), dtype=float)
-        m = np.arange(start, stop) + np.arange(-self.down_band, self.up_band + 1)[:, None]
+        shape = (self.down_band + 2, stop - start)  # one row above the diagonal
+        if band.shape != shape:
+            raise SchemeError(f"scheme {self.name!r} gave band shape {band.shape}, not {shape}")
+        m = np.arange(start, stop) + np.arange(-self.down_band, 2)[:, None]
         band[(m < 0) | (m >= stop)] = 0.0
         if not np.isfinite(band).all():
             i, j = np.argwhere(~np.isfinite(band))[0]
@@ -95,9 +90,9 @@ class RecurrenceScheme:
         """Coefficient of P_m in x P_k at truncation parameter N."""
         if m < 0 or k < 0:
             raise SchemeError(f"indices must be nonnegative, got m={m}, k={k}")
-        if m > k + self.up_band or m < k - self.down_band:
+        if m > k + 1 or m < k - self.down_band:
             return 0.0
-        return float(self.band(N, k + self.up_band + 1, k)[self.down_band + m - k, 0])
+        return float(self.band(N, k + 2, k)[self.down_band + m - k, 0])
 
 
 def _tridiagonal(name, params, a, b, limit_a, limit_b):
@@ -114,7 +109,6 @@ def _tridiagonal(name, params, a, b, limit_a, limit_b):
         name=name,
         params=params,
         down_band=1,
-        up_band=1,
         band_fn=band_fn,
         symmetric=True,
         limit_a=limit_a,
@@ -267,7 +261,7 @@ def classical_scheme(name: str, **params) -> RecurrenceScheme:
 
 def coeff(scheme: RecurrenceScheme, k: int, N: int):
     """Tridiagonal coefficients (a_k, b_k); a_0 is 0 by convention."""
-    if scheme.down_band != 1 or scheme.up_band != 1 or not scheme.symmetric:
+    if scheme.down_band != 1 or not scheme.symmetric:
         raise SchemeError(f"scheme {scheme.name!r} is not orthonormal tridiagonal")
     if k < 0:
         raise SchemeError("k must be nonnegative")

@@ -55,9 +55,10 @@ dense, a wishart (alpha = 1) sample 18 us against 330 us; at N = 1e5,
 dense complex sample would need 160 GB.  The dense models pay ceil(L/2) - 1
 matrix products per sample (0.6 ms at N = 200, L = 4, against 4.2 ms
 for a dense eigvalsh; eigenvalues are cheaper only from L near 14).
-``_sample_matrix`` expands a band sample into its dense tridiagonal, so
-``sample_spectrum``, the eigenvalue route, sees the same matrices from
-the same draws.  The sampler loads no scipy.
+``sample_spectrum``, the eigenvalue route, hands a band sample to
+scipy's symmetric tridiagonal eigensolver, imported on first use, so it
+sees the same matrices from the same draws and builds no N x N array.
+The moment route loads no scipy.
 """
 
 from __future__ import annotations
@@ -209,11 +210,6 @@ def _sample_bands(spec: MatrixModelSpec, rngs, count: int) -> np.ndarray:
     return bands
 
 
-def _tridiagonal(band: np.ndarray) -> np.ndarray:
-    """Dense symmetric tridiagonal matrix of a band from ``_sample_bands``."""
-    return np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
-
-
 @functools.lru_cache(maxsize=8)
 def _upper(N: int) -> tuple:
     """Strict-upper index pair of an N x N matrix, shared by all samples.
@@ -246,18 +242,17 @@ def _dense_sample(spec: MatrixModelSpec, rng: np.random.Generator) -> np.ndarray
     return G @ G.conj().T
 
 
-def _sample_matrix(spec: MatrixModelSpec, seed: int, j: int = 0) -> np.ndarray:
-    """Sample j of the stream for ``seed``, as a dense matrix."""
-    rngs = _generators(seed, j)
-    if spec.kind in _BAND_KINDS:
-        return _tridiagonal(_sample_bands(spec, rngs, 1)[0])
-    return _dense_sample(spec, next(rngs))
-
-
 def sample_spectrum(spec: MatrixModelSpec, seed: int) -> SpectralMeasure:
-    """Eigenvalues of one sampled matrix (sorted ascending)."""
-    H = _sample_matrix(spec, int(seed))
-    vals = np.linalg.eigvalsh(H)
+    """Eigenvalues of sample 0 of the stream for ``seed`` (sorted
+    ascending); a gue or wishart sample is solved from its band."""
+    rngs = _generators(int(seed))
+    if spec.kind in _BAND_KINDS:
+        import scipy.linalg
+
+        band = _sample_bands(spec, rngs, 1)[0]
+        vals = scipy.linalg.eigvalsh_tridiagonal(band[1], band[2, :-1])
+    else:
+        vals = np.linalg.eigvalsh(_dense_sample(spec, next(rngs)))
     return SpectralMeasure(points=vals.astype(complex))
 
 

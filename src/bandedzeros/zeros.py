@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bandop import BandedOperator, _diagonal_traces
+from .bandop import BandedOperator, _powers
 from .errors import CharpolyOverflow, NumericalFailure
 from .measures import MomentSequence
 
@@ -350,8 +350,8 @@ def _certified_real_zeros(op: BandedOperator, minors: _Minors):
     span = max(1.0, abs(lo), abs(hi))
     solved = _bracketed_newton(minors, x[cross], x[cross + 1], s[cross], span)
     zeros = np.sort(np.concatenate([x[s == 0], solved]))
-    traces = [trace for _, trace in _diagonal_traces(op.matrix, R, N, 2)]
-    for power, trace in enumerate(traces, start=1):
+    for power, P in enumerate(_powers(op.matrix, R, 2), start=1):
+        trace = math.fsum(P[power * R, :N].tolist()) / N
         if abs(math.fsum((zeros**power).tolist()) / N - trace) > 1e-9 * max(1.0, abs(trace)):
             return None
     return zeros

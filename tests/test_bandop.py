@@ -12,7 +12,6 @@ import pytest
 
 import bandedzeros
 from bandedzeros.bandop import (
-    _cut,
     build_truncation,
     gap_bound,
     mean_moment,
@@ -65,7 +64,7 @@ def test_nonfinite_band_entry_is_named():
         return values
 
     scheme = RecurrenceScheme(
-        name="one-nan", params={}, down_band=1, up_band=1, band_fn=band
+        name="one-nan", params={}, down_band=1, band_fn=band
     )
     with pytest.raises(SchemeError, match=r"nonfinite entry at \(5, 4\)"):
         build_truncation(scheme, 5, 1)
@@ -115,7 +114,7 @@ def test_variance_reads_a_window_around_n():
     assert variance_moment(recorded, n, 1) * n**2 == 1.0
     for ell in (2, 3):
         assert variance_moment(recorded, n, ell) == variance_moment(GUE, n, ell)
-    # ell (2 down_band + 3 up_band) columns, whatever N is
+    # ell (2 down_band + 3) columns, whatever N is
     assert max(widths) == 5 * 3
 
 
@@ -208,7 +207,7 @@ def test_gue_moments_match_catalan_in_the_bulk():
 def _dense_truncation(scheme, N, dim):
     T = np.zeros((dim, dim))
     for k in range(dim):
-        for m in range(max(0, k - scheme.down_band), min(dim, k + scheme.up_band + 1)):
+        for m in range(max(0, k - scheme.down_band), min(dim, k + 2)):
             T[m, k] = scheme.entry(m, k, N)
     return T
 
@@ -218,13 +217,12 @@ def test_banded_traces_match_dense_matrix_powers(label, scheme):
     # beyond the path oracle's N <= 64: dense powers of truncations
     # assembled entry by entry
     N, L = 100, 6
-    q = scheme.up_band
-    T = _dense_truncation(scheme, N, N + 2 * q * L)
+    T = _dense_truncation(scheme, N, N + 2 * L)
     rows = trace_table(scheme, N, L)
     for ell in range(1, L + 1):
-        P = np.linalg.matrix_power(T[: N + q * ell, : N + q * ell], ell)
+        P = np.linalg.matrix_power(T[: N + ell, : N + ell], ell)
         Z = np.linalg.matrix_power(T[:N, :N], ell)
-        V = np.linalg.matrix_power(T[: N + 2 * q * ell, : N + 2 * q * ell], ell)
+        V = np.linalg.matrix_power(T[: N + 2 * ell, : N + 2 * ell], ell)
         mean = math.fsum(P.diagonal()[:N]) / N
         zero = math.fsum(Z.diagonal()) / N
         var = math.fsum((V[:N, N:] * V[N:, :N].T).ravel()) / N**2
@@ -258,13 +256,14 @@ def _brute_peaks(scheme, N, W):
 
 @pytest.mark.parametrize("label,scheme", TABLE_SCHEMES)
 def test_trace_table_rows_match_the_public_functions(label, scheme):
-    # every row comes from one band; each column must still be what the
-    # public function computes on its own, and each bound's peak what a
-    # scan of single entries over the window finds (N = 1 and 2 clip the
-    # window at index 0)
-    q = scheme.up_band
-    for N in (1, 2, 3, 7, 50, 201):
-        peaks = _brute_peaks(scheme, N, 2 * q * 6)
+    # every row comes from the N-block and one window around N; each
+    # column must still be what the public function computes on its own,
+    # and each bound's peak what a scan of single entries over the window
+    # finds (N = 1 and 2 clip the peak window at index 0; at L = 6 the
+    # table's window starts past index 0 from N = 19 for R = 1 and from
+    # N = 31 for R = 2)
+    for N in (1, 2, 3, 7, 18, 19, 30, 31, 50, 201):
+        peaks = _brute_peaks(scheme, N, 2 * 6)
         for w, peak in enumerate(peaks[1:], 1):
             assert window_max(scheme, N, w / N) == peak
         for L in (1, 6):
@@ -277,22 +276,13 @@ def test_trace_table_rows_match_the_public_functions(label, scheme):
                 assert gbound == gap_bound(scheme, N, ell)
                 assert vbound == variance_bound(scheme, N, ell)
                 assert var == variance_moment(scheme, N, ell)
-                assert gbound == (2 * q * ell) ** ell / N * peaks[q * ell] ** ell
-                assert vbound == (4 * q * ell) ** (2 * ell) / N**2 * peaks[2 * q * ell] ** (2 * ell)
-
-
-@pytest.mark.parametrize("label,scheme", TABLE_SCHEMES)
-def test_cut_of_the_one_band_is_the_exact_truncation(label, scheme):
-    # trace_table's power tables start from cuts of its one band; each cut
-    # must equal the band of the truncation it stands for, entry by entry
-    r, q = scheme.down_band, scheme.up_band
-    for N in (1, 2, 7, 50):
-        band = scheme.band(N, N + 2 * q * 6 + 1)
-        for stop in (N, N + 2 * q * 6):
-            assert np.array_equal(_cut(band, r, stop), scheme.band(N, stop))
+                assert gbound == (2 * ell) ** ell / N * peaks[ell] ** ell
+                assert vbound == (4 * ell) ** (2 * ell) / N**2 * peaks[2 * ell] ** (2 * ell)
 
 
 def test_trace_table_builds_one_band():
+    # one band of full length, the N-block, plus one window around N of
+    # ell_max (2 down_band + 3) + 1 columns, whatever N is
     calls = []
 
     def band_fn(N, start, stop):
@@ -300,9 +290,13 @@ def test_trace_table_builds_one_band():
         return GUE.band_fn(N, start, stop)
 
     counted = dataclasses.replace(GUE, band_fn=band_fn)
-    rows = trace_table(counted, 40, 6)
-    assert calls == [(40, 0, 53)]
-    assert rows == trace_table(GUE, 40, 6)
+    for N in (40, 10**6):
+        calls.clear()
+        trace_table(counted, N, 2)
+        assert calls == [(N, N - 6, N + 5), (N, 0, N)]
+    calls.clear()
+    assert trace_table(counted, 40, 6) == trace_table(GUE, 40, 6)
+    assert calls == [(40, 22, 53), (40, 0, 40)]
 
 
 def test_trace_table_argument_checks():
@@ -331,15 +325,15 @@ assert len(trace_table(gue, 20, 4)) == 4
 assert abs(bz.lattice_sum(gue, 5, 2) - 1.0) < 1e-12
 assert bz.mean_moment(gue, 20, 2) == 1.0
 assert bz.gap_bound(gue, 20, 2) > 0
+mean, var, se = bz.mc_moments(bz.MatrixModelSpec("gue", 5), 2, 400, 1)
+assert mean[0] == 1.0
+assert abs(mean[1]) < 5 * se[1] and abs(mean[2] - 1.0) < 5 * se[2], (mean, se)
 assert loaded() == [], loaded()
 
 points = bz.spectrum(bz.build_truncation(gue, 5, 0)).points
 r = np.sqrt(10.0)
 he5 = np.array([-np.sqrt(5 + r), -np.sqrt(5 - r), 0.0, np.sqrt(5 - r), np.sqrt(5 + r)])
 assert np.allclose(points.real, he5 / np.sqrt(5), rtol=0, atol=1e-13), points
-mean, var, se = bz.mc_moments(bz.MatrixModelSpec("gue", 5), 2, 400, 1)
-assert mean[0] == 1.0
-assert abs(mean[1]) < 5 * se[1] and abs(mean[2] - 1.0) < 5 * se[2], (mean, se)
 assert "scipy.linalg" in loaded() and "scipy.special" not in loaded(), loaded()
 """
     src = str(Path(bandedzeros.__file__).resolve().parents[1])

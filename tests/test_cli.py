@@ -555,6 +555,27 @@ def test_json_booleans_are_not_numbers(config, key, tmp_path, capsys):
     assert not (tmp_path / "x.out").exists()
 
 
+def test_richardson_takes_only_a_json_boolean(tmp_path, capsys):
+    config = {"command": "curve", "kind": "hermite", "q": "1/2,1/2", "a": "1,-1",
+              "density": "0,0.5", "eps": "1e-3"}
+    cfg = tmp_path / "cfg.json"
+    rows = {}
+    for value in (True, False, None):
+        out = tmp_path / f"{value}.csv"
+        extra = {} if value is None else {"richardson": value}
+        cfg.write_text(json.dumps({**config, **extra, "out": str(out)}))
+        assert cli.main(["run", str(cfg)]) == 0
+        rows[value] = read_csv(out)[2]
+    assert rows[False] == rows[None] != rows[True]
+    out = tmp_path / "x.csv"
+    for value in ("false", "true", 0, 1):
+        cfg.write_text(json.dumps({**config, "richardson": value, "out": str(out)}))
+        assert cli.main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: richardson: expected true or false, got {value!r}" in err
+        assert not out.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     def boom(config):
         raise NumericalFailure("injected instability")

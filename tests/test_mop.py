@@ -385,9 +385,9 @@ def test_scheme_is_monic_with_banded_zero_pattern():
     for kind, alpha in (("multiple-hermite", None), ("multiple-laguerre", 1)):
         a = (1, -1) if alpha is None else (1, 2)
         scheme = mop_scheme(kind, a, (0.5, 0.5), alpha=alpha)
-        assert scheme.up_band == 1
         assert scheme.down_band == 2
         N = 16
+        assert scheme.band(N, N).shape == (4, N)
         for k in range(12):
             assert scheme.entry(k + 1, k, N) == 1.0
             for m in range(0, 15):
@@ -420,9 +420,9 @@ def test_path_choice_does_not_move_the_moments():
 
 
 def test_trace_table_keeps_the_full_band(monkeypatch):
-    # trace_table asks for one band, on indices <= N + 2 q L, and reads
-    # every row from it; that band stays cached, so the moments at the
-    # same N compute no column again
+    # trace_table asks for a window around N, on indices <= N + 2 L, and
+    # for the N-block; the block, the wider, stays cached, so the zero
+    # side at the same N computes no column again
     computed = []
     cascade = mop._cascade
 
@@ -433,9 +433,8 @@ def test_trace_table_keeps_the_full_band(monkeypatch):
     monkeypatch.setattr(mop, "_cascade", counting)
     scheme = mop_scheme("multiple-hermite", (1, -1), (0.5, 0.5))
     trace_table(scheme, 200, 6)
-    assert computed == [(200, 0, 213)]
+    assert computed == [(200, 170, 213), (200, 0, 200)]
     computed.clear()
-    mean_moment(scheme, 200, 6)
     zero_moment_trace(scheme, 200, 6)
     assert computed == []
 

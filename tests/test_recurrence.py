@@ -213,10 +213,24 @@ def test_coeff_requires_tridiagonal():
         coeff(wide, 3, 10)
 
 
-@pytest.mark.parametrize("up_band", [0, 2])
-def test_scheme_needs_exactly_one_superdiagonal(up_band):
+@pytest.mark.parametrize(
+    "shape",
+    [
+        # numeric ids count the superdiagonals the band_fn claims
+        pytest.param(lambda width: (2, width), id="0"),
+        pytest.param(lambda width: (4, width), id="2"),
+        pytest.param(lambda width: (5, width), id="3"),
+        pytest.param(lambda width: (3, width + 1), id="extra-column"),
+        pytest.param(lambda width: (width,), id="1-d"),
+    ],
+)
+def test_scheme_needs_exactly_one_superdiagonal(shape):
+    # a band_fn must give down_band + 2 rows, one column per index
     def band(N, start, stop):
-        return np.ones((2 + up_band, stop - start))
+        return np.ones(shape(stop - start))
 
-    with pytest.raises(SchemeError, match="up_band = 1"):
-        RecurrenceScheme(name="wide", params={}, down_band=1, up_band=up_band, band_fn=band)
+    scheme = RecurrenceScheme(name="wide", params={}, down_band=1, band_fn=band)
+    with pytest.raises(SchemeError, match=r"'wide' gave band shape .*, not \(3, 5\)"):
+        scheme.band(4, 5)
+    with pytest.raises(SchemeError, match="'wide' gave band shape"):
+        scheme.entry(1, 2, 4)

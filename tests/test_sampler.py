@@ -34,7 +34,7 @@ from bandedzeros import (
     variance_moment,
 )
 from bandedzeros import cli
-from bandedzeros.sampler import _generators, _sample_bands, _sample_matrix, _tridiagonal
+from bandedzeros.sampler import _dense_sample, _generators, _sample_bands
 
 GUE = classical_scheme("gue")
 KINDS = ("gue", "wishart", "gue_source", "wishart_cov")
@@ -50,6 +50,19 @@ def model_spec(kind, N):
     if kind in ("gue_source", "wishart_cov"):
         return source_spec(kind, N, (0.5, 0.5), (1.0, 0.5), alpha=alpha)
     return MatrixModelSpec(kind=kind, N=N, alpha=alpha)
+
+
+def _tridiagonal(band):
+    """Dense symmetric tridiagonal matrix of a band from ``_sample_bands``."""
+    return np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
+
+
+def _sample_matrix(spec, seed, j=0):
+    """Sample j of the stream for ``seed``, as a dense matrix."""
+    rngs = _generators(seed, j)
+    if spec.kind in ("gue", "wishart"):
+        return _tridiagonal(_sample_bands(spec, rngs, 1)[0])
+    return _dense_sample(spec, next(rngs))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +241,22 @@ def test_spectra_are_sorted_and_wishart_nonnegative():
     pts = sample_spectrum(MatrixModelSpec(kind="wishart", N=30, alpha=1.0), seed=1).points
     assert np.all(np.diff(pts.real) >= 0)
     assert np.all(pts.real >= 0)
+
+
+@pytest.mark.parametrize("kind", ("gue", "wishart"))
+def test_band_spectrum_is_the_dense_spectrum_without_a_dense_solve(kind, monkeypatch):
+    # the band sample goes to the tridiagonal solver; it must give the
+    # eigenvalues of the same sample drawn dense, N = 1 included
+    dense = {N: np.linalg.eigvalsh(_sample_matrix(model_spec(kind, N), 9)) for N in (1, 40)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigvalsh on a band sample")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for N, ref in dense.items():
+        points = sample_spectrum(model_spec(kind, N), 9).points
+        assert points.shape == (N,) and np.all(points.imag == 0)
+        assert np.abs(points.real - ref).max() <= 1e-12, (N, points.real - ref)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def rotation_scheme():
         return np.stack([-1.0 * odd, 0.0 * odd, 1.0 - odd])
 
     return RecurrenceScheme(
-        name="rotation", params={}, down_band=1, up_band=1, band_fn=band
+        name="rotation", params={}, down_band=1, band_fn=band
     )
 
 
@@ -221,7 +221,7 @@ def test_charpoly_unscales_in_range_values_past_two_to_1024():
         return np.stack([off, np.where(k < 160, 100.0, 0.01), off])
 
     scheme = RecurrenceScheme(
-        name="step-diagonal", params={}, down_band=1, up_band=1,
+        name="step-diagonal", params={}, down_band=1,
         band_fn=band, symmetric=True,
     )
     op = build_truncation(scheme, 220, 0)
@@ -304,7 +304,7 @@ def test_balanced_estimates_stay_in_range_on_long_blocks(n):
         width = stop - start
         return np.stack([np.full(width, 1e-6), np.zeros(width), np.full(width, -1.0)])
 
-    scheme = RecurrenceScheme(name="skew", params={}, down_band=1, up_band=1, band_fn=band)
+    scheme = RecurrenceScheme(name="skew", params={}, down_band=1, band_fn=band)
     measure = spectrum(build_truncation(scheme, n, 0))
     assert measure.route == "aberth"
     exact = 2e-3 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
@@ -402,7 +402,7 @@ def test_charpoly_matches_reference_across_both_rescales():
         diag = np.where(k == 0, 0.0, np.where(k < 200, 1e3, 1e-3))
         return np.stack([0.5 * one, -0.25 * one, diag, 1e-3 * one])
 
-    scheme = RecurrenceScheme(name="two-phase", params={}, down_band=2, up_band=1, band_fn=band)
+    scheme = RecurrenceScheme(name="two-phase", params={}, down_band=2, band_fn=band)
     op = build_truncation(scheme, 600, 0)
     shifted = set()
     zs = np.array([0.0, 0.25, -0.5, 1e-3, 7.0])
