@@ -646,6 +646,9 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:
+        print(f"numerical failure: result outside the double range: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -315,7 +315,6 @@ def mop_scheme(
         if alpha is not None:
             raise SchemeError("multiple-hermite takes no alpha")
         coeff_fn = hermite_coeff_fn(a)
-        params = {"a": a, "q": q}
     elif kind == "multiple-laguerre":
         if alpha is None:
             alpha = 0.0
@@ -325,7 +324,6 @@ def mop_scheme(
         if any(x <= 0 for x in a):
             raise SchemeError(f"multiple-laguerre locations must be positive, got {a}")
         coeff_fn = laguerre_coeff_fn(alpha, a)
-        params = {"a": a, "q": q, "alpha": alpha}
     else:
         raise SchemeError(f"unknown multi-index kind {kind!r}")
     if path.r != len(q):
@@ -342,10 +340,4 @@ def mop_scheme(
             cached[N] = start, window
         return window
 
-    return RecurrenceScheme(
-        name=kind,
-        params=params,
-        down_band=path.R,
-        band_fn=band_fn,
-        symmetric=False,
-    )
+    return RecurrenceScheme(name=kind, down_band=path.R, band_fn=band_fn)

@@ -5,10 +5,14 @@ A scheme packages the expansion coefficients of x P_k over a family
 parameter N.  Entries vanish outside the band k - down_band <= m <=
 k + 1: one superdiagonal, the monic Hessenberg form in which x P_k
 reaches P_{k+1}, which the zero solvers and the determinant recurrence
-assume.  A scheme hands the entries out only as a band (columns of T
-with T[m, k] in row down_band + m - k).  The classical orthonormal
-families are tridiagonal (down_band = 1, symmetric); multi-index
-families from ``mop.mop_scheme`` have a wider lower band.
+assume.  A scheme declares its name, its lower band width and its band
+function, plus the coefficient limits when known; it hands the entries
+out only as a band (columns of T with T[m, k] in row down_band + m - k).
+Whatever else a solver needs, such as whether a block is symmetric, it
+reads off the band.  The classical orthonormal families are tridiagonal
+(down_band = 1) with T[k - 1, k] and T[k, k - 1] taken from one array,
+so their bands are symmetric bit for bit; multi-index families from
+``mop.mop_scheme`` have a wider lower band.
 
 Classical coefficients are evaluated at the rescaled index k/N,
 vectorised over k, so one scheme instance serves every N.  Each
@@ -44,8 +48,6 @@ class RecurrenceScheme:
     ----------
     name : str
         Identifier ("gue", "wishart", ..., "multiple-hermite", ...).
-    params : dict
-        Scheme parameters, held constant across N.
     down_band : int
         Entries vanish below m = k - down_band (and above m = k + 1).
     band_fn : callable
@@ -54,17 +56,13 @@ class RecurrenceScheme:
         B[down_band + m - k, k - start] = T[m, k].  Entries with m < 0
         or m >= stop are ignored (``band`` zeroes them); any other shape
         makes ``band`` raise ``SchemeError``.
-    symmetric : bool
-        True for orthonormal tridiagonal data (entry(m,k) == entry(k,m)).
     limit_a, limit_b : callable or None
         Coefficient limits along k/N -> s, when known.
     """
 
     name: str
-    params: dict
     down_band: int
     band_fn: Callable[[int, int, int], np.ndarray]
-    symmetric: bool = False
     limit_a: Optional[Callable[[float], float]] = None
     limit_b: Optional[Callable[[float], float]] = None
 
@@ -95,7 +93,7 @@ class RecurrenceScheme:
         return float(self.band(N, k + 2, k)[self.down_band + m - k, 0])
 
 
-def _tridiagonal(name, params, a, b, limit_a, limit_b):
+def _tridiagonal(name, a, b, limit_a, limit_b):
     """Orthonormal tridiagonal scheme from a(k, N) (k >= 1) and b(k, N),
     both vectorised over an index array k."""
 
@@ -106,13 +104,7 @@ def _tridiagonal(name, params, a, b, limit_a, limit_b):
         return np.stack([off[:-1], b(k[:-1], N), off[1:]])
 
     return RecurrenceScheme(
-        name=name,
-        params=params,
-        down_band=1,
-        band_fn=band_fn,
-        symmetric=True,
-        limit_a=limit_a,
-        limit_b=limit_b,
+        name=name, down_band=1, band_fn=band_fn, limit_a=limit_a, limit_b=limit_b
     )
 
 
@@ -130,7 +122,7 @@ def _gue():
     def b(k, N):
         return np.zeros(len(k))
 
-    return _tridiagonal("gue", {}, a, b, lambda s: math.sqrt(s), lambda s: 0.0)
+    return _tridiagonal("gue", a, b, lambda s: math.sqrt(s), lambda s: 0.0)
 
 
 def _wishart(alpha):
@@ -146,12 +138,7 @@ def _wishart(alpha):
         return (2 * k + 1) / N + al
 
     return _tridiagonal(
-        "wishart",
-        {"alpha": al},
-        a,
-        b,
-        lambda s: math.sqrt(s * (s + al)),
-        lambda s: 2 * s + al,
+        "wishart", a, b, lambda s: math.sqrt(s * (s + al)), lambda s: 2 * s + al
     )
 
 
@@ -180,7 +167,7 @@ def _jacobi(alpha, beta):
         t = 2 * s + al + be
         return (be * be - al * al) / (t * t)
 
-    return _tridiagonal("jacobi", {"alpha": al, "beta": be}, a, b, la, lb)
+    return _tridiagonal("jacobi", a, b, la, lb)
 
 
 def _charlier(alpha):
@@ -194,14 +181,7 @@ def _charlier(alpha):
     def b(k, N):
         return al + k / N
 
-    return _tridiagonal(
-        "charlier",
-        {"alpha": al},
-        a,
-        b,
-        lambda s: math.sqrt(al * s),
-        lambda s: al + s,
-    )
+    return _tridiagonal("charlier", a, b, lambda s: math.sqrt(al * s), lambda s: al + s)
 
 
 def _meixner(alpha, beta):
@@ -221,7 +201,6 @@ def _meixner(alpha, beta):
 
     return _tridiagonal(
         "meixner",
-        {"alpha": al, "beta": be},
         a,
         b,
         lambda s: math.sqrt(s * (s + be)) / (1 - al),
@@ -260,13 +239,18 @@ def classical_scheme(name: str, **params) -> RecurrenceScheme:
 
 
 def coeff(scheme: RecurrenceScheme, k: int, N: int):
-    """Tridiagonal coefficients (a_k, b_k); a_0 is 0 by convention."""
-    if scheme.down_band != 1 or not scheme.symmetric:
+    """Tridiagonal coefficients (a_k, b_k); a_0 is 0 by convention.
+
+    Refuses a scheme whose down_band is not 1, or whose entries
+    T[k - 1, k] and T[k, k - 1] differ."""
+    if scheme.down_band != 1:
         raise SchemeError(f"scheme {scheme.name!r} is not orthonormal tridiagonal")
     if k < 0:
         raise SchemeError("k must be nonnegative")
     b_k = scheme.entry(k, k, N)
     a_k = 0.0 if k == 0 else scheme.entry(k - 1, k, N)
+    if k > 0 and scheme.entry(k, k - 1, N) != a_k:
+        raise SchemeError(f"scheme {scheme.name!r} is not symmetric at k={k}")
     return a_k, b_k
 
 

@@ -74,7 +74,7 @@ from .bandop import _powers
 from .errors import ConfigError
 from .measures import MomentSequence
 from .mop import MultiIndexPath
-from .zeros import SpectralMeasure
+from .zeros import SpectralMeasure, _tridiagonal_eigvals
 
 __all__ = [
     "MatrixModelSpec",
@@ -247,10 +247,7 @@ def sample_spectrum(spec: MatrixModelSpec, seed: int) -> SpectralMeasure:
     ascending); a gue or wishart sample is solved from its band."""
     rngs = _generators(int(seed))
     if spec.kind in _BAND_KINDS:
-        import scipy.linalg
-
-        band = _sample_bands(spec, rngs, 1)[0]
-        vals = scipy.linalg.eigvalsh_tridiagonal(band[1], band[2, :-1])
+        vals = _tridiagonal_eigvals(_sample_bands(spec, rngs, 1)[0])
     else:
         vals = np.linalg.eigvalsh(_dense_sample(spec, next(rngs)))
     return SpectralMeasure(points=vals.astype(complex))

@@ -1,11 +1,14 @@
 """Spectra of compressed operators and zero-distribution statistics.
 
 The zeros of the average characteristic polynomial at rank N are the
-eigenvalues of the principal N x N block pi_N T pi_N.  Symmetric
-tridiagonal blocks go through the specialised LAPACK solver.  Every
-other block (schemes have one superdiagonal band) takes the certified
-route: a sign scan of the characteristic polynomial on a Chebyshev grid
-over the Gershgorin interval brackets the zeros, a vectorised bracketed Newton iteration
+eigenvalues of the principal N x N block pi_N T pi_N.  ``spectrum`` cuts
+the band of that block out of the truncation once, every solver reads
+only that band, and the route is read off it: a band of three rows whose
+off-diagonals agree bit for bit is symmetric tridiagonal and goes through
+the specialised LAPACK solver.  Every other block (schemes have one
+superdiagonal band) takes the certified route: a sign scan of the
+characteristic polynomial on a Chebyshev grid over the Gershgorin
+interval brackets the zeros, a vectorised bracketed Newton iteration
 solves every bracket, and the result is certified real and simple when
 the scan shows exactly N zeros and the first two power sums match the
 traces of the block.  When it does not certify, balanced eigenvalue
@@ -28,8 +31,9 @@ imaginary residual |mean Im(z^ell)| is surfaced alongside rather than
 silently dropped, so a complex-contaminated spectrum is visible.
 
 scipy.linalg is imported only where a route needs it (the tridiagonal
-solver and the dense Aberth fallback), so importing the package, the
-trace layers and a certified multi-index spectrum load no scipy.
+solver, which the sampler shares, and the dense Aberth fallback), so
+importing the package, the trace layers and a certified multi-index
+spectrum load no scipy.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bandop import BandedOperator, _powers
+from .bandop import BandedOperator
 from .errors import CharpolyOverflow, NumericalFailure
 from .measures import MomentSequence
 
@@ -81,6 +85,17 @@ class SpectralMeasure:
         return self.route in ("tridiagonal", "sign-scan")
 
 
+def _tridiagonal_eigvals(band: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal band[1] and off-diagonal band[2, :-1] (a band of down_band
+    1), by scipy's tridiagonal solver, imported on first use."""
+    if band.shape[1] == 1:
+        return band[1].copy()
+    import scipy.linalg
+
+    return scipy.linalg.eigvalsh_tridiagonal(band[1], band[2, :-1])
+
+
 def _balanced_eigvals(block: np.ndarray) -> np.ndarray:
     """Eigenvalues after a diagonal similarity symmetrising the unit band.
 
@@ -110,7 +125,8 @@ def _balanced_eigvals(block: np.ndarray) -> np.ndarray:
 class _Minors(NamedTuple):
     """The z-independent parts of the leading-minor recurrence of one
     N x N block, built once per ``spectrum`` or ``charpoly_eval`` call by
-    ``_minors``.
+    ``_minors`` from the block's band (the recurrence never reads
+    T[N, N - 1]).
 
     ``diag[j]`` is T[j, j] and ``terms[j]`` holds, for i = j-1 down to
     j-R, the window slot of d_{i-1} with the coefficient
@@ -123,9 +139,9 @@ class _Minors(NamedTuple):
     terms: list
 
 
-def _minors(op: BandedOperator) -> _Minors:
-    N, R = op.N, op.scheme.down_band
-    B = op.matrix[:, :N].tolist()  # T[m, k] = B[R + m - k][k]
+def _minors(block: np.ndarray) -> _Minors:
+    R, N = len(block) - 2, block.shape[1]
+    B = block.tolist()  # T[m, k] = B[R + m - k][k]
     width = R + 2
     terms = []
     for j in range(N):
@@ -245,17 +261,15 @@ def _polish_roots(minors: _Minors, guesses: np.ndarray) -> np.ndarray:
     return z
 
 
-def _gershgorin_interval(op: BandedOperator):
-    """A real interval holding every eigenvalue of the N x N block: the
-    diagonal plus or minus the off-diagonal column sums inside the block,
-    widened by a relative 1e-9."""
-    N, R = op.N, op.scheme.down_band
-    B = op.matrix[:, :N]
-    m = np.arange(N) + np.arange(-R, len(B) - R)[:, None]
-    off = np.where((m >= 0) & (m < N), np.abs(B), 0.0)
+def _gershgorin_interval(block: np.ndarray):
+    """A real interval holding every eigenvalue of the N x N block with
+    band ``block``: the diagonal plus or minus the off-diagonal column
+    sums, widened by a relative 1e-9."""
+    R = len(block) - 2
+    off = np.abs(block)
     off[R] = 0.0
     radius = off.sum(axis=0)
-    lo, hi = float((B[R] - radius).min()), float((B[R] + radius).max())
+    lo, hi = float((block[R] - radius).min()), float((block[R] + radius).max())
     pad = 1e-9 * max(abs(lo), abs(hi)) + np.finfo(float).tiny
     return lo - pad, hi + pad
 
@@ -330,19 +344,22 @@ def _bracketed_newton(minors: _Minors, lo, hi, sign_lo, span: float):
     return x
 
 
-def _certified_real_zeros(op: BandedOperator, minors: _Minors):
+def _certified_real_zeros(block: np.ndarray, minors: _Minors):
     """The N zeros, sorted, when a sign scan certifies them as real and
     simple; otherwise None.
 
     Certified means: the scan over the Gershgorin interval shows exactly
     N zeros, and the first two power sums of the solved zeros match
-    Tr(B) and Tr(B^2) of the block within 1e-9 * max(1, |trace / N|).
+    Tr(B) and Tr(B^2) of the block B within 1e-9 * max(1, |trace / N|).
     Sign changes alone are not proof in floating point: where p is
     dominated by rounding, a grid can show spurious changes while it
-    misses true ones, and the power sums catch that.
+    misses true ones, and the power sums catch that.  With one
+    superdiagonal, B[k, m] B[m, k] vanishes unless |m - k| <= 1, so
+    Tr(B^2) is the sum of the squared diagonal plus twice the products
+    B[k, k + 1] B[k + 1, k].
     """
-    N, R = op.N, op.scheme.down_band
-    lo, hi = _gershgorin_interval(op)
+    N, R = minors.N, len(block) - 2
+    lo, hi = _gershgorin_interval(block)
     x, s, found = _sign_scan(minors, lo, hi)
     if found != N:
         return None
@@ -350,8 +367,11 @@ def _certified_real_zeros(op: BandedOperator, minors: _Minors):
     span = max(1.0, abs(lo), abs(hi))
     solved = _bracketed_newton(minors, x[cross], x[cross + 1], s[cross], span)
     zeros = np.sort(np.concatenate([x[s == 0], solved]))
-    for power, P in enumerate(_powers(op.matrix, R, 2), start=1):
-        trace = math.fsum(P[power * R, :N].tolist()) / N
+    diag = block[R]
+    pairs = block[R - 1, 1:] * block[R + 1, :-1] if R else diag[:0]
+    traces = (diag.tolist(), (diag * diag).tolist() + (2.0 * pairs).tolist())
+    for power, terms in enumerate(traces, start=1):
+        trace = math.fsum(terms) / N
         if abs(math.fsum((zeros**power).tolist()) / N - trace) > 1e-9 * max(1.0, abs(trace)):
             return None
     return zeros
@@ -361,46 +381,44 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
     """Zeros of the rank-N average characteristic polynomial, i.e. the
     eigenvalues of the principal N x N block of the truncation.
 
-    Routes, recorded in the result's ``route``:
+    The band of the block (the first N columns of the truncation, with
+    T[N, N - 1] set to 0) is cut once; every route reads only that, so
+    padding the truncation past N changes nothing.  Routes, recorded in
+    the result's ``route``:
 
-    - "tridiagonal": symmetric tridiagonal blocks go straight to the
-      specialised solver.
+    - "tridiagonal": a block band of three rows whose off-diagonal rows
+      agree bit for bit is symmetric tridiagonal and goes straight to
+      the specialised solver.
     - "sign-scan": every other block (schemes have one superdiagonal
       band) is first scanned for sign changes of the characteristic
       polynomial on a Chebyshev grid over the Gershgorin interval, then
       solved by a bracketed Newton iteration in every bracket.  The
       result stands only when the scan shows exactly N zeros and the
       first two power sums of the zeros match the traces of the block.
-      It builds no
-      dense array: its memory is O(N R) for down_band R.
+      It builds no dense array: its memory is O(N R) for down_band R.
     - "aberth": when the scan does not certify (complex spectra, zeros
       closer than the grid resolves, or a polynomial dominated by
       rounding), a balanced eigendecomposition of the dense block gives
       estimates for a simultaneous root polish, whose result is not
       certified.
     """
-    scheme = op.scheme
+    N, R = op.N, op.scheme.down_band
+    block = op.matrix[:, :N].copy()
+    block[R + 1, N - 1] = 0.0  # T[N, N - 1], the one entry outside the block
     try:
-        if scheme.symmetric and scheme.down_band == 1:
-            import scipy.linalg
-
+        if len(block) == 3 and np.array_equal(block[0, 1:], block[2, :-1]):
             route = "tridiagonal"
-            d = op.matrix[1, : op.N].copy()
-            e = op.matrix[2, : op.N - 1].copy()
-            if len(d) == 1:
-                vals = d.astype(complex)
-            else:
-                vals = scipy.linalg.eigvalsh_tridiagonal(d, e).astype(complex)
+            vals = _tridiagonal_eigvals(block)
         else:
             route = "sign-scan"
-            minors = _minors(op)
-            vals = _certified_real_zeros(op, minors)
+            minors = _minors(block)
+            vals = _certified_real_zeros(block, minors)
             if vals is None:
                 route = "aberth"
                 vals = _polish_roots(minors, _balanced_eigvals(op.block()))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
-            f"eigenvalue solver failed on {scheme.name!r} block of size {op.N}: {exc}"
+            f"eigenvalue solver failed on {op.scheme.name!r} block of size {N}: {exc}"
         ) from exc
     return SpectralMeasure(points=vals, route=route)
 
@@ -444,7 +462,7 @@ def charpoly_eval(op: BandedOperator, z) -> complex:
     ``CharpolyOverflow`` error carries the scaled log-determinant
     (log-magnitude and phase).
     """
-    p, _, exponent = _charpoly(_minors(op), [complex(z)])
+    p, _, exponent = _charpoly(_minors(op.matrix[:, : op.N]), [complex(z)])
     result = complex(p[0])
     exponent = int(exponent[0])
     try:

@@ -63,9 +63,7 @@ def test_nonfinite_band_entry_is_named():
             values[2, 4 - start] = np.nan  # T[5, 4]
         return values
 
-    scheme = RecurrenceScheme(
-        name="one-nan", params={}, down_band=1, band_fn=band
-    )
+    scheme = RecurrenceScheme(name="one-nan", down_band=1, band_fn=band)
     with pytest.raises(SchemeError, match=r"nonfinite entry at \(5, 4\)"):
         build_truncation(scheme, 5, 1)
     # row 5 lies outside a truncation to indices < 5

@@ -587,6 +587,27 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "traces --scheme gue --n 5 --moments 150",
+        "variance-sweep --scheme gue --n 5,10 --moments 80",
+        "kva --scheme gue --moments 2000",
+        "curve --kind laguerre --q 1/2,1/2 --a 1,2 --alpha 1 --moments 160",
+    ],
+    ids=["traces", "variance-sweep", "kva", "curve"],
+)
+def test_results_past_the_double_range_exit_3(argv, tmp_path, capsys):
+    # the bounds' (2 ell)^ell / N, the arcsine moments' binomials and the
+    # contour's rho^(ell + 1) leave the double range at these orders
+    out = tmp_path / "x.out"
+    assert cli.main([*shlex.split(argv), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: result outside the double range: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_numbers_beyond_double_range_are_refused(tmp_path, capsys):
     config = {"command": "traces", "scheme": "wishart", "alpha": "1e400", "n": 5, "moments": 2}
     assert run_both_ways(config, tmp_path) == (2, 2)

@@ -212,6 +212,16 @@ def test_coeff_requires_tridiagonal():
     with pytest.raises(SchemeError):
         coeff(wide, 3, 10)
 
+    # one lower band, but T[k - 1, k] = k / N against T[k, k - 1] = 1
+    def monic(N, start, stop):
+        k = np.arange(start, stop)
+        return np.stack([k / N, 0.0 * k, np.ones(len(k))])
+
+    scheme = RecurrenceScheme(name="monic", down_band=1, band_fn=monic)
+    assert coeff(scheme, 0, 10) == (0.0, 0.0)
+    with pytest.raises(SchemeError, match="'monic' is not symmetric at k=1"):
+        coeff(scheme, 1, 10)
+
 
 @pytest.mark.parametrize(
     "shape",
@@ -229,7 +239,7 @@ def test_scheme_needs_exactly_one_superdiagonal(shape):
     def band(N, start, stop):
         return np.ones(shape(stop - start))
 
-    scheme = RecurrenceScheme(name="wide", params={}, down_band=1, band_fn=band)
+    scheme = RecurrenceScheme(name="wide", down_band=1, band_fn=band)
     with pytest.raises(SchemeError, match=r"'wide' gave band shape .*, not \(3, 5\)"):
         scheme.band(4, 5)
     with pytest.raises(SchemeError, match="'wide' gave band shape"):

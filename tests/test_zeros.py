@@ -42,9 +42,39 @@ def rotation_scheme():
         # rows: T[k - 1, k] = -1 for odd k, T[k, k] = 0, T[k + 1, k] = 1 for even k
         return np.stack([-1.0 * odd, 0.0 * odd, 1.0 - odd])
 
-    return RecurrenceScheme(
-        name="rotation", params={}, down_band=1, band_fn=band
-    )
+    return RecurrenceScheme(name="rotation", down_band=1, band_fn=band)
+
+
+def monic_gue():
+    """GUE in monic form, T[k - 1, k] = k / N and T[k + 1, k] = 1: a
+    diagonal similarity of the gue band that is not symmetric."""
+
+    def band(N, start, stop):
+        k = np.arange(start, stop)
+        return np.stack([k / N, 0.0 * k, np.ones(len(k))])
+
+    return RecurrenceScheme(name="monic-gue", down_band=1, band_fn=band)
+
+
+def test_route_is_read_off_the_band():
+    # the same eigenvalues; only the symmetric band takes the tridiagonal solver
+    sym = spectrum(build_truncation(GUE, 40, 0))
+    monic = spectrum(build_truncation(monic_gue(), 40, 0))
+    assert (sym.route, monic.route) == ("tridiagonal", "sign-scan")
+    assert np.abs(sym.points - monic.points).max() <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", [MH, ML, MH3, GUE], ids=["mh2", "ml2", "mh3", "gue"])
+def test_padded_truncation_gives_the_block_spectrum(scheme):
+    # only the N-block enters: T[N, N - 1] and the columns past N are cut
+    block = build_truncation(scheme, 60, 0)
+    padded = build_truncation(scheme, 60, 3)
+    assert padded.dim == 63 and padded.matrix[-1, 59] != 0.0
+    got, want = spectrum(padded), spectrum(block)
+    assert got.route == want.route and got.certified
+    assert np.array_equal(got.points, want.points)
+    for z in (0.3, -1.7 + 0.2j):
+        assert charpoly_eval(padded, z) == charpoly_eval(block, z)
 
 
 def test_gue_two_point_spectrum():
@@ -220,10 +250,7 @@ def test_charpoly_unscales_in_range_values_past_two_to_1024():
         off = np.full(len(k), 1e-3)
         return np.stack([off, np.where(k < 160, 100.0, 0.01), off])
 
-    scheme = RecurrenceScheme(
-        name="step-diagonal", params={}, down_band=1,
-        band_fn=band, symmetric=True,
-    )
+    scheme = RecurrenceScheme(name="step-diagonal", down_band=1, band_fn=band)
     op = build_truncation(scheme, 220, 0)
     val = charpoly_eval(op, 0.0)
     sign, log_abs = np.linalg.slogdet(-op.block())
@@ -304,7 +331,7 @@ def test_balanced_estimates_stay_in_range_on_long_blocks(n):
         width = stop - start
         return np.stack([np.full(width, 1e-6), np.zeros(width), np.full(width, -1.0)])
 
-    scheme = RecurrenceScheme(name="skew", params={}, down_band=1, band_fn=band)
+    scheme = RecurrenceScheme(name="skew", down_band=1, band_fn=band)
     measure = spectrum(build_truncation(scheme, n, 0))
     assert measure.route == "aberth"
     exact = 2e-3 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
@@ -374,7 +401,7 @@ def reference_charpoly(op, zs, shifted=None):
 
 
 def assert_charpoly_matches_reference(op, zs, shifted=None):
-    got = zeros_mod._charpoly(zeros_mod._minors(op), zs)
+    got = zeros_mod._charpoly(zeros_mod._minors(op.matrix[:, : op.N]), zs)
     ref = reference_charpoly(op, zs, shifted)
     for name, g, r in zip(("p", "dp", "exponent"), got, ref):
         assert g.dtype == r.dtype and np.array_equal(g, r), name
@@ -384,7 +411,7 @@ def assert_charpoly_matches_reference(op, zs, shifted=None):
 @pytest.mark.parametrize("n", [30, 120, 420])
 def test_charpoly_matches_reference_bitwise(scheme, n):
     op = build_truncation(scheme, n, 0)
-    lo, hi = zeros_mod._gershgorin_interval(op)
+    lo, hi = zeros_mod._gershgorin_interval(op.matrix)
     # z = T[0, 0] makes the first new minor exactly 0
     grid = np.append(np.linspace(lo, hi, 257), op.matrix[scheme.down_band, 0])
     assert_charpoly_matches_reference(op, grid)
@@ -402,7 +429,7 @@ def test_charpoly_matches_reference_across_both_rescales():
         diag = np.where(k == 0, 0.0, np.where(k < 200, 1e3, 1e-3))
         return np.stack([0.5 * one, -0.25 * one, diag, 1e-3 * one])
 
-    scheme = RecurrenceScheme(name="two-phase", params={}, down_band=2, band_fn=band)
+    scheme = RecurrenceScheme(name="two-phase", down_band=2, band_fn=band)
     op = build_truncation(scheme, 600, 0)
     shifted = set()
     zs = np.array([0.0, 0.25, -0.5, 1e-3, 7.0])
