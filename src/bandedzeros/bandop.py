@@ -2,12 +2,14 @@
 
 For a scheme of lower band width R = down_band the operator is stored
 as its band (``RecurrenceScheme.band``): an array of R + 2 rows with
-T[m, k] in row R + m - k of column k (one superdiagonal), truncated to
-indices < N + ell_max.  That padding makes every trace below exact: a
-product of ell band steps starting below index N never reaches the
-boundary of the storage, so the truncated powers agree with the
-infinite operator wherever they are read.  Powers of T are products of
-bands, never N x N arrays.
+T[m, k] in row R + m - k of column k (one superdiagonal).
+``build_truncation`` truncates it to indices < N + ell_max.
+``mean_moment`` reads the truncation padded by ell: a product of ell
+band steps starting below index N never reaches the boundary of the
+storage, so the truncated powers agree with the infinite operator
+wherever they are read.  ``zero_moment_trace`` reads the N-block, and
+``trace_table`` and ``variance_moment`` read the N-block and windows
+(below).  Powers of T are products of bands, never N x N arrays.
 
 Statistics (all per the projection pi_N onto indices < N):
 
@@ -193,11 +195,7 @@ def gap_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     """
     if ell < 1:
         raise SchemeError("need ell >= 1")
-    return _gap_bound(N, ell, _peak(scheme, N, ell))
-
-
-def _gap_bound(N: int, ell: int, peak: float) -> float:
-    return (2 * ell) ** ell / N * peak**ell
+    return _bound(N, ell, _peak(scheme, N, ell), 1)
 
 
 def variance_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
@@ -208,11 +206,16 @@ def variance_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     """
     if ell < 1:
         raise SchemeError("need ell >= 1")
-    return _variance_bound(N, ell, _peak(scheme, N, 2 * ell))
+    return _bound(N, ell, _peak(scheme, N, 2 * ell), 2)
 
 
-def _variance_bound(N: int, ell: int, peak: float) -> float:
-    return (4 * ell) ** (2 * ell) / (N * N) * peak ** (2 * ell)
+def _bound(N: int, ell: int, peak: float, p: int) -> float:
+    """(2 p ell)^(p ell) / N^p times peak^(p ell): the gap bound for p = 1,
+    the variance bound for p = 2."""
+    bound = (2 * p * ell) ** (p * ell) / N**p * peak ** (p * ell)
+    if not math.isfinite(bound):
+        raise OverflowError(f"{('gap', 'variance')[p - 1]} bound at N={N}, ell={ell}")
+    return bound
 
 
 def window_max(scheme: RecurrenceScheme, N: int, eps: float) -> float:
@@ -255,9 +258,9 @@ def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
                 mean,
                 zero,
                 abs(mean - zero),
-                _gap_bound(N, ell, peak[ell]),
+                _bound(N, ell, peak[ell], 1),
                 _crossing_sum(P, ell * r, N, start),
-                _variance_bound(N, ell, peak[2 * ell]),
+                _bound(N, ell, peak[2 * ell], 2),
             )
         )
     return rows

@@ -74,19 +74,83 @@ class MomentSequence:
         return [float(v) for v in self.values]
 
 
-def _arcsine_moment(alpha, beta, ell: int, two):
-    """l-th moment of the arcsine law of [alpha, beta], in the arithmetic
-    of ``two`` (2 as a Fraction or a float), elementwise for arrays of
-    endpoints.  With c = (alpha+beta)/2 and rho = (beta-alpha)/2,
-    m_l = sum_j C(l, 2j) C(2j, j) c^(l-2j) (rho/2)^(2j).
+def _arcsine_terms(ell: int) -> list:
+    """C(l, 2j) C(2j, j) for j = 0..l//2, each from the one before by the
+    exact ratio (l - 2j)(l - 2j - 1) / (j + 1)^2."""
+    terms = [1]
+    for j in range(ell // 2):
+        terms.append(terms[-1] * (ell - 2 * j) * (ell - 2 * j - 1) // (j + 1) ** 2)
+    return terms
+
+
+class _Powers:
+    """Rows x ** (step k), k = 0, 1, ..., each evaluated once, in a table
+    that doubles when full."""
+
+    def __init__(self, x, step: int):
+        self.x, self.step, self.count = x, step, 0
+        self.table = np.empty((1,) + np.shape(x))
+
+    def first(self, count: int) -> np.ndarray:
+        while len(self.table) < count:
+            self.table = np.concatenate([self.table, np.empty_like(self.table)])
+        for k in range(self.count, count):
+            self.table[k] = self.x ** (self.step * k)
+        self.count = max(self.count, count)
+        return self.table[:count]
+
+
+def _arcsine_log2(c, half_rho, ell: int, terms, j):
+    """log2 |C(l, 2j) C(2j, j) c^(l-2j) (rho/2)^(2j)| for the term indices
+    ``j``, a column against the laws of the arrays c and half_rho."""
+    with np.errstate(divide="ignore", over="ignore"):
+        # log2 of a zero c or rho/2 is -max, not -inf, so its power 0 has log2 0
+        log_c, log_h = (np.maximum(np.log2(np.abs(x)), -np.finfo(float).max) for x in (c, half_rho))
+        log2_terms = np.array([math.log2(terms[i]) for i in np.ravel(j)]).reshape(np.shape(j))
+        return log2_terms + (ell - 2 * j) * log_c + 2 * j * log_h
+
+
+def _arcsine_moment(c: _Powers, half_rho: _Powers, ell: int, weights) -> float:
+    """sum_i weights_i m_l over the arcsine laws of centres c.x and
+    half-widths rho = 2 half_rho.x (arrays, or one law and weight 1.0):
+    m_l = sum_j C(l, 2j) C(2j, j) c^(l-2j) (rho/2)^(2j), summed in order
+    of j in floats.  A term whose power of a nonzero c or rho/2 falls
+    below the normal range is taken in log space.  Where a binomial
+    product or a law's moment leaves the double range, every term is, and
+    the weighted sum is scaled by 2^-scale; ``OverflowError`` where the
+    sum leaves it too.
     """
-    c = (alpha + beta) / two
-    half_rho = (beta - alpha) / (two * two)
-    total = 0 * two
-    for j in range(ell // 2 + 1):
-        term = math.comb(ell, 2 * j) * math.comb(2 * j, j)
-        total += term * c ** (ell - 2 * j) * half_rho ** (2 * j)
-    return total
+    terms = _arcsine_terms(ell)
+    j = np.arange(len(terms)).reshape((-1,) + (1,) * np.ndim(c.x))  # laws after axis 0
+    # every term of a law has the sign of c^l
+    sign = np.where((ell % 2 == 1) & (c.x < 0), -1.0, 1.0)
+    try:
+        binomials = np.array([float(t) for t in terms]).reshape(j.shape)
+    except OverflowError:  # from l = 653 some C(l, 2j) C(2j, j) is
+        total = math.inf
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_pow, h_pow = c.first(ell + 1)[::-2], half_rho.first(len(terms))  # row j: term j
+            values = binomials * c_pow * h_pow
+            # a power of a nonzero c or rho/2 below the normal range has lost
+            # its digits, unless the other power is 0 from a zero base
+            tiny = np.finfo(float).tiny
+            lost = ((np.abs(c_pow) < tiny) & (c.x != 0)) | ((h_pow < tiny) & (half_rho.x != 0))
+            lost &= ~(((c_pow == 0) & (c.x == 0)) | ((h_pow == 0) & (half_rho.x == 0)))
+            rows = np.flatnonzero(lost.reshape(len(terms), -1).any(axis=1))
+            if rows.size:
+                redo = sign * np.exp2(_arcsine_log2(c.x, half_rho.x, ell, terms, j[rows]))
+                values[rows] = np.where(lost[rows], redo, values[rows])
+            # cumsum adds in order of j; + 0.0 turns a -0.0 total into 0.0
+            total = np.cumsum(values, axis=0)[-1] + 0.0
+    if np.isfinite(total).all():
+        return math.fsum(np.ravel(weights * total).tolist())
+    log2 = _arcsine_log2(c.x, half_rho.x, ell, terms, j) + np.log2(weights)
+    scale = math.floor(log2.max()) - 2 if log2.max() > -math.inf else 0
+    total = math.fsum(np.ravel(sign * np.exp2(log2 - scale).sum(axis=0)).tolist())
+    if math.frexp(total)[1] + scale > 1024:
+        raise OverflowError(f"arcsine moment of order {ell}")
+    return math.ldexp(total, scale)
 
 
 class ArcsineLaw:
@@ -109,18 +173,22 @@ class ArcsineLaw:
             alpha, beta = beta, alpha
         self.alpha = alpha
         self.beta = beta
+        two = Fraction(2) if _is_exact(alpha, beta) else 2.0
+        self._powers = _Powers((alpha + beta) / two, 1), _Powers((beta - alpha) / (two * two), 2)
 
     def moment(self, ell: int):
         """l-th moment via the binomial closed form (``_arcsine_moment``).
-        Exact (int/Fraction) when the endpoints are exact.
+        Exact (int/Fraction) when the endpoints are exact; a float moment
+        past the double range raises ``OverflowError``.
         """
         if ell < 0:
             raise ValueError("negative moment index")
-        exact = _is_exact(self.alpha, self.beta)
-        total = _arcsine_moment(self.alpha, self.beta, ell, Fraction(2) if exact else 2.0)
-        if exact and total.denominator == 1:
-            return int(total)
-        return total
+        c, half_rho = self._powers
+        if not _is_exact(c.x):
+            return _arcsine_moment(c, half_rho, ell, 1.0)
+        terms = _arcsine_terms(ell)
+        total = sum(t * c.x ** (ell - 2 * j) * half_rho.x ** (2 * j) for j, t in enumerate(terms))
+        return int(total) if total.denominator == 1 else total
 
     def density(self, x) -> float:
         if self.alpha == self.beta:
@@ -281,13 +349,15 @@ class ArcsineMixture:
             raise ValueError("endpoints must be finite")
         # per-node ArcsineLaw endpoints, stored sorted
         self._alpha, self._beta = np.minimum(lo, hi), np.maximum(lo, hi)
+        c, half_rho = (self._alpha + self._beta) / 2.0, (self._beta - self._alpha) / 4.0
+        self._powers = _Powers(c, 1), _Powers(half_rho, 2)
 
     def moment(self, ell: int) -> float:
-        """Weighted sum of ``ArcsineLaw.moment`` over the nodes."""
+        """Weighted sum of ``ArcsineLaw.moment`` over the nodes; raises
+        ``OverflowError`` past the double range."""
         if ell < 0:
             raise ValueError("negative moment index")
-        total = _arcsine_moment(self._alpha, self._beta, ell, 2.0)
-        return math.fsum((self._weights * total).tolist())
+        return _arcsine_moment(*self._powers, ell, self._weights)
 
     def density(self, x) -> float:
         """Weighted sum of ``ArcsineLaw.density`` over the nodes."""

@@ -90,13 +90,11 @@ class MultiIndexPath:
     other coordinate e (the run before d's first step is shorter).  For
     r = 2 and for equal ratios, R = ceil(1 / min q).
 
-    ``steps`` gives a fixed path in place of the merge, with the same R
-    (never below ceil(1 / min q)).  Steps are materialised on demand, at
-    least twice as many as held, and a coordinate left unstepped for R
-    steps raises ``SchemeError``.
+    Steps are materialised on demand, at least twice as many as held,
+    and each batch is checked against R.
     """
 
-    def __init__(self, ratios, steps=None):
+    def __init__(self, ratios):
         ratios = tuple(ratios)
         if not ratios:
             raise SchemeError("need at least one ratio")
@@ -114,9 +112,6 @@ class MultiIndexPath:
         den = math.lcm(*(x.denominator for x in q))
         a = [int(x * den) for x in q]
         self._scale = [math.lcm(*a) // ad for ad in a]
-        self._fixed = None if steps is None else np.array(list(steps), dtype=np.int64)
-        if self._fixed is not None and ((self._fixed < 0) | (self._fixed >= self.r)).any():
-            raise SchemeError(f"step direction out of range in {list(steps)}")
         self._steps = np.zeros(0, dtype=np.int64)  # i_k for materialised k
         self._prefixes = np.zeros((1, self.r), dtype=np.int64)  # n^(k), k <= len(_steps)
 
@@ -124,23 +119,18 @@ class MultiIndexPath:
         if count <= len(self._steps):
             return
         length = max(count, 2 * len(self._steps))
-        if self._fixed is None:
-            # step ``length`` comes by time length + r/2, when d has stepped
-            # at most q_d (length + r/2) + 1/2 times
-            counts = [int(float(q) * (length + self.r)) + 2 for q in self.ratios]
-            big = max((2 * c - 1) * s for c, s in zip(counts, self._scale)) >= 2**63
-            keys = [
-                (2 * np.arange(c).astype(object if big else np.int64) + 1) * s
-                for c, s in zip(counts, self._scale)
-            ]
-            # the stable sort keeps the lower coordinate first on equal keys
-            order = np.argsort(np.concatenate(keys), kind="stable")[:length]
-            steps = np.repeat(np.arange(self.r), counts)[order]
-            assert (np.bincount(steps, minlength=self.r) < counts).all(), "merge ran short"
-        elif count > len(self._fixed):
-            raise SchemeError(f"fixed path exhausted at step {len(self._fixed)}")
-        else:
-            steps = self._fixed[:length]
+        # step ``length`` comes by time length + r/2, when d has stepped at
+        # most q_d (length + r/2) + 1/2 times
+        counts = [int(float(q) * (length + self.r)) + 2 for q in self.ratios]
+        big = max((2 * c - 1) * s for c, s in zip(counts, self._scale)) >= 2**63
+        keys = [
+            (2 * np.arange(c).astype(object if big else np.int64) + 1) * s
+            for c, s in zip(counts, self._scale)
+        ]
+        # the stable sort keeps the lower coordinate first on equal keys
+        order = np.argsort(np.concatenate(keys), kind="stable")[:length]
+        steps = np.repeat(np.arange(self.r), counts)[order]
+        assert (np.bincount(steps, minlength=self.r) < counts).all(), "merge ran short"
         prefixes = np.zeros((len(steps) + 1, self.r), dtype=np.int64)
         np.cumsum(np.eye(self.r, dtype=np.int64)[steps], axis=0, out=prefixes[1:])
         # n^(k+R) > n^(k) in every coordinate: no R steps without d
@@ -280,20 +270,10 @@ def banded_entries(path: MultiIndexPath, coeff_fn, k: int, N: int):
     return [(m, column[path.R + m - k]) for m in range(k + 1, max(0, k - path.R) - 1, -1)]
 
 
-def _validate_locations(kind: str, a, q):
-    a = tuple(float(x) for x in a)
-    q = tuple(float(x) for x in q)
-    if len(a) != len(q):
-        raise SchemeError(f"{kind}: need as many locations as ratios")
-    if len(set(a)) != len(a):
-        raise SchemeError(f"{kind}: locations must be distinct, got {a}")
-    return a, q
-
-
-def mop_scheme(
-    kind: str, a, q, alpha=None, path: MultiIndexPath = None
-) -> RecurrenceScheme:
-    """Banded scheme for a multi-index family flattened along a path.
+def mop_scheme(kind: str, a, q, alpha=None) -> RecurrenceScheme:
+    """Banded scheme for a multi-index family flattened along the merge
+    ``MultiIndexPath(q)``, on q as given: exact ratios walk the exact
+    merge, the path ``sampler.realize_diagonal`` uses for its source.
 
     Parameters
     ----------
@@ -302,15 +282,13 @@ def mop_scheme(
         weights); pairwise distinct.
     q : coordinate ratios, positive, summing to 1.
     alpha : exponent parameter, multiple-laguerre only (>= 0).
-    path : MultiIndexPath, optional
-        Defaults to ``MultiIndexPath(q)``, on q as given.
     """
-    q = tuple(q)
-    if path is None:
-        # the ratios as given: exact ones walk the exact merge, as the
-        # sampler's source diagonal does
-        path = MultiIndexPath(q)
-    a, q = _validate_locations(kind, a, q)
+    path = MultiIndexPath(tuple(q))
+    a = tuple(float(x) for x in a)
+    if len(a) != path.r:
+        raise SchemeError(f"{kind}: need as many locations as ratios")
+    if len(set(a)) != len(a):
+        raise SchemeError(f"{kind}: locations must be distinct, got {a}")
     if kind == "multiple-hermite":
         if alpha is not None:
             raise SchemeError("multiple-hermite takes no alpha")
@@ -326,18 +304,19 @@ def mop_scheme(
         coeff_fn = laguerre_coeff_fn(alpha, a)
     else:
         raise SchemeError(f"unknown multi-index kind {kind!r}")
-    if path.r != len(q):
-        raise SchemeError("path dimension does not match ratios")
-    cached = {}  # N -> (first column, band of the widest window computed)
+    # (N, first column, band) of the widest window asked for at the last N
+    # requested; a request at another N replaces it
+    cached = (None, 0, np.zeros((path.R + 2, 0)))
 
     def band_fn(N, start, stop):
-        first, band = cached.get(N, (0, np.zeros((path.R + 2, 0))))
-        if first <= start <= stop <= first + band.shape[1]:
+        nonlocal cached
+        at, first, band = cached
+        if at == N and first <= start <= stop <= first + band.shape[1]:
             return band[:, start - first : stop - first]
         window = _cascade(path, coeff_fn, N, start, stop)
         window.setflags(write=False)
-        if stop - start > band.shape[1]:
-            cached[N] = start, window
+        if at != N or stop - start > band.shape[1]:
+            cached = N, start, window
         return window
 
     return RecurrenceScheme(name=kind, down_band=path.R, band_fn=band_fn)

@@ -126,8 +126,9 @@ def _gue():
 
 
 def _wishart(alpha):
-    if not alpha > -1:
-        raise SchemeError(f"wishart needs alpha > -1, got {alpha}")
+    # a_k^2 = (k/N)(k/N + alpha) < 0 at k = 1 once N > -1/alpha
+    if not alpha >= 0:
+        raise SchemeError(f"wishart needs alpha >= 0, got {alpha}")
     al = float(alpha)
 
     def a(k, N):
@@ -220,7 +221,7 @@ CLASSICAL_ENSEMBLES = {
 def classical_scheme(name: str, **params) -> RecurrenceScheme:
     """Build a classical orthonormal scheme by name.
 
-    Names and parameters: gue (none), wishart (alpha > -1),
+    Names and parameters: gue (none), wishart (alpha >= 0),
     jacobi (alpha, beta > 0), charlier (alpha > 0),
     meixner (0 < alpha < 1, beta > 0).
     """

@@ -345,8 +345,12 @@ def mc_moments(spec: MatrixModelSpec, L: int, samples: int, seed: int):
     """
     if samples < 2:
         raise ConfigError("need at least 2 samples")
-    batch = empirical_batch(spec, L, samples, seed)
-    mean = batch.table.mean(axis=0)
-    var = batch.table.var(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = empirical_batch(spec, L, samples, seed)
+        mean = batch.table.mean(axis=0)
+        var = batch.table.var(axis=0, ddof=1)
+    outside = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(var)))
+    if outside.size:
+        raise OverflowError(f"Monte-Carlo moment of order {outside[0]}")
     se = np.sqrt(var / samples)
     return MomentSequence(tuple(mean)), var.tolist(), se.tolist()

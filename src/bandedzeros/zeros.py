@@ -438,8 +438,11 @@ def zero_moments(measure: SpectralMeasure, ell_max: int):
     powers = np.ones(n, dtype=complex)
     moments = [1.0]
     residuals = [0.0]
-    for _ in range(ell_max):
-        powers = powers * measure.points
+    for ell in range(1, ell_max + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = powers * measure.points
+        if not np.isfinite(powers).all():
+            raise OverflowError(f"zero moment of order {ell}")
         moments.append(math.fsum(powers.real.tolist()) / n)
         residuals.append(abs(math.fsum(powers.imag.tolist())) / n)
     return MomentSequence(tuple(moments)), residuals

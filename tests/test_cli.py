@@ -594,18 +594,39 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
         "variance-sweep --scheme gue --n 5,10 --moments 80",
         "kva --scheme gue --moments 2000",
         "curve --kind laguerre --q 1/2,1/2 --a 1,2 --alpha 1 --moments 160",
+        "traces --scheme wishart --alpha 1 --n 10 --moments 45",
+        "variance-sweep --scheme wishart --alpha 1 --n 10,20 --moments 60",
+        "kva --scheme wishart --alpha 1 --moments 500",
+        "zeros --scheme wishart --alpha 1 --n 50 --moments 500 --format json",
+        "sample --model wishart --alpha 1 --n 20 --samples 3 --moments 500",
     ],
-    ids=["traces", "variance-sweep", "kva", "curve"],
+    ids=["traces", "variance-sweep", "kva", "curve", "traces-bound-product",
+         "variance-sweep-bound-product", "kva-mixture", "zeros-moments", "sample-moments"],
 )
 def test_results_past_the_double_range_exit_3(argv, tmp_path, capsys):
-    # the bounds' (2 ell)^ell / N, the arcsine moments' binomials and the
-    # contour's rho^(ell + 1) leave the double range at these orders
+    # the bounds' (2 ell)^ell / N or their product with the window peak,
+    # the arcsine mixture moments, the contour's rho^(ell + 1) and the
+    # zero and sample moments leave the double range at these orders
     out = tmp_path / "x.out"
     assert cli.main([*shlex.split(argv), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: result outside the double range: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_wishart_refuses_a_negative_alpha(tmp_path, capsys):
+    # with alpha < 0 the squared coefficient (k/N)(k/N + alpha) is negative
+    # at k = 1 once N > -1/alpha: refused when the scheme is built
+    out = tmp_path / "w.csv"
+    for argv in ("traces --scheme wishart --alpha -0.5 --n 5 --moments 2",
+                 "kva --scheme wishart --alpha -0.5 --moments 3"):
+        assert cli.main([*shlex.split(argv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: wishart needs alpha >= 0, got -0.5\n"
+        assert not out.exists()
+    for argv in ("traces --scheme wishart --alpha 0 --n 5 --moments 2",
+                 "kva --scheme wishart --alpha 0 --moments 3"):
+        assert cli.main([*shlex.split(argv), "--out", str(out)]) == 0
 
 
 def test_numbers_beyond_double_range_are_refused(tmp_path, capsys):

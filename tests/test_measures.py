@@ -238,3 +238,72 @@ def test_mixture_density_integrates_to_one():
     mix = ArcsineMixture(lambda s: math.sqrt(s), lambda s: 0.0, order=120)
     val, _ = integrate.quad(mix.density, -2.0, 2.0, limit=300)
     assert val == pytest.approx(1.0, abs=5e-3)
+
+
+def mixture_reference(mix, ell):
+    """A mixture's moment as a 60-digit sum over the same nodes and
+    endpoints."""
+    mpmath = pytest.importorskip("mpmath")
+    terms = [math.comb(ell, 2 * j) * math.comb(2 * j, j) for j in range(ell // 2 + 1)]
+    with mpmath.workdps(60):
+        total = mpmath.mpf(0)
+        for lo, hi, w in zip(mix._alpha.tolist(), mix._beta.tolist(), mix._weights.tolist()):
+            c, half_rho = (mpmath.mpf(lo) + hi) / 2, (mpmath.mpf(hi) - lo) / 4
+            node = mpmath.fsum(
+                t * c ** (ell - 2 * j) * half_rho ** (2 * j)
+                for j, t in enumerate(terms)
+                if c != 0 or 2 * j == ell
+            )
+            total += w * node
+        return total
+
+
+@pytest.mark.parametrize(
+    "name, params, ell",
+    [
+        ("jacobi", CLASSICAL_PROFILES["jacobi"], 700),
+        ("jacobi", CLASSICAL_PROFILES["jacobi"], 1000),
+        ("gue", {}, 700),
+        ("gue", {}, 1000),
+        ("wishart", CLASSICAL_PROFILES["wishart"], 405),
+        ("jacobi", {"alpha": 10.0, "beta": 10.0}, 500),
+    ],
+    ids=["jacobi-700", "jacobi-1000", "gue-700", "gue-1000", "wishart-405", "narrow-jacobi-500"],
+)
+def test_high_order_mixture_moments_match_a_60_digit_sum(name, params, ell):
+    # from ell = 653 some C(l, 2j) C(2j, j) pass the double range; by
+    # ell = 1000 jacobi's (rho/2)^l falls below it, and by ell = 500 the
+    # narrow jacobi profile's does for every node; at ell = 405 wishart's
+    # largest node moments pass it while their weighted sum does not
+    mix = ArcsineMixture(*kva_functions(name, **params))
+    got, ref = mix.moment(ell), mixture_reference(mix, ell)
+    assert math.isfinite(got) and got != 0
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_float_moments_keep_the_closed_form_bits():
+    # values of the plain float sum over j, at orders where it stays in range
+    pins = [
+        ("gue", 600, "0x1.c5b55e7505958p+586"),
+        ("wishart", 404, "0x1.1619bbc1b049ep+1014"),
+        ("charlier", 401, "0x1.258079691d83bp+789"),
+        ("meixner", 314, "0x1.3a22a89beb5c7p+1014"),
+    ]
+    for name, ell, value in pins:
+        mix = ArcsineMixture(*kva_functions(name, **CLASSICAL_PROFILES[name]))
+        assert mix.moment(ell) == float.fromhex(value), name
+
+
+def test_arcsine_moment_past_the_binomials_double_range():
+    # C(800, 400) / 2^800: every C(800, 2j) C(2j, j) with j near 200 is
+    # past the double range, but only the term j = 400 is not 0
+    exact = float(ArcsineLaw(-1, 1).moment(800))
+    assert abs(ArcsineLaw(-1.0, 1.0).moment(800) - exact) <= 1e-13 * exact
+
+
+def test_float_moments_past_the_double_range_raise():
+    mix = ArcsineMixture(*kva_functions("wishart", alpha=1.0))
+    with pytest.raises(OverflowError, match="order 408"):
+        mix.moment(408)
+    with pytest.raises(OverflowError):
+        ArcsineLaw(0.5, 4.0).moment(600)

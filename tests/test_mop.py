@@ -167,14 +167,6 @@ def test_band_wider_than_the_longest_run_adds_a_zero_row():
         assert dict(banded_entries(path, hermite_coeff_fn(a_vec), k, 40))[k - 6] == 0
 
 
-def test_round_robin_path_rows_match_oracle():
-    # same weights, different admissible path: the expansion must track
-    # the path's own polynomial sequence
-    path = MultiIndexPath(HALF, steps=[1, 0] * 8)
-    moments = [gaussian_moments(a, 5, 20) for a in HERMITE_A]
-    check_rows_against_oracle(path, hermite_coeff_fn(HERMITE_A), moments, 5, 5)
-
-
 @pytest.mark.parametrize(
     "maker,args",
     [
@@ -220,9 +212,10 @@ def test_index_exchange_relation(maker, args):
 )
 def test_float_band_matches_exact_cascade(kind, a, q, alpha):
     # the float band and the Fraction expansion come from the same
-    # cascade in two dtypes; they agree to rounding along the same path
+    # cascade in two dtypes; they agree to rounding along the same path,
+    # the merge the scheme walks
     path = MultiIndexPath(q)
-    scheme = mop_scheme(kind, a, q, alpha=alpha, path=path)
+    scheme = mop_scheme(kind, a, q, alpha=alpha)
     exact_a = tuple(Fraction(x) for x in a)
     if alpha is None:
         exact_fn = hermite_coeff_fn(exact_a)
@@ -365,18 +358,6 @@ def test_bad_ratios_rejected():
         MultiIndexPath(())
 
 
-def test_fixed_path_validation():
-    with pytest.raises(SchemeError):
-        MultiIndexPath(HALF, steps=[0, 2])
-    short = MultiIndexPath(HALF, steps=[0, 1])
-    with pytest.raises(SchemeError):
-        short.index(3)
-    # a path that starves a coordinate violates the refresh bound
-    starved = MultiIndexPath(HALF, steps=[0, 0, 0, 1])
-    with pytest.raises(SchemeError):
-        starved.index(3)
-
-
 # ---------------------------------------------------------------------------
 # assembled schemes
 
@@ -405,20 +386,6 @@ def test_hermite_mean_ell2_near_free_limit():
     assert abs(mean_moment(scheme, 40, 2) - 2.0) < 0.05
 
 
-def test_path_choice_does_not_move_the_moments():
-    merged = mop_scheme("multiple-hermite", (1, -1), (0.5, 0.5))
-    flipped = mop_scheme(
-        "multiple-hermite",
-        (1, -1),
-        (0.5, 0.5),
-        path=MultiIndexPath(HALF, steps=[1, 0] * 32),
-    )
-    m_merged = mean_moment(merged, 40, 2)
-    m_flipped = mean_moment(flipped, 40, 2)
-    assert abs(m_merged - m_flipped) < 0.02
-    assert abs(m_flipped - 2.0) < 0.05
-
-
 def test_trace_table_keeps_the_full_band(monkeypatch):
     # trace_table asks for a window around N, on indices <= N + 2 L, and
     # for the N-block; the block, the wider, stays cached, so the zero
@@ -437,6 +404,27 @@ def test_trace_table_keeps_the_full_band(monkeypatch):
     computed.clear()
     zero_moment_trace(scheme, 200, 6)
     assert computed == []
+
+
+def test_a_sweep_over_n_keeps_one_window(monkeypatch):
+    # the scheme caches the widest window of the last N asked for: a
+    # second N replaces the first, so only the last N is served again
+    computed = []
+    cascade = mop._cascade
+
+    def counting(path, coeff_fn, N, start, stop):
+        computed.append((N, start, stop))
+        return cascade(path, coeff_fn, N, start, stop)
+
+    monkeypatch.setattr(mop, "_cascade", counting)
+    scheme = mop_scheme("multiple-hermite", (1, -1), (0.5, 0.5))
+    trace_table(scheme, 200, 6)
+    trace_table(scheme, 300, 6)
+    computed.clear()
+    zero_moment_trace(scheme, 300, 6)
+    assert computed == []
+    zero_moment_trace(scheme, 200, 6)
+    assert computed == [(200, 0, 200)]
 
 
 def test_laguerre_mean_ell1_regression():
@@ -465,6 +453,4 @@ def test_scheme_validation():
         mop_scheme("multiple-laguerre", (1, 2), (0.5, 0.5), alpha=-0.5)
     with pytest.raises(SchemeError):
         mop_scheme("multiple-jacobi", (1, 2), (0.5, 0.5))
-    with pytest.raises(SchemeError):
-        mop_scheme("multiple-hermite", (1, -1), (0.5, 0.5), path=MultiIndexPath((1.0,)))
 

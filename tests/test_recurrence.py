@@ -137,9 +137,9 @@ def test_band_start_selects_columns(monkeypatch):
             # a fresh scheme, so no column is served from an earlier call
             assert np.array_equal(make().band(20, 30, start), full[:, start:])
 
-    # one reused multi-index scheme keeps its widest window per N:
-    # requests inside it are slices (hits), others are computed and
-    # replace it only when wider
+    # one reused multi-index scheme keeps one window, the widest asked
+    # for at the last N: requests inside it are slices (hits), others are
+    # computed and replace it when wider or at another N
     computed = []
     cascade = mop._cascade
 
@@ -159,9 +159,11 @@ def test_band_start_selects_columns(monkeypatch):
         ((20, 30, 35), True),
         ((20, 0, 40), True),  # wider: replaces the window
         ((20, 10, 35), False),
-        ((21, 0, 25), True),  # another N has its own window
-        ((20, 3, 9), False),
-        ((21, 24, 25), False),
+        ((21, 0, 25), True),  # another N: replaces the window
+        ((20, 3, 9), True),  # back at N = 20: replaces it again
+        ((20, 4, 8), False),
+        ((21, 10, 25), True),
+        ((21, 12, 20), False),
     ]
     for (N, start, stop), miss in requests:
         before = len(computed)
@@ -191,6 +193,9 @@ def test_parameter_validation():
         classical_scheme("meixner", alpha=1.5, beta=1.0)
     with pytest.raises(SchemeError):
         classical_scheme("charlier", alpha=-1.0)
+    # a_1^2 = (1/N)(1/N + alpha) < 0 once N > -1/alpha
+    with pytest.raises(SchemeError, match="wishart needs alpha >= 0"):
+        classical_scheme("wishart", alpha=-0.5)
     with pytest.raises(SchemeError):
         classical_scheme("unknown-ensemble")
 
