@@ -506,7 +506,11 @@ def _contour_moments(curve: AlgebraicCurve, rho: float, ell_max: int):
     ws = np.array([solve_G(curve, z) for z in zs])
     moments = []
     for ell in range(ell_max + 1):
-        vals = rho ** (ell + 1) * np.exp(1j * (ell + 1) * thetas) * ws
+        try:
+            radius = rho ** (ell + 1)
+        except OverflowError:
+            raise OverflowError(f"curve moment of order {ell} at contour radius {rho:g}") from None
+        vals = radius * np.exp(1j * (ell + 1) * thetas) * ws
         moments.append(complex(np.mean(vals)))
     return moments
 

@@ -49,12 +49,20 @@ sample needs an eigensolve.  The band models take their powers from
 ``bandop``'s band products over a block of samples at once (each band
 array of a block holds at most 2^16 doubles), so a sample costs 2N - 1
 draws and O(N L^2) arithmetic and never forms an N x N array.  At
-N = 50, L = 2 on a 2-vCPU VM a gue sample takes 13 us against 87 us
-dense, a wishart (alpha = 1) sample 18 us against 330 us; at N = 1e5,
+N = 50, L = 2 on a 2-vCPU VM a gue sample takes 11 us against 54 us
+dense, a wishart (alpha = 1) sample 17 us against 260 us; at N = 1e5,
 100 gue samples at L = 4 take 2.0 s and 51 MB of peak memory, where one
-dense complex sample would need 160 GB.  The dense models pay ceil(L/2) - 1
-matrix products per sample (0.6 ms at N = 200, L = 4, against 4.2 ms
-for a dense eigvalsh; eigenvalues are cheaper only from L near 14).
+dense complex sample would need 160 GB.  A batch of gue_source or
+wishart_cov samples draws each one into the same buffers, allocated
+once per batch (the draws, H, wishart_cov's conjugate factor and at
+most two powers), with the arithmetic of a sample built from fresh
+arrays, so every sample has the bytes it has when drawn alone.  A
+gue_source sample pays ceil(L/2) - 1 N x N matrix products and a
+wishart_cov sample one more, for G G*.  At N = 200 on the same VM a
+product takes 0.55 ms (G G* 1.2 ms at alpha = 1) and the normals of a
+sample 0.58 ms (gue_source) or 2.3 ms (wishart_cov, alpha = 1), so a
+sample at L = 4 takes 1.3 or 4.5 ms, against 3.9 ms for a dense
+eigvalsh alone; eigenvalues are cheaper only from L near 16.
 ``sample_spectrum``, the eigenvalue route, hands a band sample to
 scipy's symmetric tridiagonal eigensolver, imported on first use, so it
 sees the same matrices from the same draws and builds no N x N array.
@@ -63,7 +71,6 @@ The moment route loads no scipy.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -210,36 +217,61 @@ def _sample_bands(spec: MatrixModelSpec, rngs, count: int) -> np.ndarray:
     return bands
 
 
-@functools.lru_cache(maxsize=8)
-def _upper(N: int) -> tuple:
-    """Strict-upper index pair of an N x N matrix, shared by all samples.
+def _dense_sampler(spec: MatrixModelSpec):
+    """A function rng -> H that draws a gue_source or wishart_cov sample
+    from ``rng`` into one N x N buffer, overwritten by the next call.
 
-    The pair takes about 8 N^2 bytes, half a complex N x N sample, so
-    only a few sizes are kept.
+    The buffers, and gue_source's flat indices of the strict upper and
+    lower triangles, are allocated once; each call draws into them with
+    the divisions, multiplications and products of a sample built from
+    fresh arrays, so it returns the same bytes.
     """
-    iu = np.triu_indices(N, k=1)
-    for index in iu:
-        index.setflags(write=False)
-    return iu
+    N = spec.N
+    H = np.empty((N, N), dtype=complex)
+    if spec.kind == "gue_source":
+        diagonal = np.empty(N)
+        # the strict upper triangle, row by row, as (re, im) draw pairs
+        off = np.empty(N * (N - 1) // 2, dtype=complex)
+        off_parts = off.view(float)
+        rows, cols = np.triu_indices(N, k=1)
+        upper = rows * N + cols
+        lower = cols * N + rows
+        flat = H.reshape(-1)
+        on_diagonal = flat[:: N + 1]
+
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            rng.standard_normal(out=diagonal)
+            rng.standard_normal(out=off_parts)
+            np.divide(off_parts, math.sqrt(2.0 * N), out=off_parts)
+            flat[upper] = off
+            np.conjugate(off, out=off)
+            flat[lower] = off
+            np.divide(diagonal, math.sqrt(N), out=diagonal)
+            np.add(diagonal, spec.source, out=diagonal)
+            on_diagonal[...] = diagonal
+            return H
+
+        return draw
+    # A^(1/2) W A^(1/2) with W = (1/N) G G* and G = (g' + i g'') / sqrt(2)
+    # scales row i of G by sqrt(a_i)
+    draws = np.empty((N, 2 * spec.columns))
+    scale = np.sqrt(spec.source)[:, None] / math.sqrt(2.0 * N)
+    G = draws.view(complex)
+    G_conj = np.empty_like(G)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        rng.standard_normal(out=draws)
+        np.multiply(draws, scale, out=draws)
+        np.conjugate(G, out=G_conj)
+        np.matmul(G, G_conj.T, out=H)
+        return H
+
+    return draw
 
 
 def _dense_sample(spec: MatrixModelSpec, rng: np.random.Generator) -> np.ndarray:
     """A gue_source or wishart_cov sample, drawn dense from ``rng``."""
-    N = spec.N
-    if spec.kind == "gue_source":
-        g = rng.standard_normal(N * N)
-        off = (g[N:] / math.sqrt(2.0 * N)).view(complex)
-        upper = _upper(N)
-        H = np.zeros((N, N), dtype=complex)
-        H[upper] = off
-        H[upper[::-1]] = off.conj()
-        H[np.diag_indices(N)] = g[:N] / math.sqrt(N) + spec.source
-        return H
-    # A^(1/2) W A^(1/2) with W = (1/N) G G* and G = (g' + i g'') / sqrt(2)
-    # scales row i of G by sqrt(a_i)
-    scale = np.sqrt(spec.source)[:, None] / math.sqrt(2.0 * N)
-    G = (rng.standard_normal(2 * N * spec.columns).reshape(N, -1) * scale).view(complex)
-    return G @ G.conj().T
+    return _dense_sampler(spec)(rng)
 
 
 def sample_spectrum(spec: MatrixModelSpec, seed: int) -> SpectralMeasure:
@@ -267,21 +299,31 @@ class EmpiricalBatch:
         return self.table.shape[1] - 1
 
 
-def _trace_moments(H: np.ndarray, L: int) -> np.ndarray:
+def _product_buffers(N: int, L: int) -> list:
+    """The N x N buffers ``_trace_moments`` needs for moments up to L:
+    none to L = 2, one to L = 4 and two, used in turn, from L = 5."""
+    return [np.empty((N, N), dtype=complex) for _ in range(min(2, max(0, (L - 1) // 2)))]
+
+
+def _trace_moments(H: np.ndarray, L: int, products: list = None) -> np.ndarray:
     """(1/N) Tr H^ell for ell = 0..L of a Hermitian N x N matrix H.
 
     P = H^k is Hermitian, so Tr H^(2k) = ||P||_F^2 and
     Tr H^(2k+1) = <P, P H> (np.vdot conjugates its first argument):
-    moment ell reads the powers up to ceil(ell/2), whatever L is.
+    moment ell reads the powers up to ceil(ell/2), whatever L is.  The
+    powers go to ``products`` from ``_product_buffers(N, L)``, or to
+    fresh ones.
     """
     N = H.shape[0]
+    if products is None:
+        products = _product_buffers(N, L)
     moments = np.ones(L + 1)
     if L >= 1:
         moments[1] = np.trace(H).real / N
     P = H
     for ell in range(2, L + 1):
         if ell % 2:
-            Q = P @ H
+            Q = np.matmul(P, H, out=products[(ell // 2 - 1) % 2])
             moments[ell] = np.vdot(P, Q).real / N
             P = Q
         else:
@@ -329,8 +371,10 @@ def empirical_batch(spec: MatrixModelSpec, L: int, samples: int, seed: int) -> E
             count = min(block, samples - start)
             table[start : start + count] = _band_moments(_sample_bands(spec, rngs, count), L)
     else:
+        draw = _dense_sampler(spec)
+        products = _product_buffers(spec.N, L)
         for j in range(samples):
-            table[j] = _trace_moments(_dense_sample(spec, next(rngs)), L)
+            table[j] = _trace_moments(draw(next(rngs)), L, products)
     table.setflags(write=False)
     return EmpiricalBatch(seed=seed, samples=samples, table=table)
 

@@ -588,29 +588,34 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, detail",
     [
-        "traces --scheme gue --n 5 --moments 150",
-        "variance-sweep --scheme gue --n 5,10 --moments 80",
-        "kva --scheme gue --moments 2000",
-        "curve --kind laguerre --q 1/2,1/2 --a 1,2 --alpha 1 --moments 160",
-        "traces --scheme wishart --alpha 1 --n 10 --moments 45",
-        "variance-sweep --scheme wishart --alpha 1 --n 10,20 --moments 60",
-        "kva --scheme wishart --alpha 1 --moments 500",
-        "zeros --scheme wishart --alpha 1 --n 50 --moments 500 --format json",
-        "sample --model wishart --alpha 1 --n 20 --samples 3 --moments 500",
+        ("traces --scheme gue --n 5 --moments 150", ""),
+        ("variance-sweep --scheme gue --n 5,10 --moments 80", ""),
+        ("kva --scheme gue --moments 2000", ""),
+        ("curve --kind laguerre --q 1/2,1/2 --a 1,2 --alpha 1 --moments 160",
+         "curve moment of order 155 at contour radius 96\n"),
+        ("curve --kind hermite --q 1/2,1/2 --a 1,-1 --moments 200",
+         "curve moment of order 170 at contour radius 64\n"),
+        ("traces --scheme wishart --alpha 1 --n 10 --moments 45", ""),
+        ("variance-sweep --scheme wishart --alpha 1 --n 10,20 --moments 60", ""),
+        ("kva --scheme wishart --alpha 1 --moments 500", ""),
+        ("zeros --scheme wishart --alpha 1 --n 50 --moments 500 --format json", ""),
+        ("sample --model wishart --alpha 1 --n 20 --samples 3 --moments 500", ""),
     ],
-    ids=["traces", "variance-sweep", "kva", "curve", "traces-bound-product",
+    ids=["traces", "variance-sweep", "kva", "curve", "curve-hermite", "traces-bound-product",
          "variance-sweep-bound-product", "kva-mixture", "zeros-moments", "sample-moments"],
 )
-def test_results_past_the_double_range_exit_3(argv, tmp_path, capsys):
+def test_results_past_the_double_range_exit_3(argv, detail, tmp_path, capsys):
     # the bounds' (2 ell)^ell / N or their product with the window peak,
     # the arcsine mixture moments, the contour's rho^(ell + 1) and the
-    # zero and sample moments leave the double range at these orders
+    # zero and sample moments leave the double range at these orders; a
+    # contour names the first order its radius cannot reach
     out = tmp_path / "x.out"
     assert cli.main([*shlex.split(argv), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: result outside the double range: ")
+    assert err.endswith(detail)
     assert err.count("\n") == 1
     assert not out.exists()
 

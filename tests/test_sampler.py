@@ -10,6 +10,7 @@ passes with overwhelming margin at the chosen seeds.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from bandedzeros import (
     variance_moment,
 )
 from bandedzeros import cli
-from bandedzeros.sampler import _dense_sample, _generators, _sample_bands
+from bandedzeros.sampler import _dense_sample, _generators, _sample_bands, _trace_moments
 
 GUE = classical_scheme("gue")
 KINDS = ("gue", "wishart", "gue_source", "wishart_cov")
@@ -171,6 +172,66 @@ def test_golden_band_stream(kind, seed, j, digest):
     assert band.tobytes() == _band4_by_hand(kind, seed, j).tobytes()
     assert hashlib.sha256(band.tobytes()).hexdigest() == digest
     assert _sample_matrix(spec, seed, j).tobytes() == _tridiagonal(band).tobytes()
+
+
+def _dense_from_fresh_arrays(spec, rng):
+    """A gue_source or wishart_cov sample assembled from fresh arrays."""
+    N = spec.N
+    if spec.kind == "gue_source":
+        g = rng.standard_normal(N * N)
+        off = (g[N:] / math.sqrt(2.0 * N)).view(complex)
+        upper = np.triu_indices(N, k=1)
+        H = np.zeros((N, N), dtype=complex)
+        H[upper] = off
+        H[upper[::-1]] = off.conj()
+        H[np.diag_indices(N)] = g[:N] / math.sqrt(N) + spec.source
+        return H
+    scale = np.sqrt(spec.source)[:, None] / math.sqrt(2.0 * N)
+    G = (rng.standard_normal(2 * N * spec.columns).reshape(N, -1) * scale).view(complex)
+    return G @ G.conj().T
+
+
+@pytest.mark.parametrize(
+    "kind, N, alpha",
+    [
+        (kind, N, alpha)
+        for kind, alphas in (("gue_source", (0.0,)), ("wishart_cov", (0.0, 0.5, 1.0)))
+        for N in (1, 2, 7, 40)
+        for alpha in alphas
+        if N * alpha == int(N * alpha)
+    ],
+)
+def test_reused_buffers_leak_nothing_between_samples(kind, N, alpha):
+    # a batch draws every dense sample into the same buffers; row j must
+    # be the moments of sample j drawn alone, from a fresh generator, and
+    # that sample the one assembled from fresh arrays
+    spec = source_spec(kind, N, (0.5, 0.5), (1.0, 0.5), alpha=alpha)
+    seed = 2**63 + 5
+
+    def fresh(j):
+        return np.random.Generator(np.random.Philox(key=seed + (j << 64)))
+
+    for L in (0, 2, 3, 4, 8):
+        table = empirical_batch(spec, L, 6, seed).table
+        for j, row in enumerate(table):
+            H = _dense_sample(spec, fresh(j))
+            assert H.tobytes() == _dense_from_fresh_arrays(spec, fresh(j)).tobytes(), (L, j)
+            assert row.tobytes() == _trace_moments(H, L).tobytes(), (L, j)
+
+
+def test_dense_batch_keeps_no_memory():
+    # the batch owns its buffers and indices: nothing of an N = 1500
+    # sample (a 36 MB matrix, 18 MB of indices) outlives the call
+    spec = source_spec("gue_source", 1500, (0.5, 0.5), (1.0, -1.0))
+    empirical_batch(source_spec("gue_source", 2, (0.5, 0.5), (1.0, -1.0)), 2, 1, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        empirical_batch(spec, 2, 1, seed=0)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 2**20, after - before
 
 
 def test_batch_is_immutable():
