@@ -3,13 +3,8 @@
 For a scheme of lower band width R = down_band the operator is stored
 as its band (``RecurrenceScheme.band``): an array of R + 2 rows with
 T[m, k] in row R + m - k of column k (one superdiagonal).
-``build_truncation`` truncates it to indices < N + ell_max.
-``mean_moment`` reads the truncation padded by ell: a product of ell
-band steps starting below index N never reaches the boundary of the
-storage, so the truncated powers agree with the infinite operator
-wherever they are read.  ``zero_moment_trace`` reads the N-block, and
-``trace_table`` and ``variance_moment`` read the N-block and windows
-(below).  Powers of T are products of bands, never N x N arrays.
+``build_truncation`` truncates it to indices < N + ell_max for the zero
+solvers.  Powers of T are products of bands, never N x N arrays.
 
 Statistics (all per the projection pi_N onto indices < N):
 
@@ -26,16 +21,21 @@ The gap and variance bounds multiply a path-count factor by a window
 peak: the largest entry magnitude over max(|m - N|, |k - N|) <= w.
 
 The gap and the variance are sums over closed walks that cross index
-N, so only the zero side needs the whole N-block.  trace_table reads two
-bands: the block gives the zero side and the mean's diagonal terms
-below N - ell + 1, and one window of O(R ell_max) columns around N gives
-the mean's top terms, the variance and the window peaks of both bounds.
+N, so only the zero side needs the whole N-block.  One reader, ``_read``,
+serves the mean, the zero side and ``trace_table``: the N-block's powers
+give the zero side and the mean's diagonal below N - ell + 1, and the
+powers of one window of O(R ell) columns around N give the mean's top
+terms (all of them when the window starts at column 0) and the
+variance.  ``variance_moment`` and the bounds read a window alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,24 +58,11 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
     """Band of a truncation of T: matrix[down_band + m - k, k] = T[m, k]
-    for indices m, k < dim (``RecurrenceScheme.band`` layout)."""
+    for indices m, k < matrix.shape[1] (``RecurrenceScheme.band`` layout)."""
 
     scheme: RecurrenceScheme
     N: int
     matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def block(self) -> np.ndarray:
-        """Principal N x N block (the compressed operator pi_N T pi_N), dense."""
-        N, r = self.N, self.scheme.down_band
-        dense = np.zeros((N, N))
-        for i, row in enumerate(self.matrix):
-            k = np.arange(max(0, r - i), min(N, N + r - i))
-            dense[k + i - r, k] = row[k]
-        return dense
 
 
 def build_truncation(scheme: RecurrenceScheme, N: int, ell_max: int) -> BandedOperator:
@@ -118,27 +105,70 @@ def _crossing_sum(P: np.ndarray, lower: int, N: int, start: int = 0) -> float:
     ) / (N * N)
 
 
-def _moment(scheme: RecurrenceScheme, N: int, ell: int, pad: int) -> float:
-    """(1/N) Tr(pi_N P pi_N) for the band P of the ell-th power of the
-    truncation to N + pad: pad = ell gives the powers of T, 0 those of
-    pi_N T pi_N."""
-    if ell < 0:
-        raise SchemeError("need ell >= 0")
-    if ell == 0:
-        return 1.0
+def _window(scheme: RecurrenceScheme, N: int, ell: int, stop: int):
+    """(start, band of T on the columns start..stop-1): start = max(0,
+    N - ell (2 R + 1)) is at or below every index that ell band steps
+    reach from the columns the variance and the mean's top terms read."""
+    start = max(0, N - ell * (2 * scheme.down_band + 1))
+    return start, scheme.band(N, stop, start)
+
+
+class _Traces(NamedTuple):
+    """Bands of T^ell on the N-block and the window from column ``start``."""
+
+    N: int
+    ell: int
+    lower: int  # ell * down_band, the lower width of T^ell
+    start: int
+    block: np.ndarray | None
+    window: np.ndarray | None
+
+    def mean(self) -> float:
+        """(1/N) Tr(pi_N T^ell pi_N): the block's diagonal below the first
+        column the window holds exactly, the window's from there on."""
+        N, r, start = self.N, self.lower, self.start
+        split = N - self.ell + 1 if start else 0
+        head = self.block[r, :split].tolist() if split else []
+        return math.fsum(head + self.window[r, split - start : N - start].tolist()) / N
+
+    def zero(self) -> float:
+        """(1/N) Tr((pi_N T pi_N)^ell), the block's diagonal."""
+        return math.fsum(self.block[self.lower].tolist()) / self.N
+
+
+def _read(scheme: RecurrenceScheme, N: int, ell_max: int, window=None, zero: bool = True):
+    """Yield the ``_Traces`` of ell = 1..ell_max, None where not read: the
+    one reader of the mean and the zero side.  ``window`` is the (start,
+    band) of ``_window`` for ell_max, which the mean reads; the N-block's
+    powers are built when the zero side or the mean's split asks for them."""
     r = scheme.down_band
-    *_, P = _powers(build_truncation(scheme, N, pad).matrix, r, ell)
-    return math.fsum(P[ell * r, :N].tolist()) / N
+    start, band = window or (0, None)
+    blocks = _powers(scheme.band(N, N), r, ell_max) if zero or start else repeat(None)
+    windows = _powers(band, r, ell_max) if window else repeat(None)
+    for ell, B, P in zip(range(1, ell_max + 1), blocks, windows):
+        yield _Traces(N, ell, ell * r, start, B, P)
+
+
+def _order_zero(N: int, ell: int) -> bool:
+    """Refuse N < 1 and ell < 0; whether ell = 0, where no band is read."""
+    if N < 1 or ell < 0:
+        raise SchemeError(f"need N >= 1 and ell >= 0, got N={N}, ell={ell}")
+    return ell == 0
 
 
 def mean_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     """Mean of the ell-th empirical moment, (1/N) Tr(pi_N T^ell pi_N)."""
-    return _moment(scheme, N, ell, ell)
+    if _order_zero(N, ell):
+        return 1.0
+    window = _window(scheme, N, ell, N + ell)
+    return deque(_read(scheme, N, ell, window, zero=False), maxlen=1).pop().mean()
 
 
 def zero_moment_trace(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     """ell-th moment of the zero distribution, (1/N) Tr((pi_N T pi_N)^ell)."""
-    return _moment(scheme, N, ell, 0)
+    if _order_zero(N, ell):
+        return 1.0
+    return deque(_read(scheme, N, ell), maxlen=1).pop().zero()
 
 
 def variance_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
@@ -149,22 +179,11 @@ def variance_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     indices from N - ell (2 R + 1) to N + 2 ell, so the band of that
     window alone gives the exact value at a cost independent of N.
     """
-    if ell < 0:
-        raise SchemeError("need ell >= 0")
-    if ell == 0:
+    if _order_zero(N, ell):
         return 0.0
+    r = scheme.down_band
     start, window = _window(scheme, N, ell, N + 2 * ell)
-    *_, P = _powers(window, scheme.down_band, ell)
-    return _crossing_sum(P, ell * scheme.down_band, N, start)
-
-
-def _window(scheme: RecurrenceScheme, N: int, ell: int, stop: int):
-    """(start, band of T on the columns start..stop-1), with start =
-    max(0, N - ell (2 R + 1)) at or below every index that a product of
-    ell band steps reaches from the columns the variance and the mean's
-    top terms read."""
-    start = max(0, N - ell * (2 * scheme.down_band + 1))
-    return start, scheme.band(N, stop, start)
+    return _crossing_sum(deque(_powers(window, r, ell), maxlen=1).pop(), ell * r, N, start)
 
 
 def _window_peaks(band: np.ndarray, r: int, N: int, W: int) -> np.ndarray:
@@ -229,38 +248,18 @@ def window_max(scheme: RecurrenceScheme, N: int, eps: float) -> float:
 
 def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
     """Rows (N, ell, mean, zero_side, gap, gap_bound, variance,
-    variance_bound) for ell = 1..ell_max, read from two bands of T: the
+    variance_bound) for ell = 1..ell_max, read by ``_read`` from the
     N-block and the window on the columns max(0, N - ell_max (2 R + 1))
-    to N + 2 ell_max.
-
-    The block's powers give the zero side.  A closed walk of ell steps
-    from k <= N - ell never reaches N, so the block's diagonal of T^ell
-    below N - ell + 1 holds the same bits as the mean's; the window's
-    powers give the mean's diagonal from there to N - 1 and the variance's
-    crossing sum, and its window peaks around N both bounds."""
+    to N + 2 ell_max, whose peaks around N give both bounds."""
     if ell_max < 0:
         raise SchemeError(f"need ell_max >= 0, got {ell_max}")
     r, W = scheme.down_band, 2 * ell_max
     start, window = _window(scheme, N, ell_max, N + W + 1)
     peak = _window_peaks(window[:, max(0, N - W) - start :], r, N, W).tolist()
-    block_powers = _powers(scheme.band(N, N), r, ell_max)
-    window_powers = _powers(window, r, ell_max)
     rows = []
-    for ell, B, P in zip(range(1, ell_max + 1), block_powers, window_powers):
-        top = max(0, N - ell + 1)
-        tail = P[ell * r, top - start : N - start].tolist()
-        mean = math.fsum(B[ell * r, :top].tolist() + tail) / N
-        zero = math.fsum(B[ell * r].tolist()) / N
-        rows.append(
-            (
-                N,
-                ell,
-                mean,
-                zero,
-                abs(mean - zero),
-                _bound(N, ell, peak[ell], 1),
-                _crossing_sum(P, ell * r, N, start),
-                _bound(N, ell, peak[2 * ell], 2),
-            )
-        )
+    for t in _read(scheme, N, ell_max, (start, window)):
+        mean, zero, ell = t.mean(), t.zero(), t.ell
+        gap_b, var_b = (_bound(N, ell, peak[p * ell], p) for p in (1, 2))
+        var = _crossing_sum(t.window, t.lower, N, start)
+        rows.append((N, ell, mean, zero, abs(mean - zero), gap_b, var, var_b))
     return rows

@@ -313,12 +313,8 @@ def _cmd_variance_sweep(config):
     order = _moment_order(config)
     rows = []
     for ell in range(order + 1):
-        if ell == 0:
-            variances = [0.0] * len(ns)
-            bounds = [0.0] * len(ns)
-        else:
-            variances = [variance_moment(scheme, n, ell) for n in ns]
-            bounds = [variance_bound(scheme, n, ell) for n in ns]
+        variances = [variance_moment(scheme, n, ell) for n in ns]
+        bounds = [variance_bound(scheme, n, ell) if ell else 0.0 for n in ns]
         slope = _loglog_slope(ns, variances)
         rows.extend(
             (n, ell, v, b, slope) for n, v, b in zip(ns, variances, bounds)

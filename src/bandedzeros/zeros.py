@@ -96,8 +96,9 @@ def _tridiagonal_eigvals(band: np.ndarray) -> np.ndarray:
     return scipy.linalg.eigvalsh_tridiagonal(band[1], band[2, :-1])
 
 
-def _balanced_eigvals(block: np.ndarray) -> np.ndarray:
-    """Eigenvalues after a diagonal similarity symmetrising the unit band.
+def _balanced_eigvals(band: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the dense block with band ``band``, after a diagonal
+    similarity symmetrising the unit band.
 
     QR on the raw truncation is useless here: the matrix is badly
     nonnormal and its computed eigenvalues can sit O(1) off the real
@@ -109,14 +110,17 @@ def _balanced_eigvals(block: np.ndarray) -> np.ndarray:
     band entries have |i - j| <= max(down_band, 1), so the exponent stays
     in range however far the running product drifts along the block.
     """
-    n = block.shape[0]
+    R, n = len(band) - 2, band.shape[1]
     logd = np.zeros(n)
     for k in range(n - 1):
-        w = block[k, k + 1].real
+        w = band[R - 1, k + 1] if R else 0.0  # T[k, k + 1]
         logd[k + 1] = logd[k] + (0.5 * math.log(w) if w > 0 else 0.0)
-    i, j = np.nonzero(block)
-    scaled = np.zeros_like(block)
-    scaled[i, j] = block[i, j] * np.exp(logd[i] - logd[j])
+    scaled = np.zeros((n, n))
+    for i, row in enumerate(band):
+        k = np.arange(max(0, R - i), min(n, n + R - i))
+        k = k[row[k] != 0.0]
+        m = k + i - R
+        scaled[m, k] = row[k] * np.exp(logd[m] - logd[k])
     import scipy.linalg
 
     return scipy.linalg.eigvals(scaled)
@@ -415,7 +419,7 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
             vals = _certified_real_zeros(block, minors)
             if vals is None:
                 route = "aberth"
-                vals = _polish_roots(minors, _balanced_eigvals(op.block()))
+                vals = _polish_roots(minors, _balanced_eigvals(block))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"eigenvalue solver failed on {op.scheme.name!r} block of size {N}: {exc}"

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ GUE = classical_scheme("gue")
 
 def test_build_gue_truncation():
     op = build_truncation(GUE, 3, 2)
-    assert op.dim == 5
+    assert op.matrix.shape == (3, 5)
     band = op.matrix  # band[1 + m - k, k] = T[m, k]
     expected = [math.sqrt(k / 3.0) for k in (1, 2, 3, 4)]
     assert np.allclose(band[0, 1:], expected)  # T[k - 1, k]
@@ -43,17 +44,23 @@ def test_build_gue_truncation():
 def test_build_one_by_one():
     s = classical_scheme("wishart", alpha=0.0)
     op = build_truncation(s, 1, 0)
-    assert op.block().shape == (1, 1)
-    assert op.block()[0, 0] == pytest.approx(1.0)
+    assert op.matrix.shape == (3, 1)
+    assert op.matrix[1, 0] == dense_truncation(s, 1, 1)[0, 0] == pytest.approx(1.0)
 
 
 def test_build_charlier_example():
     s = classical_scheme("charlier", alpha=1.0)
     op = build_truncation(s, 2, 1)
-    block = op.block()
+    block = dense_truncation(s, 2, 2)
     assert block[0, 0] == pytest.approx(1.0)
     assert block[1, 1] == pytest.approx(1.5)
     assert block[0, 1] == pytest.approx(math.sqrt(0.5))
+    # op.matrix[1 + m - k, k] = T[m, k]
+    assert [op.matrix[1, 0], op.matrix[1, 1], op.matrix[0, 1]] == [
+        block[0, 0],
+        block[1, 1],
+        block[0, 1],
+    ]
 
 
 def test_nonfinite_band_entry_is_named():
@@ -202,7 +209,9 @@ def test_gue_moments_match_catalan_in_the_bulk():
         assert mean_moment(GUE, 4000, ell) == pytest.approx(target, abs=2e-2)
 
 
-def _dense_truncation(scheme, N, dim):
+def dense_truncation(scheme, N, dim):
+    """T[m, k] for m, k < dim, entry by entry: an oracle that shares no
+    code with the band products."""
     T = np.zeros((dim, dim))
     for k in range(dim):
         for m in range(max(0, k - scheme.down_band), min(dim, k + 2)):
@@ -215,7 +224,7 @@ def test_banded_traces_match_dense_matrix_powers(label, scheme):
     # beyond the path oracle's N <= 64: dense powers of truncations
     # assembled entry by entry
     N, L = 100, 6
-    T = _dense_truncation(scheme, N, N + 2 * L)
+    T = dense_truncation(scheme, N, N + 2 * L)
     rows = trace_table(scheme, N, L)
     for ell in range(1, L + 1):
         P = np.linalg.matrix_power(T[: N + ell, : N + ell], ell)
@@ -295,6 +304,40 @@ def test_trace_table_builds_one_band():
     calls.clear()
     assert trace_table(counted, 40, 6) == trace_table(GUE, 40, 6)
     assert calls == [(40, 22, 53), (40, 0, 40)]
+    # the public traces read the same two bands, never the block padded
+    # to N + ell: the mean reads the window of ell (2 down_band + 1) + ell
+    # columns and the block, the zero side the block alone
+    N = 10**6
+    calls.clear()
+    mean_moment(counted, N, 2)
+    assert calls == [(N, N - 6, N + 2), (N, 0, N)]
+    calls.clear()
+    zero_moment_trace(counted, N, 2)
+    assert calls == [(N, 0, N)]
+    # a window from column 0 holds the whole padded truncation, and then
+    # the mean reads no block
+    calls.clear()
+    assert mean_moment(counted, 6, 2) == mean_moment(GUE, 6, 2)
+    assert calls == [(6, 0, 8)]
+
+
+def test_public_traces_peak_no_higher_than_trace_table():
+    # mean_moment and zero_moment_trace keep one power table at a time, as
+    # trace_table does; a list of every power peaked at 560 bytes per
+    # column against trace_table's 392 here
+    N, ell = 50_000, 6
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            f(GUE, N, ell)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    table = peak(trace_table)
+    assert peak(mean_moment) <= table
+    assert peak(zero_moment_trace) <= table
 
 
 def test_trace_table_argument_checks():
@@ -304,6 +347,12 @@ def test_trace_table_argument_checks():
     for L in (0, 3):
         with pytest.raises(SchemeError):
             trace_table(GUE, 0, L)
+    # N is checked before the ell = 0 shortcut
+    for f in (mean_moment, zero_moment_trace, variance_moment):
+        for N in (0, -3):
+            for ell in (0, 2):
+                with pytest.raises(SchemeError):
+                    f(GUE, N, ell)
 
 
 def test_trace_path_loads_no_scipy():

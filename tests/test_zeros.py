@@ -12,7 +12,7 @@ import pytest
 
 import bandedzeros
 import bandedzeros.zeros as zeros_mod
-from bandedzeros.bandop import BandedOperator, build_truncation, zero_moment_trace
+from bandedzeros.bandop import build_truncation, zero_moment_trace
 from bandedzeros.errors import CharpolyOverflow, NumericalFailure
 from bandedzeros.mop import mop_scheme
 from bandedzeros.recurrence import RecurrenceScheme, classical_scheme, coeff
@@ -22,6 +22,8 @@ from bandedzeros.zeros import (
     spectrum,
     zero_moments,
 )
+
+from test_bandop import dense_truncation
 
 GUE = classical_scheme("gue")
 MH = mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
@@ -69,7 +71,7 @@ def test_padded_truncation_gives_the_block_spectrum(scheme):
     # only the N-block enters: T[N, N - 1] and the columns past N are cut
     block = build_truncation(scheme, 60, 0)
     padded = build_truncation(scheme, 60, 3)
-    assert padded.dim == 63 and padded.matrix[-1, 59] != 0.0
+    assert padded.matrix.shape[1] == 63 and padded.matrix[-1, 59] != 0.0
     got, want = spectrum(padded), spectrum(block)
     assert got.route == want.route and got.certified
     assert np.array_equal(got.points, want.points)
@@ -175,7 +177,7 @@ def test_complex_pairs_are_reported_not_flattened():
     ok, max_imag = reality_check(measure, tol=1e-8)
     assert not ok
     assert max_imag == pytest.approx(1.0, rel=1e-12)
-    reference = np.linalg.eigvals(build_truncation(rotation_scheme(), 6, 0).block())
+    reference = np.linalg.eigvals(dense_truncation(rotation_scheme(), 6, 6))
 
     def by_imag(pts):
         # sort imaginary-major so conjugate pairs line up even when the
@@ -209,7 +211,7 @@ def test_charpoly_equals_eigenvalue_product():
     # three weights: down_band = 3, complex argument
     op = build_truncation(MH3, 42, 0)
     z = 0.3 + 0.7j
-    target = np.prod(z - np.linalg.eigvals(op.block()))
+    target = np.prod(z - np.linalg.eigvals(dense_truncation(MH3, 42, 42)))
     assert charpoly_eval(op, z) == pytest.approx(target, rel=1e-10)
 
 
@@ -253,7 +255,7 @@ def test_charpoly_unscales_in_range_values_past_two_to_1024():
     scheme = RecurrenceScheme(name="step-diagonal", down_band=1, band_fn=band)
     op = build_truncation(scheme, 220, 0)
     val = charpoly_eval(op, 0.0)
-    sign, log_abs = np.linalg.slogdet(-op.block())
+    sign, log_abs = np.linalg.slogdet(-dense_truncation(scheme, 220, 220))
     assert val.imag == 0.0
     assert np.sign(val.real) == sign
     assert math.log(abs(val)) == pytest.approx(log_abs, rel=1e-10)
@@ -279,7 +281,8 @@ def test_certified_zeros_match_high_precision_eigenvalues(scheme, n):
     measure = spectrum(op)
     assert measure.route == "sign-scan" and measure.certified
     with mpmath.workdps(40):
-        eig = mpmath.eig(mpmath.matrix(op.block().tolist()), left=False, right=False)
+        block = dense_truncation(scheme, n, n).tolist()
+        eig = mpmath.eig(mpmath.matrix(block), left=False, right=False)
         assert max(abs(mpmath.im(e)) for e in eig) < 1e-30
         ref = sorted(float(mpmath.re(e)) for e in eig)
     assert np.all(measure.points.imag == 0.0)
@@ -289,10 +292,10 @@ def test_certified_zeros_match_high_precision_eigenvalues(scheme, n):
 
 @MULTI_INDEX
 def test_multi_index_spectra_build_no_dense_block(scheme, monkeypatch):
-    def no_block(self):
+    def no_block(band):
         raise AssertionError("the certified route built a dense block")
 
-    monkeypatch.setattr(BandedOperator, "block", no_block)
+    monkeypatch.setattr(zeros_mod, "_balanced_eigvals", no_block)
     measure = spectrum(build_truncation(scheme, 420, 0))
     assert measure.route == "sign-scan" and measure.certified
     assert len(measure) == 420
@@ -303,7 +306,7 @@ def test_smallest_blocks_certify(scheme, n):
     op = build_truncation(scheme, n, 0)
     measure = spectrum(op)
     assert measure.route == "sign-scan"
-    ref = np.sort(np.linalg.eigvals(op.block()).real)
+    ref = np.sort(np.linalg.eigvals(dense_truncation(scheme, n, n)).real)
     assert np.allclose(measure.points.real, ref, rtol=0.0, atol=1e-14)
 
 
