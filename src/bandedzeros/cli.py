@@ -10,14 +10,16 @@ Commands can be driven by flags or by ``run config.json`` with a JSON
 object holding ``"command"`` plus the command's flag names without the
 dashes; unknown keys are rejected by name.  ``_COMMANDS`` declares each
 command once: its handler, its help and its flags, from which the
-parser, the keys a config may hold and the dispatch all follow.
+parser, the keys a config may hold and the dispatch all follow.  Each
+flag's entry names its ``required``, its ``choices`` and its ``parse``.
 ``_run_command`` checks each config, from flags or from ``run``, against
-the flags' ``required`` and ``choices``, so handlers check only rules
-that involve more than one key.  It checks ``--out``, which every command
-takes, before the handler runs, and then writes the handler's artifact
-there.  Exit
-codes: 0 on success, 2 on a validation problem, 3 when a computation
-fails numerically.
+``required`` and ``choices`` and checks ``--out``, which every command
+takes; it hashes the config as given, then parses every given value,
+whatever the mode, and writes the handler's artifact.  Handlers read
+typed values and check only rules that involve more than one key, among
+them that a flag the chosen mode never reads is refused.  Exit codes: 0
+on success, 2 on a validation problem, 3 when a computation fails
+numerically or runs out of memory.
 """
 
 import argparse
@@ -139,6 +141,79 @@ def _float_list(value, key):
     return [_as_float(p, key) for p in _split(value, key)]
 
 
+def _parse_law(text, key):
+    """Measure from a compact spec: sc | mp:RATE | point:X | atoms:X@W,...
+
+    Numbers may be fractions ("1/2") and are kept exact.
+    """
+    if not isinstance(text, str):
+        raise ConfigError(f"{key}: expected a law string, got {text!r}")
+    head, _, rest = text.partition(":")
+    try:
+        if head == "sc" and not rest:
+            return SemicircleLaw()
+        if head == "mp":
+            return MarchenkoPasturLaw(Fraction(rest))
+        if head == "point":
+            return AtomicMeasure([(Fraction(rest), Fraction(1))])
+        if head == "atoms":
+            atoms = []
+            for piece in rest.split(","):
+                loc, sep, weight = piece.partition("@")
+                if not sep:
+                    raise ValueError(piece)
+                atoms.append((Fraction(loc), Fraction(weight)))
+            return AtomicMeasure(atoms)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{key}: malformed law {text!r} ({exc})") from None
+    raise ConfigError(f"{key}: unknown law {text!r} (use sc, mp:RATE, point:X, atoms:X@W,...)")
+
+
+def _single_n(value, key):
+    ns = _int_list(value, key)
+    if len(ns) != 1:
+        raise ConfigError(f"{key}: this command takes a single truncation rank")
+    if ns[0] < 1:
+        raise ConfigError(f"{key}: need a positive rank, got {ns[0]}")
+    return ns[0]
+
+
+def _sweep_ns(value, key):
+    ns = _int_list(value, key)
+    if any(n < 1 for n in ns):
+        raise ConfigError(f"{key}: ranks must be positive")
+    if list(ns) != sorted(set(ns)):
+        raise ConfigError(f"{key}: sweep ranks must be strictly ascending")
+    return ns
+
+
+def _moment_order(value, key):
+    order = _as_int(value, key)
+    if order < 0:
+        raise ConfigError(f"{key}: need a nonnegative order, got {order}")
+    return order
+
+
+def _positive_int(value, key):
+    n = _as_int(value, key)
+    if n < 1:
+        raise ConfigError(f"{key}: need a positive integer, got {n}")
+    return n
+
+
+def _positive_float(value, key):
+    x = _as_float(value, key)
+    if x <= 0:
+        raise ConfigError(f"{key}: need a positive number, got {x}")
+    return x
+
+
+def _switch(value, key):
+    if not isinstance(value, bool):  # bool("false") would be True
+        raise ConfigError(f"{key}: expected true or false, got {value!r}")
+    return value
+
+
 def _config_sha(config) -> str:
     """sha256 of the config without its output path: the same computation
     written to two paths hashes the same."""
@@ -177,55 +252,27 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _unread(config, keys, mode):
+    """Refuse each of ``keys`` given to a mode that never reads it."""
+    for key in keys:
+        if key in config:
+            raise ConfigError(f"{key}: not read {mode}")
+
+
 def _scheme_from(config):
     """Recurrence scheme from either classical or multi-index keys."""
-    if "scheme" in config and "kind" in config:
-        raise ConfigError("give either scheme or kind, not both")
-    if "scheme" in config:
-        params = {}
-        for key in ("alpha", "beta"):
-            if config.get(key) is not None:
-                params[key] = _as_float(config[key], key)
-        try:
-            return classical_scheme(config["scheme"], **params)
-        except SchemeError as exc:
-            raise ConfigError(str(exc)) from None
-    if "kind" not in config:
-        raise ConfigError("missing key 'scheme' (or 'kind')")
-    a = _number_list(_require(config, "a"), "a")
-    q = _number_list(_require(config, "q"), "q")
-    alpha = config.get("alpha")
-    if alpha is not None:
-        alpha = _as_float(alpha, "alpha")
     try:
-        return mop_scheme(config["kind"], a=a, q=q, alpha=alpha)
+        if "scheme" in config:
+            _unread(config, ("kind", "q", "a"), "with scheme")
+            params = {key: config[key] for key in ("alpha", "beta") if key in config}
+            return classical_scheme(config["scheme"], **params)
+        if "kind" not in config:
+            raise ConfigError("missing key 'scheme' (or 'kind')")
+        _unread(config, ("beta",), "with kind")
+        a, q = _require(config, "a"), _require(config, "q")
+        return mop_scheme(config["kind"], a=a, q=q, alpha=config.get("alpha"))
     except SchemeError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _single_n(config):
-    ns = _int_list(config["n"], "n")
-    if len(ns) != 1:
-        raise ConfigError("n: this command takes a single truncation rank")
-    if ns[0] < 1:
-        raise ConfigError(f"n: need a positive rank, got {ns[0]}")
-    return ns[0]
-
-
-def _sweep_ns(config):
-    ns = _int_list(config["n"], "n")
-    if any(n < 1 for n in ns):
-        raise ConfigError("n: ranks must be positive")
-    if list(ns) != sorted(set(ns)):
-        raise ConfigError("n: sweep ranks must be strictly ascending")
-    return ns
-
-
-def _moment_order(config):
-    order = _as_int(config["moments"], "moments")
-    if order < 0:
-        raise ConfigError(f"moments: need a nonnegative order, got {order}")
-    return order
 
 
 def _loglog_slope(ns, values):
@@ -264,31 +311,27 @@ def _ell0_row(N):
 
 def _cmd_traces(config):
     scheme = _scheme_from(config)
-    ns = _sweep_ns(config)
-    order = _moment_order(config)
     rows = []
-    for n in ns:
+    for n in config["n"]:
         rows.append(_ell0_row(n))
-        rows.extend(trace_table(scheme, n, order))
+        rows.extend(trace_table(scheme, n, config["moments"]))
     return _TRACE_COLUMNS, rows
 
 
 def _cmd_zeros(config):
-    scheme = _scheme_from(config)
-    n = _single_n(config)
-    order = _moment_order(config)
-    measure = spectrum(build_truncation(scheme, n, 0))
+    measure = spectrum(build_truncation(_scheme_from(config), config["n"], 0))
     if config.get("format", "csv") == "csv":
         return ("index", "re", "im"), [
             (idx, z.real, z.imag) for idx, z in enumerate(measure.points)
         ]
-    moments, residuals = zero_moments(measure, order)
+    moments, residuals = zero_moments(measure, config["moments"])
+    real, max_imag = reality_check(measure)
     return {
-        "N": n,
+        "N": config["n"],
         "moments": moments.floats(),
         "imag_residuals": residuals,
-        "max_imag": float(np.max(np.abs(measure.points.imag))),
-        "real": bool(reality_check(measure)[0]),
+        "max_imag": max_imag,
+        "real": real,
         "route": measure.route,
         "certified": measure.certified,
     }
@@ -296,8 +339,7 @@ def _cmd_zeros(config):
 
 def _cmd_gap_sweep(config):
     scheme = _scheme_from(config)
-    ns = _sweep_ns(config)
-    order = _moment_order(config)
+    ns, order = config["n"], config["moments"]
     # row ell of table[n] is the traces row (N = n, ell)
     table = {n: [_ell0_row(n)] + trace_table(scheme, n, order) for n in ns}
     rows = []
@@ -309,10 +351,9 @@ def _cmd_gap_sweep(config):
 
 def _cmd_variance_sweep(config):
     scheme = _scheme_from(config)
-    ns = _sweep_ns(config)
-    order = _moment_order(config)
+    ns = config["n"]
     rows = []
-    for ell in range(order + 1):
+    for ell in range(config["moments"] + 1):
         variances = [variance_moment(scheme, n, ell) for n in ns]
         bounds = [variance_bound(scheme, n, ell) if ell else 0.0 for n in ns]
         slope = _loglog_slope(ns, variances)
@@ -324,52 +365,17 @@ def _cmd_variance_sweep(config):
 
 def _cmd_kva(config):
     a_fn, b_fn = coefficient_limits(_scheme_from(config))
-    quad_order = _as_int(config.get("order", 200), "order")
-    if quad_order < 1:
-        raise ConfigError(f"order: need a positive quadrature order, got {quad_order}")
-    mixture = ArcsineMixture(a_fn, b_fn, order=quad_order)
-    if config.get("density") is not None:
-        xs = _float_list(config["density"], "density")
-        return ("x", "density"), [(x, mixture.density(x)) for x in xs]
-    _require(config, "moments")
-    order = _moment_order(config)
+    mixture = ArcsineMixture(a_fn, b_fn, order=config.get("order", 200))
+    if "density" in config:
+        _unread(config, ("moments",), "with density")
+        return ("x", "density"), [(x, mixture.density(x)) for x in config["density"]]
+    order = _require(config, "moments")
     return ("ell", "moment"), [(ell, kva_moment(mixture, ell)) for ell in range(order + 1)]
 
 
-def _parse_law(text, key):
-    """Measure from a compact spec: sc | mp:RATE | point:X | atoms:X@W,...
-
-    Numbers may be fractions ("1/2") and are kept exact.
-    """
-    if not isinstance(text, str):
-        raise ConfigError(f"{key}: expected a law string, got {text!r}")
-    head, _, rest = text.partition(":")
-    try:
-        if head == "sc" and not rest:
-            return SemicircleLaw()
-        if head == "mp":
-            return MarchenkoPasturLaw(Fraction(rest))
-        if head == "point":
-            return AtomicMeasure([(Fraction(rest), Fraction(1))])
-        if head == "atoms":
-            atoms = []
-            for piece in rest.split(","):
-                loc, sep, weight = piece.partition("@")
-                if not sep:
-                    raise ValueError(piece)
-                atoms.append((Fraction(loc), Fraction(weight)))
-            return AtomicMeasure(atoms)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{key}: malformed law {text!r} ({exc})") from None
-    raise ConfigError(f"{key}: unknown law {text!r} (use sc, mp:RATE, point:X, atoms:X@W,...)")
-
-
 def _cmd_free_conv(config):
-    mu = _parse_law(config["mu"], "mu")
-    nu = _parse_law(config["nu"], "nu")
-    order = _moment_order(config)
     convolve = free_add if config["op"] == "add" else free_mul
-    moments = convolve(mu, nu, order)
+    moments = convolve(config["mu"], config["nu"], config["moments"])
     payload = {"op": config["op"], "moments": moments.floats()}
     if all(isinstance(v, (int, Fraction)) for v in moments.values):
         payload["moments_exact"] = [str(v) for v in moments.values]
@@ -377,63 +383,47 @@ def _cmd_free_conv(config):
 
 
 def _curve_from(config):
-    q = _number_list(config["q"], "q")
-    a = _number_list(config["a"], "a")
+    q, a = config["q"], config["a"]
     try:
         if config["kind"] == "hermite":
-            if config.get("alpha") is not None:
-                raise ConfigError("alpha: the hermite curve takes no alpha")
+            _unread(config, ("alpha",), "by the hermite curve")
             return curve_hermite(q, a)
-        alpha = _as_number(config.get("alpha", 0), "alpha")
-        return curve_laguerre(q, a, alpha)
+        return curve_laguerre(q, a, config.get("alpha", 0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _cmd_curve(config):
     curve = _curve_from(config)
-    if config.get("density") is not None:
-        xs = _float_list(config["density"], "density")
-        eps = _as_float(config.get("eps", 1e-6), "eps")
-        if eps <= 0:
-            raise ConfigError(f"eps: need a positive offset, got {eps}")
-        richardson = config.get("richardson", False)
-        if not isinstance(richardson, bool):  # bool("false") would be True
-            raise ConfigError(f"richardson: expected true or false, got {richardson!r}")
+    if "density" in config:
+        _unread(config, ("moments",), "with density")
+        eps, richardson = config.get("eps", 1e-6), config.get("richardson", False)
         return ("x", "density"), [
             (x, stieltjes_density(curve, x, eps=eps, richardson=richardson))
-            for x in xs
+            for x in config["density"]
         ]
+    _unread(config, ("eps", "richardson"), "without density")
     payload = {
         "kind": config["kind"],
         "deg_w": curve.deg_w,
         "radius_hint": float(curve.radius_hint),
         "table": [[float(c) for c in row] for row in curve.table],
     }
-    if config.get("moments") is not None:
-        order = _moment_order(config)
-        payload["moments"] = curve_moments(curve, order).floats()
+    if "moments" in config:
+        payload["moments"] = curve_moments(curve, config["moments"]).floats()
     return payload
 
 
 def _cmd_sample(config):
-    model = config["model"]
-    n = _as_int(config["n"], "n")
-    if n < 1:
-        raise ConfigError(f"n: need a positive size, got {n}")
-    alpha = _as_float(config.get("alpha", 0.0), "alpha")
+    model, n = config["model"], config["n"]
     source = None
     if model in ("gue_source", "wishart_cov"):
-        ratios = _number_list(_require(config, "ratios"), "ratios")
-        atoms = _float_list(_require(config, "atoms"), "atoms")
-        source = realize_diagonal(ratios, atoms, n)
-    elif "ratios" in config or "atoms" in config:
-        raise ConfigError(f"ratios: model {model!r} takes no source diagonal")
-    order = _moment_order(config)
-    samples = _as_int(config["samples"], "samples")
-    seed = _as_int(config.get("seed", 0), "seed")
-    spec = MatrixModelSpec(kind=model, N=n, alpha=alpha, source=source)
-    mean, var, se = mc_moments(spec, order, samples, seed)
+        source = realize_diagonal(_require(config, "ratios"), _require(config, "atoms"), n)
+    else:
+        _unread(config, ("ratios", "atoms"), f"by model {model!r}")
+    samples, seed = config["samples"], config.get("seed", 0)
+    spec = MatrixModelSpec(kind=model, N=n, alpha=config.get("alpha", 0.0), source=source)
+    mean, var, se = mc_moments(spec, config["moments"], samples, seed)
     return {
         "meta": {"stream_version": STREAM_VERSION},
         "model": model,
@@ -456,7 +446,8 @@ class _Command(NamedTuple):
     extends the meta record.  Each flag is (name, argparse keyword
     arguments): it parses as --name and is the config key name, and
     ``_run_command`` applies its ``required`` and ``choices`` to every
-    config before the handler sees it."""
+    config, then hands the handler each given value as its
+    ``parse(value, key)`` returns it."""
 
     handler: Callable
     help: str
@@ -466,34 +457,34 @@ class _Command(NamedTuple):
 _LAW = "law: sc | mp:RATE | point:X | atoms:X@W,..."
 _CLASSICAL_FLAGS = (
     ("scheme", dict(choices=tuple(CLASSICAL_ENSEMBLES), help="classical ensemble")),
-    ("alpha", dict(help="ensemble parameter, where applicable")),
-    ("beta", dict(help="second ensemble parameter (jacobi, meixner)")),
+    ("alpha", dict(parse=_as_float, help="ensemble parameter, where applicable")),
+    ("beta", dict(parse=_as_float, help="second ensemble parameter (jacobi, meixner)")),
 )
 _SCHEME_FLAGS = (
     *_CLASSICAL_FLAGS,
     ("kind", dict(choices=_MOP_KINDS, help="multi-index family")),
-    ("q", dict(help="comma list of ratios, e.g. 1/2,1/2")),
-    ("a", dict(help="comma list of locations, e.g. 1,-1")),
+    ("q", dict(parse=_number_list, help="comma list of ratios, e.g. 1/2,1/2")),
+    ("a", dict(parse=_number_list, help="comma list of locations, e.g. 1,-1")),
 )
-_MOMENTS = ("moments", dict(required=True, help="highest moment order"))
+_MOMENTS = ("moments", dict(parse=_moment_order, required=True, help="highest moment order"))
 # no parser default: "csv" applies after the config is hashed, as every
 # other flag's default does, so a flag invocation and its run config agree
 _FORMAT = ("format", dict(choices=("csv", "json"), help="artifact format (default csv)"))
 _SWEEP_FLAGS = (
     *_SCHEME_FLAGS,
-    ("n", dict(required=True, help="ascending rank list, e.g. 25,50,100")),
+    ("n", dict(parse=_sweep_ns, required=True, help="ascending rank list, e.g. 25,50,100")),
     _MOMENTS,
 )
 
 _COMMANDS = {
     "traces": _Command(_cmd_traces, "moment/gap/variance table over N", (
         *_SCHEME_FLAGS,
-        ("n", dict(required=True, help="truncation rank(s), comma list")),
+        ("n", dict(parse=_sweep_ns, required=True, help="truncation rank(s), comma list")),
         _MOMENTS,
     )),
     "zeros": _Command(_cmd_zeros, "zeros of the averaged characteristic polynomial", (
         *_SCHEME_FLAGS,
-        ("n", dict(required=True, help="truncation rank")),
+        ("n", dict(parse=_single_n, required=True, help="truncation rank")),
         _MOMENTS,
         _FORMAT,
     )),
@@ -503,45 +494,49 @@ _COMMANDS = {
     ),
     "kva": _Command(_cmd_kva, "limiting zero law from coefficient profiles", (
         *_CLASSICAL_FLAGS,
-        ("moments", dict(help="highest moment order")),
-        ("order", dict(help="quadrature order for the profile integral")),
-        ("density", dict(help="evaluate the density on these x values instead")),
+        ("moments", dict(parse=_moment_order, help="highest moment order")),
+        ("order", dict(parse=_positive_int, help="quadrature order for the profile integral")),
+        ("density", dict(parse=_float_list,
+                         help="evaluate the density on these x values instead")),
     )),
     "mop-zeros": _Command(_cmd_zeros, "zeros of a multi-index family", (
         ("kind", dict(required=True, choices=_MOP_KINDS)),
-        ("q", dict(required=True, help="comma list of ratios")),
-        ("a", dict(required=True, help="comma list of locations")),
-        ("alpha", dict(help="exponent parameter (multiple-laguerre)")),
-        ("n", dict(required=True, help="truncation rank")),
+        ("q", dict(parse=_number_list, required=True, help="comma list of ratios")),
+        ("a", dict(parse=_number_list, required=True, help="comma list of locations")),
+        ("alpha", dict(parse=_as_float, help="exponent parameter (multiple-laguerre)")),
+        ("n", dict(parse=_single_n, required=True, help="truncation rank")),
         _MOMENTS,
         _FORMAT,
     )),
     "free-conv": _Command(_cmd_free_conv, "free additive/multiplicative convolution", (
         ("op", dict(required=True, choices=("add", "mul"))),
-        ("mu", dict(required=True, help=_LAW)),
-        ("nu", dict(required=True, help=_LAW)),
+        ("mu", dict(parse=_parse_law, required=True, help=_LAW)),
+        ("nu", dict(parse=_parse_law, required=True, help=_LAW)),
         _MOMENTS,
     )),
     "curve": _Command(_cmd_curve, "algebraic spectral curve: table, moments, density", (
         ("kind", dict(required=True, choices=_CURVE_KINDS)),
-        ("q", dict(required=True, help="comma list of ratios")),
-        ("a", dict(required=True, help="comma list of locations")),
-        ("alpha", dict(help="rate parameter (laguerre)")),
-        ("moments", dict(help="also tabulate contour moments to this order")),
-        ("density", dict(help="evaluate the density on these x values (CSV mode)")),
-        ("eps", dict(help="imaginary offset for density evaluation")),
+        ("q", dict(parse=_number_list, required=True, help="comma list of ratios")),
+        ("a", dict(parse=_number_list, required=True, help="comma list of locations")),
+        # kept exact: the curve's coefficients are polynomials in alpha
+        ("alpha", dict(parse=_as_number, help="rate parameter (laguerre)")),
+        ("moments", dict(parse=_moment_order, help="also tabulate contour moments to this order")),
+        ("density", dict(parse=_float_list,
+                         help="evaluate the density on these x values (CSV mode)")),
+        ("eps", dict(parse=_positive_float, help="imaginary offset for density evaluation")),
         # default None: an absent switch stays out of the config like any
         # absent flag
-        ("richardson", dict(action="store_true", default=None, help="extrapolate eps -> 0")),
+        ("richardson", dict(parse=_switch, action="store_true", default=None,
+                            help="extrapolate eps -> 0")),
     )),
     "sample": _Command(_cmd_sample, "Monte-Carlo moments of a random matrix model", (
         ("model", dict(required=True, choices=_MODELS)),
-        ("n", dict(required=True, help="matrix size")),
-        ("alpha", dict(help="aspect offset (wishart models)")),
-        ("ratios", dict(help="source multiplicity ratios (source models)")),
-        ("atoms", dict(help="source diagonal values (source models)")),
-        ("samples", dict(required=True, help="number of independent samples")),
-        ("seed", dict(help="base seed (default 0)")),
+        ("n", dict(parse=_positive_int, required=True, help="matrix size")),
+        ("alpha", dict(parse=_as_float, help="aspect offset (wishart models)")),
+        ("ratios", dict(parse=_number_list, help="source multiplicity ratios (source models)")),
+        ("atoms", dict(parse=_float_list, help="source diagonal values (source models)")),
+        ("samples", dict(parse=_as_int, required=True, help="number of independent samples")),
+        ("seed", dict(parse=_as_int, help="base seed (default 0)")),
         _MOMENTS,
     )),
 }
@@ -558,7 +553,7 @@ def _run_command(command, config) -> str:
         if kwargs.get("required"):
             _require(config, name)
         choices = kwargs.get("choices")
-        if choices and name in config and config[name] not in choices:
+        if choices and config.get(name) not in (None, *choices):
             raise ConfigError(
                 f"{name}: expected one of {', '.join(choices)}, got {config[name]!r}"
             )
@@ -571,7 +566,12 @@ def _run_command(command, config) -> str:
         if Path(out).is_dir():
             raise ConfigError(f"out: {out!r} is a directory")
     meta = _meta(command, config)
-    artifact = handler(config)
+    # a null value is an absent one; every other value reaches the handler parsed
+    typed = {key: value for key, value in config.items() if value is not None}
+    for name, kwargs in flags:
+        if name in typed and "parse" in kwargs:
+            typed[name] = kwargs["parse"](typed[name], name)
+    artifact = handler(typed)
     stem = command.replace("-", "_")
     if isinstance(artifact, dict):
         out = out or stem + ".json"
@@ -614,8 +614,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name, kwargs in flags:
-            # required and choices are _run_command's to check; the help lists choices
-            shown = {k: v for k, v in kwargs.items() if k not in ("required", "choices")}
+            # parse, required and choices are _run_command's to apply; the
+            # help lists choices
+            shown = {k: v for k, v in kwargs.items() if k not in ("parse", "required", "choices")}
             if "choices" in kwargs:
                 shown["metavar"] = "{" + ",".join(kwargs["choices"]) + "}"
             p.add_argument("--" + name, **shown)
@@ -641,6 +642,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:
         print(f"numerical failure: result outside the double range: {exc}", file=sys.stderr)

@@ -668,3 +668,124 @@ def test_out_is_checked_before_the_computation(out, message, tmp_path, capsys, m
         codes.append(cli.main(["kva", "--scheme", "gue", "--moments", "2", "--out", out]))
     assert codes == [2] * len(codes)
     assert capsys.readouterr().err.count(message) == len(codes)
+
+
+# malformed values for each flag parser: a string goes both as a flag and
+# in a run config, any other JSON value only in a run config
+MALFORMED = {
+    cli._as_int: ["x", "1.5", 2.5, True, [1]],
+    cli._as_float: ["x", "1/0", "1e400", True],
+    cli._as_number: ["x", "1/0", "1e400", [1]],
+    cli._number_list: [",", "1,x", [], 5],
+    cli._float_list: [",", "1,x", [], 5],
+    cli._parse_law: ["cauchy", "atoms:1", "atoms:1@x", 5],
+    cli._single_n: ["5,6", "0", "x"],
+    cli._sweep_ns: ["0,5", "10,5", ""],
+    cli._moment_order: ["-3", "x", 1.5],
+    cli._positive_int: ["0", "-2", "x"],
+    cli._positive_float: ["0", "-1", "x"],
+    cli._switch: [1, "yes"],
+}
+PARSED = [
+    (argv, name, kwargs["parse"])
+    for argv in FLAG_INVOCATIONS
+    for name, kwargs in cli._COMMANDS[argv[0]].flags
+    if "parse" in kwargs
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, parse", PARSED, ids=[f"{a[0]}-{n}" for a, n, _ in PARSED]
+)
+def test_malformed_value_is_named(argv, name, parse, tmp_path, capsys):
+    # every given value is parsed before the handler runs, whether or
+    # not the command's mode reads it
+    for value in MALFORMED[parse]:
+        config = {**config_from_flags(argv), name: value}
+        if isinstance(value, str) and parse is not cli._switch:  # a switch takes no value
+            assert run_both_ways(config, tmp_path) == (2, 2), value
+            expected = 2
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**config, "out": str(tmp_path / "artifact")}))
+            assert cli.main(["run", str(cfg)]) == 2, value
+            expected = 1
+        assert capsys.readouterr().err.count(f"error: {name}: ") == expected, value
+        assert not (tmp_path / "artifact").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"command": "curve", "kind": "hermite", "q": "1/2,1/2", "a": "1,-1", "eps": "1e-3"},
+     "eps"),
+    ({"command": "curve", "kind": "hermite", "q": "1/2,1/2", "a": "1,-1", "richardson": True},
+     "richardson"),
+    ({"command": "curve", "kind": "hermite", "q": "1/2,1/2", "a": "1,-1", "density": "0.5",
+      "moments": "4"}, "moments"),
+    ({"command": "curve", "kind": "hermite", "q": "1", "a": "0", "alpha": "1"}, "alpha"),
+    ({"command": "kva", "scheme": "gue", "density": "0.5", "moments": "4"}, "moments"),
+    ({"command": "traces", "scheme": "gue", "kind": "multiple-hermite", "q": "1/2,1/2",
+      "a": "1,-1", "n": "5", "moments": "2"}, "kind"),
+    ({"command": "gap-sweep", "scheme": "gue", "a": "1,-1", "n": "5,10", "moments": "2"}, "a"),
+    ({"command": "zeros", "kind": "multiple-hermite", "q": "1/2,1/2", "a": "1,-1",
+      "beta": "1", "n": "5", "moments": "2"}, "beta"),
+    ({"command": "sample", "model": "wishart", "alpha": "1", "atoms": "1,-1", "n": "4",
+      "samples": "2", "moments": "1"}, "atoms"),
+], ids=["curve-eps", "curve-richardson", "curve-density-moments", "curve-hermite-alpha",
+        "kva-density-moments", "scheme-and-kind", "scheme-and-a", "kind-and-beta",
+        "sample-atoms"])
+def test_a_flag_the_mode_never_reads_is_refused(config, key, tmp_path, capsys):
+    # a flag that changes nothing would still change the config hash
+    assert run_both_ways(config, tmp_path) == (2, 2)
+    assert capsys.readouterr().err.count(f"error: {key}: not read ") == 2
+    assert not (tmp_path / "artifact").exists()
+
+
+def test_scheme_errors_exit_2(tmp_path, capsys):
+    config = {"command": "mop-zeros", "kind": "multiple-hermite", "q": "1/2,1/2", "a": "1,1",
+              "n": "5", "moments": "2"}
+    assert run_both_ways(config, tmp_path) == (2, 2)
+    assert capsys.readouterr().err.count("locations must be distinct") == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ('["traces"]', "error: config must be a JSON object\n"),
+    ('{"command": "bogus"}', "error: command: unknown command 'bogus'\n"),
+], ids=["not-an-object", "unknown-command"])
+def test_run_config_names_a_known_command(text, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("call, argv", [
+    ("trace_table", "traces --scheme gue --n 10000000000000 --moments 1"),
+    ("mc_moments", "sample --model gue --n 10000000000000 --samples 2 --moments 1"),
+], ids=["traces", "sample"])
+def test_out_of_memory_exits_3(call, argv, tmp_path, capsys, monkeypatch):
+    # stands in for numpy refusing an allocation; nothing is allocated
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(cli, call, refuse)
+    out = tmp_path / "x.out"
+    assert cli.main([*shlex.split(argv), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: out of memory: Unable to allocate 72.8 TiB for an array\n"
+    assert not out.exists()
+
+
+def test_null_is_an_absent_value(tmp_path):
+    # a null value passes required, choices and parse as if it were absent;
+    # the config hash still covers it, so only the rows are compared
+    cfg = tmp_path / "cfg.json"
+    for given, nulls in [
+        ({"command": "kva", "scheme": "gue", "moments": 2}, ("alpha", "order", "density")),
+        ({"command": "zeros", "scheme": "gue", "n": "4", "moments": 2}, ("kind", "q", "format")),
+    ]:
+        tables = []
+        for config in (given, {**given, **dict.fromkeys(nulls)}):
+            cfg.write_text(json.dumps({**config, "out": str(tmp_path / "x.csv")}))
+            assert cli.main(["run", str(cfg)]) == 0
+            tables.append(read_csv(tmp_path / "x.csv")[1:])
+        assert tables[0] == tables[1]

@@ -421,9 +421,9 @@ def test_realize_diagonal_follows_path_multiplicities():
 def test_realize_diagonal_walks_the_path_of_mop_scheme():
     # `mop-zeros --q` and `sample --ratios` both parse to Fractions; the
     # multiple Hermite diagonal a_{i_k} names each step of the scheme's path
-    config = {"kind": "multiple-hermite", "q": "2/5,7/20,1/4", "a": "1,0,-1"}
-    scheme = cli._scheme_from(config)
     ratios = cli._number_list("2/5,7/20,1/4", "ratios")
+    config = {"kind": "multiple-hermite", "q": ratios, "a": cli._number_list("1,0,-1", "a")}
+    scheme = cli._scheme_from(config)
     a = [1.0, 0.0, -1.0]
     diagonal = scheme.band(400, 400)[scheme.down_band]
     counts = [0, 0, 0]
