@@ -169,8 +169,13 @@ def _parse_law(text, key):
     raise ConfigError(f"{key}: unknown law {text!r} (use sc, mp:RATE, point:X, atoms:X@W,...)")
 
 
+def _ranks(value, key):
+    """Rank list; a JSON number is a one-rank list."""
+    return _int_list([value] if isinstance(value, (int, float)) else value, key)
+
+
 def _single_n(value, key):
-    ns = _int_list(value, key)
+    ns = _ranks(value, key)
     if len(ns) != 1:
         raise ConfigError(f"{key}: this command takes a single truncation rank")
     if ns[0] < 1:
@@ -179,7 +184,7 @@ def _single_n(value, key):
 
 
 def _sweep_ns(value, key):
-    ns = _int_list(value, key)
+    ns = _ranks(value, key)
     if any(n < 1 for n in ns):
         raise ConfigError(f"{key}: ranks must be positive")
     if list(ns) != sorted(set(ns)):
@@ -261,18 +266,15 @@ def _unread(config, keys, mode):
 
 def _scheme_from(config):
     """Recurrence scheme from either classical or multi-index keys."""
-    try:
-        if "scheme" in config:
-            _unread(config, ("kind", "q", "a"), "with scheme")
-            params = {key: config[key] for key in ("alpha", "beta") if key in config}
-            return classical_scheme(config["scheme"], **params)
-        if "kind" not in config:
-            raise ConfigError("missing key 'scheme' (or 'kind')")
-        _unread(config, ("beta",), "with kind")
-        a, q = _require(config, "a"), _require(config, "q")
-        return mop_scheme(config["kind"], a=a, q=q, alpha=config.get("alpha"))
-    except SchemeError as exc:
-        raise ConfigError(str(exc)) from None
+    if "scheme" in config:
+        _unread(config, ("kind", "q", "a"), "with scheme")
+        params = {key: config[key] for key in ("alpha", "beta") if key in config}
+        return classical_scheme(config["scheme"], **params)
+    if "kind" not in config:
+        raise ConfigError("missing key 'scheme' (or 'kind')")
+    _unread(config, ("beta",), "with kind")
+    a, q = _require(config, "a"), _require(config, "q")
+    return mop_scheme(config["kind"], a=a, q=q, alpha=config.get("alpha"))
 
 
 def _loglog_slope(ns, values):
@@ -384,13 +386,10 @@ def _cmd_free_conv(config):
 
 def _curve_from(config):
     q, a = config["q"], config["a"]
-    try:
-        if config["kind"] == "hermite":
-            _unread(config, ("alpha",), "by the hermite curve")
-            return curve_hermite(q, a)
-        return curve_laguerre(q, a, config.get("alpha", 0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if config["kind"] == "hermite":
+        _unread(config, ("alpha",), "by the hermite curve")
+        return curve_hermite(q, a)
+    return curve_laguerre(q, a, config.get("alpha", 0))
 
 
 def _cmd_curve(config):

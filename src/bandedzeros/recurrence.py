@@ -14,15 +14,14 @@ reads off the band.  The classical orthonormal families are tridiagonal
 so their bands are symmetric bit for bit; multi-index families from
 ``mop.mop_scheme`` have a wider lower band.
 
-Classical coefficients are evaluated at the rescaled index k/N,
-vectorised over k, so one scheme instance serves every N.  Each
-classical scheme also carries the pointwise limits a(s), b(s) of its
-coefficients along k/N -> s, used to build the limiting arcsine mixture.
+A classical family is two coefficient functions a(k, N, d), b(k, N, d)
+with lattice step d, vectorised over k: the band reads them at d = 1 for
+every N, and their limits along k/N -> s, which build the limiting
+arcsine mixture, are the same functions at the continuum step (s, 1, 0).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -93,96 +92,77 @@ class RecurrenceScheme:
         return float(self.band(N, k + 2, k)[self.down_band + m - k, 0])
 
 
-def _tridiagonal(name, a, b, limit_a, limit_b):
-    """Orthonormal tridiagonal scheme from a(k, N) (k >= 1) and b(k, N),
-    both vectorised over an index array k."""
+def _tridiagonal(name, a, b):
+    """Orthonormal tridiagonal scheme from a(k, N, d) (k >= 1) and b(k, N, d)."""
 
     def band_fn(N, start, stop):
         # off[k - start] = a(k) = T[k - 1, k] = T[k, k - 1]; a(0) = 0
         k = np.arange(start, stop + 1)
-        off = np.where(k > 0, a(np.maximum(k, 1), N), 0.0)
-        return np.stack([off[:-1], b(k[:-1], N), off[1:]])
+        off = np.where(k > 0, a(np.maximum(k, 1), N, 1.0), 0.0)
+        return np.stack([off[:-1], b(k[:-1], N, 1.0), off[1:]])
 
-    return RecurrenceScheme(
-        name=name, down_band=1, band_fn=band_fn, limit_a=limit_a, limit_b=limit_b
-    )
-
-
-def _checked_sqrt(value, what, k):
-    if (value < 0).any():
-        i = np.argmax(value < 0)
-        raise SchemeError(f"negative squared coefficient for {what} at k={k[i]}: {value[i]}")
-    return np.sqrt(value)
+    limits = (lambda s: float(a(s, 1, 0.0))), (lambda s: float(b(s, 1, 0.0)))
+    return RecurrenceScheme(name, 1, band_fn, *limits)
 
 
 def _gue():
-    def a(k, N):
-        return _checked_sqrt(k / N, "gue", k)
+    def a(k, N, d):
+        return np.sqrt(k / N)
 
-    def b(k, N):
-        return np.zeros(len(k))
+    def b(k, N, d):
+        return np.zeros(np.shape(k))
 
-    return _tridiagonal("gue", a, b, lambda s: math.sqrt(s), lambda s: 0.0)
+    return _tridiagonal("gue", a, b)
 
 
 def _wishart(alpha):
     # a_k^2 = (k/N)(k/N + alpha) < 0 at k = 1 once N > -1/alpha
     if not alpha >= 0:
         raise SchemeError(f"wishart needs alpha >= 0, got {alpha}")
-    al = float(alpha)
+    alpha = float(alpha)
 
-    def a(k, N):
+    def a(k, N, d):
         s = k / N
-        return _checked_sqrt(s * (s + al), "wishart", k)
+        return np.sqrt(s * (s + alpha))
 
-    def b(k, N):
-        return (2 * k + 1) / N + al
+    def b(k, N, d):
+        return (2 * k + d) / N + alpha
 
-    return _tridiagonal(
-        "wishart", a, b, lambda s: math.sqrt(s * (s + al)), lambda s: 2 * s + al
-    )
+    return _tridiagonal("wishart", a, b)
 
 
 def _jacobi(alpha, beta):
     if not (alpha > 0 and beta > 0):
         raise SchemeError(f"jacobi needs alpha, beta > 0, got ({alpha}, {beta})")
-    al, be = float(alpha), float(beta)
+    alpha, beta = float(alpha), float(beta)
 
-    def a(k, N):
+    def a(k, N, d):
         s = k / N
-        t = 2 * s + al + be
-        num = 4 * s * (s + al) * (s + be) * (s + al + be)
-        den = t * t * (t * t - 1.0 / (N * N))  # > 0, as t >= 2/N for k >= 1
-        return _checked_sqrt(num / den, "jacobi", k)
+        t = 2 * s + alpha + beta
+        num = 4 * s * (s + alpha) * (s + beta) * (s + alpha + beta)
+        den = t * t * (t * t - d / (N * N))  # > 0, as t >= 2/N for k >= 1
+        return np.sqrt(num / den)
 
-    def b(k, N):
-        t0 = 2 * k / N + al + be
-        t1 = 2 * (k + 1) / N + al + be
-        return (be * be - al * al) / (t0 * t1)
+    def b(k, N, d):
+        t0 = 2 * k / N + alpha + beta
+        t1 = 2 * (k + d) / N + alpha + beta
+        return (beta * beta - alpha * alpha) / (t0 * t1)
 
-    def la(s):
-        t = 2 * s + al + be
-        return 2 * math.sqrt(s * (s + al) * (s + be) * (s + al + be)) / (t * t)
-
-    def lb(s):
-        t = 2 * s + al + be
-        return (be * be - al * al) / (t * t)
-
-    return _tridiagonal("jacobi", a, b, la, lb)
+    return _tridiagonal("jacobi", a, b)
 
 
 def _charlier(alpha):
     if not alpha > 0:
         raise SchemeError(f"charlier needs alpha > 0, got {alpha}")
-    al = float(alpha)
+    alpha = float(alpha)
 
-    def a(k, N):
-        return _checked_sqrt(al * k / N, "charlier", k)
+    def a(k, N, d):
+        return np.sqrt(alpha * k / N)
 
-    def b(k, N):
-        return al + k / N
+    def b(k, N, d):
+        return alpha + k / N
 
-    return _tridiagonal("charlier", a, b, lambda s: math.sqrt(al * s), lambda s: al + s)
+    return _tridiagonal("charlier", a, b)
 
 
 def _meixner(alpha, beta):
@@ -190,23 +170,17 @@ def _meixner(alpha, beta):
         raise SchemeError(f"meixner needs 0 < alpha < 1, got {alpha}")
     if not beta > 0:
         raise SchemeError(f"meixner needs beta > 0, got {beta}")
-    al, be = float(alpha), float(beta)
+    alpha, beta = float(alpha), float(beta)
 
-    def a(k, N):
+    def a(k, N, d):
         s = k / N
-        return _checked_sqrt(s * (s + be - 1.0 / N), "meixner", k) / (1 - al)
+        return np.sqrt(s * (s + beta - d / N)) / (1 - alpha)
 
-    def b(k, N):
+    def b(k, N, d):
         s = k / N
-        return (s + al * (s + be)) / (1 - al)
+        return (s + alpha * (s + beta)) / (1 - alpha)
 
-    return _tridiagonal(
-        "meixner",
-        a,
-        b,
-        lambda s: math.sqrt(s * (s + be)) / (1 - al),
-        lambda s: (s + al * (s + be)) / (1 - al),
-    )
+    return _tridiagonal("meixner", a, b)
 
 
 CLASSICAL_ENSEMBLES = {

@@ -176,7 +176,7 @@ def _generators(seed: int, start: int = 0):
     same object, valid until the next one is taken.
     """
     if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+        raise ConfigError(f"seed: must be in [0, 2**64), got {seed}")
     bits = np.random.Philox(key=seed)
     state = bits.state
     rng = np.random.Generator(bits)
@@ -388,7 +388,7 @@ def mc_moments(spec: MatrixModelSpec, L: int, samples: int, seed: int):
     (1/N) sum_i x_i^ell and the standard error of its mean.
     """
     if samples < 2:
-        raise ConfigError("need at least 2 samples")
+        raise ConfigError(f"samples: need at least 2 samples, got {samples}")
     with np.errstate(over="ignore", invalid="ignore"):
         batch = empirical_batch(spec, L, samples, seed)
         mean = batch.table.mean(axis=0)

@@ -372,6 +372,25 @@ def test_run_config_reproduces_flag_invocation(tmp_path, capsys):
     assert out.read_bytes().splitlines()[1:] == via_flags.splitlines()[1:]
 
 
+ONE_RANK = [argv for argv in FLAG_INVOCATIONS
+            if argv[0] in ("traces", "zeros", "gap-sweep", "variance-sweep")]
+
+
+@pytest.mark.parametrize("argv", ONE_RANK, ids=[argv[0] for argv in ONE_RANK])
+def test_a_json_number_is_a_one_rank_list(argv, tmp_path):
+    out, cfg = tmp_path / "eq.out", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config_from_flags(argv), "n": 4, "out": str(out)}))
+    assert cli.main(["run", str(cfg)]) == 0
+    via_run = out.read_bytes().splitlines()
+    flags = [("4" if flag == "--n" else arg) for flag, arg in zip([""] + argv, argv)]
+    assert cli.main(flags + ["--out", str(out)]) == 0
+    via_flags = out.read_bytes().splitlines()
+    # the meta line hashes the raw config, where 4 and "4" differ
+    assert via_run[0].startswith(b"#") and via_flags[0].startswith(b"#")
+    assert via_run[1:] == via_flags[1:]
+    assert len(via_run) > 2
+
+
 def readme_block(lang):
     """The first ``lang`` code block of README's Command line section."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -679,8 +698,8 @@ MALFORMED = {
     cli._number_list: [",", "1,x", [], 5],
     cli._float_list: [",", "1,x", [], 5],
     cli._parse_law: ["cauchy", "atoms:1", "atoms:1@x", 5],
-    cli._single_n: ["5,6", "0", "x"],
-    cli._sweep_ns: ["0,5", "10,5", ""],
+    cli._single_n: ["5,6", "0", "x", 0, 4.5, True],
+    cli._sweep_ns: ["0,5", "10,5", "", 0, 4.5, True],
     cli._moment_order: ["-3", "x", 1.5],
     cli._positive_int: ["0", "-2", "x"],
     cli._positive_float: ["0", "-1", "x"],
@@ -712,6 +731,18 @@ def test_malformed_value_is_named(argv, name, parse, tmp_path, capsys):
             expected = 1
         assert capsys.readouterr().err.count(f"error: {name}: ") == expected, value
         assert not (tmp_path / "artifact").exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("samples", "0"), ("samples", "1"), ("seed", "-1"), ("seed", str(2**64)),
+])
+def test_sampler_range_refusal_is_named(name, value, tmp_path, capsys):
+    # sampler checks these ranges itself; its message names the key
+    config = {"command": "sample", "model": "gue", "n": "4", "samples": "3", "moments": "2",
+              name: value}
+    assert run_both_ways(config, tmp_path) == (2, 2)
+    assert capsys.readouterr().err.count(f"error: {name}: ") == 2
+    assert not (tmp_path / "artifact").exists()
 
 
 @pytest.mark.parametrize("config, key", [

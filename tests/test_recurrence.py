@@ -99,6 +99,35 @@ def test_coefficients_approach_their_limits(name, params):
 
 
 @pytest.mark.parametrize(
+    "name, params, m, k, N, bits",
+    [
+        ("wishart", {"alpha": 0.37}, 3, 3, 7, "0x1.5eb851eb851ecp+0"),
+        ("jacobi", {"alpha": 2.0, "beta": 0.5}, 4, 5, 11, "0x1.38b2b00cb2358p-2"),
+        ("jacobi", {"alpha": 2.0, "beta": 0.5}, 5, 5, 11, "-0x1.39ae56d877402p-2"),
+        # a_1 at k = 1, where meixner's -1/N correction is as large as it gets
+        ("meixner", {"alpha": 0.5, "beta": 1.0}, 0, 1, 3, "0x1.279a74590331cp+0"),
+        ("meixner", {"alpha": 0.5, "beta": 1.0}, 0, 1, 1000, "0x1.030dc4ea03a72p-4"),
+        ("meixner", {"alpha": 0.1, "beta": 3.0}, 0, 1, 7, "0x1.746cd9dd1acd9p-1"),
+    ],
+)
+def test_band_entries_keep_their_bits(name, params, m, k, N, bits):
+    assert classical_scheme(name, **params).entry(m, k, N).hex() == bits
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.5), (10.0, 10.0)])
+def test_jacobi_limit_is_the_closed_form(alpha, beta):
+    # a(s) at the continuum step is sqrt(4P / t^4); the closed form
+    # writes it 2 sqrt(P) / t^2, which may round the other way by 1 ulp
+    limit_a, limit_b = kva_functions("jacobi", alpha=alpha, beta=beta)
+    nodes = (np.polynomial.legendre.leggauss(200)[0] + 1) / 2
+    for s in nodes.tolist():
+        t = 2 * s + alpha + beta
+        closed = 2 * math.sqrt(s * (s + alpha) * (s + beta) * (s + alpha + beta)) / (t * t)
+        assert abs(limit_a(s) - closed) <= math.ulp(closed), s
+        assert limit_b(s) == (beta * beta - alpha * alpha) / (t * t), s
+
+
+@pytest.mark.parametrize(
     "name,params",
     [
         ("gue", {}),

@@ -1,0 +1,90 @@
+"""Refusals of out-of-range input at the public entry points."""
+
+import math
+
+import pytest
+
+from bandedzeros import (
+    ArcsineLaw,
+    ArcsineMixture,
+    AtomicMeasure,
+    FormalSeries,
+    MarchenkoPasturLaw,
+    MomentSequence,
+    MultiIndexPath,
+    OracleScaleError,
+    SchemeError,
+    SemicircleLaw,
+    build_truncation,
+    classical_scheme,
+    coeff,
+    coefficient_limits,
+    curve_hermite,
+    free_add,
+    lattice_sum,
+    mop_scheme,
+    moments_from_r,
+    s_transform_series,
+    spectrum,
+    zero_moments,
+)
+
+GUE = classical_scheme("gue")
+MH2 = mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
+MIXTURE = ArcsineMixture(lambda s: math.sqrt(s), lambda s: 0.0)
+
+REFUSALS = {
+    "build_truncation-ell_max": (
+        lambda: build_truncation(GUE, 4, -1), SchemeError, "need ell_max >= 0"),
+    "zero_moments-ell_max": (
+        lambda: zero_moments(spectrum(build_truncation(GUE, 4, 0)), -1),
+        ValueError, "need ell_max >= 0"),
+    "path-index": (lambda: MultiIndexPath((0.5, 0.5)).index(-1), SchemeError, "need N >= 0"),
+    "path-step": (lambda: MultiIndexPath((0.5, 0.5)).step(-1), SchemeError, "need k >= 0"),
+    "mop_scheme-locations": (
+        lambda: mop_scheme("multiple-hermite", a=(1.0,), q=(0.5, 0.5)),
+        SchemeError, "need as many locations as ratios"),
+    "lattice_sum-start_range": (
+        lambda: lattice_sum(GUE, 4, 2, start_range=(0, 5)),
+        OracleScaleError, r"start range must lie in \[0, 4\]"),
+    "arcsine-endpoint": (lambda: ArcsineLaw(0.0, math.inf), ValueError, "must be finite"),
+    "mixture-endpoint": (
+        lambda: ArcsineMixture(lambda s: math.inf, lambda s: 0.0), ValueError, "must be finite"),
+    "arcsine-moment": (lambda: ArcsineLaw(-2, 2).moment(-1), ValueError, "negative moment"),
+    "semicircle-moment": (lambda: SemicircleLaw().moment(-1), ValueError, "negative moment"),
+    "marchenko-pastur-moment": (
+        lambda: MarchenkoPasturLaw(1).moment(-1), ValueError, "negative moment"),
+    "atomic-moment": (
+        lambda: AtomicMeasure([(0, 1)]).moment(-1), ValueError, "negative moment"),
+    "mixture-moment": (lambda: MIXTURE.moment(-1), ValueError, "negative moment"),
+    "marchenko-pastur-rate": (lambda: MarchenkoPasturLaw(-1), ValueError, "need alpha >= 0"),
+    "atomic-weight": (
+        lambda: AtomicMeasure([(0, 1.5), (1, -0.5)]), ValueError, "weights must be positive"),
+    "meixner-beta": (
+        lambda: classical_scheme("meixner", alpha=0.5, beta=0), SchemeError, "beta > 0"),
+    "jacobi-given-values": (
+        lambda: classical_scheme("jacobi", alpha=0, beta=1), SchemeError, r"got \(0, 1\)$"),
+    "wishart-string": (
+        lambda: classical_scheme("wishart", alpha="1"), TypeError, "not supported between"),
+    "coeff-index": (lambda: coeff(GUE, -1, 5), SchemeError, "k must be nonnegative"),
+    "entry-index": (lambda: GUE.entry(-1, 0, 5), SchemeError, "must be nonnegative"),
+    "limits-multi-index": (
+        lambda: coefficient_limits(MH2), SchemeError, "no coefficient limits known"),
+    "moments_from_r-cumulants": (
+        lambda: moments_from_r(FormalSeries((0, 1)), 3), ValueError, "need 3 cumulants, got 2"),
+    "s_transform-order": (
+        lambda: s_transform_series(MarchenkoPasturLaw(1), 0), ValueError, "need order >= 1"),
+    "curve_hermite-mismatched": (
+        lambda: curve_hermite([0.5, 0.5], [1.0]), ValueError, "matching nonempty"),
+    "curve_hermite-empty": (lambda: curve_hermite([], []), ValueError, "matching nonempty"),
+    "free_add-moment-sequence": (
+        lambda: free_add(MomentSequence((1, 0, 1)), SemicircleLaw(), 4),
+        ValueError, "need moments up to order 4, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_public_call_refuses_out_of_range_input(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
