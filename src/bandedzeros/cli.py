@@ -321,12 +321,16 @@ def _cmd_traces(config):
 
 
 def _cmd_zeros(config):
-    measure = spectrum(build_truncation(_scheme_from(config), config["n"], 0))
+    scheme = _scheme_from(config)
     if config.get("format", "csv") == "csv":
+        _unread(config, ("moments",), "in CSV mode")
+        measure = spectrum(build_truncation(scheme, config["n"], 0))
         return ("index", "re", "im"), [
             (idx, z.real, z.imag) for idx, z in enumerate(measure.points)
         ]
-    moments, residuals = zero_moments(measure, config["moments"])
+    order = _require(config, "moments")
+    measure = spectrum(build_truncation(scheme, config["n"], 0))
+    moments, residuals = zero_moments(measure, order)
     real, max_imag = reality_check(measure)
     return {
         "N": config["n"],
@@ -469,6 +473,7 @@ _MOMENTS = ("moments", dict(parse=_moment_order, required=True, help="highest mo
 # no parser default: "csv" applies after the config is hashed, as every
 # other flag's default does, so a flag invocation and its run config agree
 _FORMAT = ("format", dict(choices=("csv", "json"), help="artifact format (default csv)"))
+_ZERO_MOMENTS = ("moments", dict(parse=_moment_order, help="highest moment order (JSON format)"))
 _SWEEP_FLAGS = (
     *_SCHEME_FLAGS,
     ("n", dict(parse=_sweep_ns, required=True, help="ascending rank list, e.g. 25,50,100")),
@@ -484,7 +489,7 @@ _COMMANDS = {
     "zeros": _Command(_cmd_zeros, "zeros of the averaged characteristic polynomial", (
         *_SCHEME_FLAGS,
         ("n", dict(parse=_single_n, required=True, help="truncation rank")),
-        _MOMENTS,
+        _ZERO_MOMENTS,
         _FORMAT,
     )),
     "gap-sweep": _Command(_cmd_gap_sweep, "gap decay over an N sweep", _SWEEP_FLAGS),
@@ -504,7 +509,7 @@ _COMMANDS = {
         ("a", dict(parse=_number_list, required=True, help="comma list of locations")),
         ("alpha", dict(parse=_as_float, help="exponent parameter (multiple-laguerre)")),
         ("n", dict(parse=_single_n, required=True, help="truncation rank")),
-        _MOMENTS,
+        _ZERO_MOMENTS,
         _FORMAT,
     )),
     "free-conv": _Command(_cmd_free_conv, "free additive/multiplicative convolution", (

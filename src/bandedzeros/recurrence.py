@@ -74,12 +74,18 @@ class RecurrenceScheme:
         shape = (self.down_band + 2, stop - start)  # one row above the diagonal
         if band.shape != shape:
             raise SchemeError(f"scheme {self.name!r} gave band shape {band.shape}, not {shape}")
-        m = np.arange(start, stop) + np.arange(-self.down_band, 2)[:, None]
-        band[(m < 0) | (m >= stop)] = 0.0
+        # row i of column j holds m = start + j + i - R: m < 0 only in the
+        # first R - start columns, m >= stop only in row R + 1 of the last
+        R = self.down_band
+        for j in range(min(R - start, stop - start)):
+            band[: R - start - j, j] = 0.0
+        if stop > start:
+            band[R + 1, -1] = 0.0
         if not np.isfinite(band).all():
             i, j = np.argwhere(~np.isfinite(band))[0]
             raise SchemeError(
-                f"nonfinite entry at ({m[i, j]}, {start + j}) for scheme {self.name!r}, N={N}"
+                f"nonfinite entry at ({start + j + i - R}, {start + j}) for scheme "
+                f"{self.name!r}, N={N}"
             )
         return band
 

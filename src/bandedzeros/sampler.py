@@ -18,18 +18,59 @@ is tridiagonal with diagonal Normal(0, 1/N) and off-diagonal entries
 sqrt(Gamma(k) / N) for k = N - 1, ..., 1, Gamma(k) the standard gamma
 variate of shape k.  The wishart model is B B^T for the lower
 bidiagonal B with diagonal sqrt(Gamma(M - i) / N), i = 0, ..., N - 1,
-and subdiagonal sqrt(Gamma(k) / N), k = N - 1, ..., 1.  A source
-diagonal breaks the unitary invariance these models rest on, so
-gue_source and wishart_cov are drawn dense.
+and subdiagonal sqrt(Gamma(k) / N), k = N - 1, ..., 1.
 
-Reproducibility contract (stream version 4): sample j draws from
+A source diagonal A breaks the unitary invariance these models rest on
+only between its eigenspaces.  The sampler sorts the source stably, so
+that atom d fills the rows [o_d, o_d + n_d) (a permutation similarity
+changes no eigenvalue, so a sample depends only on the multiset of
+source values).  A block-diagonal unitary V commutes with A, so
+V* H V has the eigenvalues of H, and Householder steps inside each
+block, which depend only on that block's own entries, leave:
+
+- ``gue_source``: on each block the gue band model of size n_d (diagonal
+  Normal(0, 1/N), off-diagonal sqrt(Gamma(k) / N), k = n_d - 1, ..., 1)
+  plus a_d on the diagonal; the entries between blocks stay independent
+  complex Gaussians of variance 1/N;
+- ``wishart_cov``: H = K K* for the block lower-triangular N x N matrix
+  K, row i scaled by sqrt(a_i / N).  Block d on the diagonal is the
+  Golub-Kahan bidiagonal of an n_d x (M - o_d) Gaussian: diagonal
+  sqrt(Gamma(M - o_d - i)), subdiagonal sqrt(Gamma(n_d - 1 - i)).  The
+  blocks below the diagonal are standard complex Gaussians.  With every
+  atom a single point, K is the Bartlett factor.
+
+A sample so draws N^2 (1 - sum_d q_d^2) + N normals (gue_source) or
+N^2 (1 - sum_d q_d^2) (wishart_cov), q_d = n_d / N, in place of N^2 or
+2 N M: half and a quarter at two equal atoms and alpha = 0.  With a
+single atom there are no couplings and the sample is a_d times, or plus
+a_d, the band model.
+
+Reproducibility contract (stream version 5): sample j draws from
 Philox keyed by the two-word key (seed, j), that is ``seed + (j << 64)``
 for a seed in [0, 2^64), so different seeds share no sample (Salmon et
 al., SC11).  A batch builds one Philox and sets its state to that key,
 with counter 0 and an empty buffer, for each sample: the state a new
 generator starts in, at 1.6 us against 19 us for a new Philox on a
 2-vCPU VM.  Version 1 keyed on ``seed XOR j``; version 2 turned
-uniforms into normals by inverse CDF; version 3 drew dense gue/wishart.
+uniforms into normals by inverse CDF; version 3 drew dense gue/wishart;
+version 4 drew dense gue_source/wishart_cov.  Within a sample the draws
+come in this order, blocks in ascending source value:
+
+- gue: N normals (the diagonal), then N - 1 gammas (the off-diagonal);
+- wishart: N gammas (B's diagonal), then N - 1 gammas (its subdiagonal);
+- gue_source: N normals (the diagonal), N - r gammas (each block's
+  off-diagonal, block by block, for r atoms), then the couplings as
+  (re, im) normal pairs, row by row: H[i, c] for each row i of a block
+  and each column c after it;
+- wishart_cov: N gammas (K's diagonal, shapes M - i), N - r gammas
+  (the block subdiagonals), then the couplings as (re, im) normal
+  pairs, row by row: K[i, c] for each row i of a block and each column
+  c before it.
+
+With one atom a gue_source sample reads the words of the gue sample of
+the same key, and a wishart_cov sample those of the wishart one.
+Version 5 changes the bytes of gue_source and wishart_cov ``sample``
+artifacts; a gue or wishart artifact changes only its stream version.
 The normals and gammas come from numpy's samplers
 (``Generator.standard_normal``, a ziggurat, and
 ``Generator.standard_gamma``), whose rejections make the number of
@@ -54,19 +95,22 @@ dense, a wishart (alpha = 1) sample 17 us against 260 us; at N = 1e5,
 100 gue samples at L = 4 take 2.0 s and 51 MB of peak memory, where one
 dense complex sample would need 160 GB.  A batch of gue_source or
 wishart_cov samples draws each one into the same buffers, allocated
-once per batch (the draws, H, wishart_cov's conjugate factor and at
-most two powers), with the arithmetic of a sample built from fresh
-arrays, so every sample has the bytes it has when drawn alone.  A
-gue_source sample pays ceil(L/2) - 1 N x N matrix products and a
-wishart_cov sample one more, for G G*.  At N = 200 on the same VM a
-product takes 0.55 ms (G G* 1.2 ms at alpha = 1) and the normals of a
-sample 0.58 ms (gue_source) or 2.3 ms (wishart_cov, alpha = 1), so a
-sample at L = 4 takes 1.3 or 4.5 ms, against 3.9 ms for a dense
-eigvalsh alone; eigenvalues are cheaper only from L near 16.
-``sample_spectrum``, the eigenvalue route, hands a band sample to
-scipy's symmetric tridiagonal eigensolver, imported on first use, so it
-sees the same matrices from the same draws and builds no N x N array.
-The moment route loads no scipy.
+once per batch (the draws, H, wishart_cov's couplings and at most two
+powers), and a sample writes every entry it does not leave at 0, so
+every sample has the bytes it has when drawn alone.  wishart_cov forms
+K K* from K's parts: with D the bidiagonal and C the couplings, C C*
+is one product over the rows after the first block and the columns
+before the last, (N/2)^3 multiply-adds at two equal atoms against N^3
+for K K*, and the rest is O(N^2).  A gue_source sample pays
+ceil(L/2) - 1 N x N matrix products, and a wishart_cov sample also
+C C*.  At N = 200, L = 4, two equal atoms, on the same VM
+a gue_source sample takes 1.1-1.5 ms (0.4-0.5 ms of it the draw),
+against 1.5-1.9 ms drawn dense, and a wishart_cov (alpha = 1) sample
+1.4-1.8 ms (0.6-0.8 ms), against 4.6-5.2 ms; a dense eigvalsh alone
+takes 3.9 ms.  ``sample_spectrum``, the eigenvalue route, hands a band
+sample to scipy's symmetric tridiagonal eigensolver, imported on first
+use, so it sees the same matrices from the same draws and builds no
+N x N array.  The moment route loads no scipy.
 """
 
 from __future__ import annotations
@@ -100,9 +144,9 @@ _BAND_KINDS = ("gue", "wishart")
 _BLOCK_DOUBLES = 2**16
 
 # written into the ``sample`` artifact; changes whenever the draws for a
-# given (spec, seed) change.  Version 4 draws gue and wishart from their
-# band models.
-STREAM_VERSION = 4
+# given (spec, seed) change.  Version 5 draws gue_source and wishart_cov
+# from each atom's band model plus Gaussian couplings.
+STREAM_VERSION = 5
 
 
 def realize_diagonal(q, a, N: int) -> np.ndarray:
@@ -156,6 +200,8 @@ class MatrixModelSpec:
                 raise ConfigError(
                     f"source diagonal must have length N={self.N}, got {src.shape}"
                 )
+            if not np.all(np.isfinite(src)):
+                raise ConfigError(f"source: need finite values, got {src[~np.isfinite(src)][0]}")
             if self.kind == "wishart_cov" and np.any(src <= 0):
                 raise ConfigError("wishart_cov needs a positive source diagonal")
             object.__setattr__(self, "source", src)
@@ -221,49 +267,106 @@ def _dense_sampler(spec: MatrixModelSpec):
     """A function rng -> H that draws a gue_source or wishart_cov sample
     from ``rng`` into one N x N buffer, overwritten by the next call.
 
-    The buffers, and gue_source's flat indices of the strict upper and
-    lower triangles, are allocated once; each call draws into them with
-    the divisions, multiplications and products of a sample built from
-    fresh arrays, so it returns the same bytes.
+    The sample is the atoms' band models plus Gaussian couplings, in the
+    basis where the source values are sorted (stably), so that equal
+    values form the blocks [o_d, o_(d+1)); the module docstring gives the
+    model and its draw order.  The buffers, the gamma shapes and the
+    positions of the in-block off-diagonal entries are made once.  Each
+    call writes every entry that is not 0 in every sample, so it returns
+    the bytes of the sample drawn alone.
     """
     N = spec.N
-    H = np.empty((N, N), dtype=complex)
+    values = np.sort(spec.source, kind="stable")
+    offsets = np.concatenate(([0], np.flatnonzero(np.diff(values)) + 1, [N]))
+    blocks = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    # gamma shapes n_d - 1, ..., 1 of the block off-diagonals, whose
+    # entries pair k with k + 1
+    off_shapes = np.concatenate([np.arange(e - o - 1, 0, -1, dtype=float) for o, e in blocks])
+    inner = np.concatenate([np.arange(o, e - 1) for o, e in blocks])
+    couplings = np.empty(N * N - sum((e - o) ** 2 for o, e in blocks))
+    H = np.zeros((N, N), dtype=complex)
+    flat = H.reshape(-1)
+    on_diagonal, above, below = flat[:: N + 1], flat[1 :: N + 1], flat[N :: N + 1]
     if spec.kind == "gue_source":
-        diagonal = np.empty(N)
-        # the strict upper triangle, row by row, as (re, im) draw pairs
-        off = np.empty(N * (N - 1) // 2, dtype=complex)
-        off_parts = off.view(float)
-        rows, cols = np.triu_indices(N, k=1)
-        upper = rows * N + cols
-        lower = cols * N + rows
-        flat = H.reshape(-1)
-        on_diagonal = flat[:: N + 1]
+        diagonal, off = np.empty(N), np.empty(off_shapes.size)
+        # block d couples to every later column: H[o:e, e:] as (re, im)
+        # draw pairs, row by row, and H[e:, o:e] its conjugate transpose
+        pairs, slabs, start = couplings.view(complex), [], 0
+        for o, e in blocks[:-1]:
+            slabs.append((o, e, pairs[start : start + (e - o) * (N - e)].reshape(e - o, N - e)))
+            start += (e - o) * (N - e)
 
         def draw(rng: np.random.Generator) -> np.ndarray:
             rng.standard_normal(out=diagonal)
-            rng.standard_normal(out=off_parts)
-            np.divide(off_parts, math.sqrt(2.0 * N), out=off_parts)
-            flat[upper] = off
-            np.conjugate(off, out=off)
-            flat[lower] = off
+            rng.standard_gamma(off_shapes, out=off)
+            rng.standard_normal(out=couplings)
+            np.divide(couplings, math.sqrt(2.0 * N), out=couplings)
+            for o, e, slab in slabs:
+                H[o:e, e:] = slab
+                np.conjugate(slab.T, out=H[e:, o:e])
+            np.divide(off, N, out=off)
+            np.sqrt(off, out=off)
+            above[inner] = off
+            below[inner] = off
             np.divide(diagonal, math.sqrt(N), out=diagonal)
-            np.add(diagonal, spec.source, out=diagonal)
+            np.add(diagonal, values, out=diagonal)
             on_diagonal[...] = diagonal
             return H
 
         return draw
-    # A^(1/2) W A^(1/2) with W = (1/N) G G* and G = (g' + i g'') / sqrt(2)
-    # scales row i of G by sqrt(a_i)
-    draws = np.empty((N, 2 * spec.columns))
-    scale = np.sqrt(spec.source)[:, None] / math.sqrt(2.0 * N)
-    G = draws.view(complex)
-    G_conj = np.empty_like(G)
+    # H = K K* for the block lower-triangular K whose row i is scaled by
+    # sqrt(a_i / N).  K = D + C: D is lower bidiagonal, each block's
+    # bidiagonal factor with 0 between blocks, and C couples each block d
+    # to every earlier column, C[o:e, :o] = (g' + i g'') / sqrt(2).  C's
+    # rows start at the second block and its columns end at the last one,
+    # so H = D D^T + X + X* + C C* with X = C D^T takes one
+    # (N - first) x last product and O(N^2) arithmetic.
+    first, last = offsets[1], offsets[-2]
+    C = np.zeros((N - first, last), dtype=complex)
+    C_conj, X = np.empty_like(C), np.empty_like(C)
+    C_parts = C.view(float)
+    # one gamma draw: K's diagonal, sqrt(Gamma(M - i)), then the block
+    # subdiagonals, each entry times its row's scale
+    shapes = np.concatenate((spec.columns - np.arange(N, dtype=float), off_shapes))
+    gammas = np.empty(shapes.size)
+    delta, off = gammas[:N], gammas[N:]
+    row_scale = np.sqrt(values / N)
+    gamma_scale = np.concatenate((row_scale, row_scale[inner + 1]))
+    sigma, squares, products = np.zeros(N - 1), np.empty(N), np.empty(N - 1)
+    coupling_scale = np.sqrt(values / (2.0 * N))[:, None]
+    slabs, start = [], 0
+    for o, e in blocks[1:]:
+        slab = couplings[start : start + 2 * (e - o) * o].reshape(e - o, 2 * o)
+        slabs.append((slab, coupling_scale[o:e], C_parts[o - first : e - first, : 2 * o]))
+        start += slab.size
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        rng.standard_normal(out=draws)
-        np.multiply(draws, scale, out=draws)
-        np.conjugate(G, out=G_conj)
-        np.matmul(G, G_conj.T, out=H)
+        rng.standard_gamma(shapes, out=gammas)
+        rng.standard_normal(out=couplings)
+        np.sqrt(gammas, out=gammas)
+        np.multiply(gammas, gamma_scale, out=gammas)
+        sigma[inner] = off
+        if first < N:
+            for slab, scale, target in slabs:
+                np.multiply(slab, scale, out=target)
+            # column j of D^T holds delta_j in row j and sigma_(j - 1) in row j - 1
+            np.multiply(C, delta[:last], out=X)
+            X[:, 1:] += C[:, :-1] * sigma[: last - 1]
+            np.conjugate(C, out=C_conj)
+            np.matmul(C, C_conj.T, out=H[first:, first:])
+            H[first:, :first] = X[:, :first]
+            np.conjugate(X[:, :first].T, out=H[:first, first:])
+            H[first:, first:last] += X[:, first:]
+            H[first:last, first:] += X[:, first:].conj().T
+        # D D^T is tridiagonal: it is all of the first block and adds to the rest
+        np.multiply(delta, delta, out=squares)
+        squares[1:] += sigma * sigma
+        np.multiply(delta[:-1], sigma, out=products)
+        on_diagonal[:first] = squares[:first]
+        on_diagonal[first:] += squares[first:]
+        for band in (above, below):
+            band[: first - 1] = products[: first - 1]
+            band[first - 1 :] += products[first - 1 :]
         return H
 
     return draw

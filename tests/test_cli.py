@@ -124,7 +124,7 @@ def test_zeros_csv_points(tmp_path):
     out = tmp_path / "z.csv"
     assert (
         cli.main(
-            ["zeros", "--scheme", "gue", "--n", "2", "--moments", "1", "--out", str(out)]
+            ["zeros", "--scheme", "gue", "--n", "2", "--out", str(out)]
         )
         == 0
     )
@@ -251,7 +251,7 @@ def test_sample_payload_shape(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["model"] == "gue"
-    assert payload["meta"]["stream_version"] == 4
+    assert payload["meta"]["stream_version"] == 5
     assert payload["N"] == 8 and payload["samples"] == 5 and payload["seed"] == 3
     assert len(payload["mean"]) == len(payload["var"]) == len(payload["se"]) == 3
     assert payload["mean"][0] == 1.0
@@ -309,8 +309,7 @@ def test_output_path_stays_out_of_the_artifact(tmp_path):
 # mop-zeros names it
 FLAG_INVOCATIONS = [
     ["traces", "--scheme", "gue", "--n", "5", "--moments", "2"],
-    ["zeros", "--kind", "multiple-hermite", "--q", "1/2,1/2", "--a", "1,-1",
-     "--n", "6", "--moments", "3"],
+    ["zeros", "--kind", "multiple-hermite", "--q", "1/2,1/2", "--a", "1,-1", "--n", "6"],
     ["gap-sweep", "--scheme", "wishart", "--alpha", "1", "--n", "5,10", "--moments", "2"],
     ["variance-sweep", "--scheme", "jacobi", "--alpha", "1", "--beta", "1",
      "--n", "5,10", "--moments", "2"],
@@ -536,6 +535,10 @@ REQUIRED = [
     for argv in FLAG_INVOCATIONS
     for name, kwargs in cli._COMMANDS[argv[0]].flags
     if kwargs.get("required")
+] + [
+    # zeros and mop-zeros read, so require, moments only in JSON format
+    (FLAG_INVOCATIONS[1] + ["--moments", "3", "--format", "json"], "moments"),
+    (FLAG_INVOCATIONS[5], "moments"),
 ]
 
 
@@ -761,9 +764,12 @@ def test_sampler_range_refusal_is_named(name, value, tmp_path, capsys):
       "beta": "1", "n": "5", "moments": "2"}, "beta"),
     ({"command": "sample", "model": "wishart", "alpha": "1", "atoms": "1,-1", "n": "4",
       "samples": "2", "moments": "1"}, "atoms"),
+    ({"command": "zeros", "scheme": "gue", "n": "4", "moments": "2"}, "moments"),
+    ({"command": "mop-zeros", "kind": "multiple-hermite", "q": "1/2,1/2", "a": "1,-1",
+      "n": "4", "moments": "2", "format": "csv"}, "moments"),
 ], ids=["curve-eps", "curve-richardson", "curve-density-moments", "curve-hermite-alpha",
         "kva-density-moments", "scheme-and-kind", "scheme-and-a", "kind-and-beta",
-        "sample-atoms"])
+        "sample-atoms", "zeros-csv-moments", "mop-zeros-csv-moments"])
 def test_a_flag_the_mode_never_reads_is_refused(config, key, tmp_path, capsys):
     # a flag that changes nothing would still change the config hash
     assert run_both_ways(config, tmp_path) == (2, 2)
@@ -812,7 +818,7 @@ def test_null_is_an_absent_value(tmp_path):
     cfg = tmp_path / "cfg.json"
     for given, nulls in [
         ({"command": "kva", "scheme": "gue", "moments": 2}, ("alpha", "order", "density")),
-        ({"command": "zeros", "scheme": "gue", "n": "4", "moments": 2}, ("kind", "q", "format")),
+        ({"command": "zeros", "scheme": "gue", "n": "4"}, ("kind", "q", "moments", "format")),
     ]:
         tables = []
         for config in (given, {**given, **dict.fromkeys(nulls)}):

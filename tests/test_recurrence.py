@@ -14,6 +14,7 @@ from bandedzeros.recurrence import (
     coefficient_limits,
     kva_functions,
 )
+from bandedzeros.mop import mop_scheme
 
 
 def test_gue_table_values():
@@ -200,6 +201,34 @@ def test_band_start_selects_columns(monkeypatch):
         assert len(computed) - before == miss, (N, start, stop)
         fresh = makers[2]().band(N, stop)
         assert np.array_equal(window, fresh[:, start:]), (N, start, stop)
+
+
+BAND_SCHEMES = {
+    "gue": lambda: classical_scheme("gue"),
+    "wishart": lambda: classical_scheme("wishart", alpha=1.0),
+    "jacobi": lambda: classical_scheme("jacobi", alpha=2.0, beta=1.0),
+    "charlier": lambda: classical_scheme("charlier", alpha=1.5),
+    "meixner": lambda: classical_scheme("meixner", alpha=0.25, beta=2.0),
+    "mh2": lambda: mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5)),
+    "mh3": lambda: mop_scheme("multiple-hermite", a=(1.0, 0.0, -1.0), q=(0.25, 0.25, 0.5)),
+    "ml2": lambda: mop_scheme("multiple-laguerre", a=(1.0, 2.0), q=(0.3, 0.7), alpha=0.5),
+}
+
+
+@pytest.mark.parametrize("make", BAND_SCHEMES.values(), ids=BAND_SCHEMES.keys())
+def test_band_zeroes_the_entries_outside_the_truncation(make):
+    # band() zeroes the entries with m < 0 or m >= stop by their position;
+    # it must give the bits of the mask over the whole window
+    rng = np.random.default_rng(20261020)
+    for _ in range(60):
+        scheme = make()
+        N = int(rng.integers(1, 40))
+        start = int(rng.integers(0, 12))
+        stop = start + int(rng.integers(0, 12))
+        band = np.array(scheme.band_fn(N, start, stop), dtype=float)
+        m = np.arange(start, stop) + np.arange(-scheme.down_band, 2)[:, None]
+        band[(m < 0) | (m >= stop)] = 0.0
+        assert scheme.band(N, stop, start).tobytes() == band.tobytes(), (N, start, stop)
 
 
 def test_tridiagonal_symmetry():

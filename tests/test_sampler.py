@@ -11,6 +11,7 @@ passes with overwhelming margin at the chosen seeds.
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from bandedzeros import cli
 from bandedzeros.sampler import _dense_sample, _generators, _sample_bands, _trace_moments
 
 GUE = classical_scheme("gue")
+HALF = Fraction(1, 2)
 KINDS = ("gue", "wishart", "gue_source", "wishart_cov")
 
 
@@ -95,35 +97,184 @@ def test_neighbouring_seeds_share_no_samples():
         empirical_batch(spec, 2, 2, seed=2**64)
 
 
-def _gue4_by_hand(seed, j):
-    """Dense GUE at N = 4 assembled entry by entry from the (seed, j) stream."""
-    g = np.random.Generator(np.random.Philox(key=seed + (j << 64))).standard_normal(16)
-    H = np.zeros((4, 4), dtype=complex)
-    k = 4
-    for r in range(4):
-        H[r, r] = g[r] / 2.0
-        for c in range(r + 1, 4):
-            z = complex(g[k] / math.sqrt(8.0), g[k + 1] / math.sqrt(8.0))
-            H[r, c], H[c, r] = z, z.conjugate()
-            k += 2
-    return H
+def _blocks(source):
+    """Sorted source values and the (start, stop) of each run of equal ones."""
+    values = np.sort(source, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(values)) + 1).tolist(), len(values)]
+    return values, list(zip(cuts[:-1], cuts[1:]))
+
+
+def _source_model_by_hand(spec, rng):
+    """The gue_source matrix H, or the wishart_cov factor K of H = K K*,
+    assembled entry by entry from ``rng`` in the draw order of the model."""
+    N = spec.N
+    values, blocks = _blocks(spec.source)
+    if spec.kind == "gue_source":
+        first = rng.standard_normal(N)
+    else:
+        first = rng.standard_gamma(spec.columns - np.arange(N, dtype=float))
+    shapes = [k for o, e in blocks for k in range(e - o - 1, 0, -1)]
+    gammas = iter(rng.standard_gamma(np.array(shapes, dtype=float)))
+    normals = iter(rng.standard_normal(N * N - sum((e - o) ** 2 for o, e in blocks)))
+    M = np.zeros((N, N), dtype=complex)
+    if spec.kind == "gue_source":
+        for i in range(N):
+            M[i, i] = first[i] / math.sqrt(N) + values[i]
+        for o, e in blocks:
+            for k in range(o, e - 1):
+                M[k, k + 1] = M[k + 1, k] = math.sqrt(next(gammas) / N)
+        scale = math.sqrt(2.0 * N)
+        for o, e in blocks:
+            for i in range(o, e):
+                for c in range(e, N):
+                    z = complex(next(normals) / scale, next(normals) / scale)
+                    M[i, c], M[c, i] = z, z.conjugate()
+        return M
+    for i in range(N):
+        M[i, i] = math.sqrt(first[i]) * math.sqrt(values[i] / N)
+    for o, e in blocks:
+        for k in range(o, e - 1):
+            M[k + 1, k] = math.sqrt(next(gammas)) * math.sqrt(values[k + 1] / N)
+    for o, e in blocks:
+        for i in range(o, e):
+            scale = math.sqrt(values[i] / (2.0 * N))
+            for c in range(o):
+                M[i, c] = complex(next(normals) * scale, next(normals) * scale)
+    return M
+
+
+def _assert_is_the_model(H, spec, M):
+    """H is the sample of M from ``_source_model_by_hand``: the same bytes
+    for gue_source, and M M* up to rounding for wishart_cov, whose
+    sampler forms the product from the blocks of M."""
+    if spec.kind == "gue_source":
+        assert H.tobytes() == M.tobytes()
+    else:
+        ref = M @ M.conj().T
+        assert np.abs(H - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
 @pytest.mark.parametrize(
-    "seed, j, digest",
+    "kind, seed, j, digest",
     [
-        (0, 0, "632dbcadc6479627ab90230fdf033b93dafa132672d2b2d31dc9945ed6c07861"),
-        (0, 1, "6b14d21db59a8a6601279f1987c43914706d0ae57ab1345933fefa2de4a201af"),
-        (2**64 - 1, 3, "56bbe2ec75f4dad1847e5064e3a7772734af4198113903cbeb4026a0a8c46d10"),
+        ("gue_source", 0, 0, "79d7eada7e1b69ed09b6bd16bcc59b9dded4bb1a88a6eef9fd40f4c7f784de68"),
+        (
+            "gue_source",
+            2**64 - 1,
+            3,
+            "e0429ceb5393d70f2f2761948fee60fa33d0900541e70bedb713f916b1c7e80b",
+        ),
+        ("wishart_cov", 0, 1, "e26e45e69cf901a251f94e5f7371f6c0be459cb56ef1753ff8de2cfbbc371f4f"),
+        (
+            "wishart_cov",
+            2**64 - 1,
+            3,
+            "42149b56986915efbc0ef7417d334837672524ff0747255b25b2ddb629732252",
+        ),
     ],
+    ids=["gue_source-0-0", "gue_source-max-3", "wishart_cov-0-1", "wishart_cov-max-3"],
 )
-def test_golden_stream(seed, j, digest):
-    # numpy promises no stable normal stream across releases (NEP 19): a
-    # release that changes it must fail here and bump STREAM_VERSION.  The
-    # dense gue_source draws with a zero source are stream 3's gue draws.
-    H = _sample_matrix(MatrixModelSpec("gue_source", 4, source=np.zeros(4)), seed, j)
-    assert H.tobytes() == _gue4_by_hand(seed, j).tobytes()
-    assert hashlib.sha256(H.tobytes()).hexdigest() == digest
+def test_golden_source_stream(kind, seed, j, digest):
+    # stream 5's source models at N = 4 with two atoms, given in reverse
+    # order; numpy promises no stable normal or gamma stream across
+    # releases (NEP 19): a release that changes them must fail here and
+    # bump STREAM_VERSION.  The digest is of H for gue_source and of the
+    # factor K for wishart_cov (alpha = 1/2, so 6 columns).
+    spec = source_spec(kind, 4, (0.5, 0.5), (2.0, 0.5), alpha=0.5 if kind == "wishart_cov" else 0.0)
+    M = _source_model_by_hand(spec, np.random.Generator(np.random.Philox(key=seed + (j << 64))))
+    _assert_is_the_model(_sample_matrix(spec, seed, j), spec, M)
+    assert hashlib.sha256(M.tobytes()).hexdigest() == digest
+
+
+def test_one_atom_is_the_band_model():
+    # with a single atom there are no couplings: gue_source draws the gue
+    # band model plus the atom, and wishart_cov the atom times the wishart
+    # band model's B B^T, from the same words
+    for N in (1, 2, 9):
+        band = _tridiagonal(_sample_bands(MatrixModelSpec("gue", N), _generators(4), 1)[0])
+        H = _sample_matrix(MatrixModelSpec("gue_source", N, source=np.full(N, 0.75)), 4)
+        assert H.tobytes() == (band + np.diag(np.full(N, 0.75))).astype(complex).tobytes()
+        wishart = MatrixModelSpec("wishart", N, alpha=1.0)
+        band = _tridiagonal(_sample_bands(wishart, _generators(4), 1)[0])
+        H = _sample_matrix(MatrixModelSpec("wishart_cov", N, 1.0, np.full(N, 2.0)), 4)
+        assert np.abs(H - 2.0 * band).max() <= 1e-14 * np.abs(band).max(), N
+
+
+@pytest.mark.parametrize("kind", ("gue_source", "wishart_cov"))
+def test_permuting_the_source_changes_no_moment(kind):
+    # equal source values are grouped by a stable sort, so a sample
+    # depends only on the multiset of values
+    N, rng = 9, np.random.default_rng(17)
+    source = realize_diagonal((Fraction(2, 9), Fraction(1, 3), Fraction(4, 9)), (2.0, 0.5, 1.0), N)
+    alpha = 1.0 if kind == "wishart_cov" else 0.0
+    table = empirical_batch(MatrixModelSpec(kind, N, alpha, source), 5, 20, seed=3).table
+    for _ in range(4):
+        permuted = MatrixModelSpec(kind, N, alpha, rng.permutation(source))
+        assert empirical_batch(permuted, 5, 20, seed=3).table.tobytes() == table.tobytes()
+
+
+def _stream4_moments(spec, samples, seed, L=4):
+    """Moments (samples, L + 1) of the dense model stream 4 drew: a dense
+    gue sample plus the source diagonal A, or A^(1/2) G G* A^(1/2) / N
+    with G an N x M matrix of standard complex Gaussians."""
+    rng = np.random.default_rng(seed)
+    N, chunk = spec.N, 4000
+    table = np.ones((samples, L + 1))
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
+        if spec.kind == "gue_source":
+            X = rng.standard_normal((count, N, 2 * N)).view(complex)
+            H = (X + X.conj().transpose(0, 2, 1)) / (2.0 * math.sqrt(N)) + np.diag(spec.source)
+        else:
+            G = rng.standard_normal((count, N, 2 * spec.columns)).view(complex) / math.sqrt(2.0)
+            G = G * np.sqrt(spec.source / N)[:, None]
+            H = G @ G.conj().transpose(0, 2, 1)
+        P = np.broadcast_to(np.eye(N), H.shape)
+        for ell in range(1, L + 1):
+            P = P @ H
+            table[start : start + count, ell] = np.trace(P, axis1=1, axis2=2).real / N
+    return table
+
+
+def _pull_of_variances(x, y):
+    """|var x - var y| in standard errors, each from the sample's fourth
+    central moment."""
+    def se2(z):
+        c = z - z.mean()
+        return (np.mean(c**4) - np.var(z) ** 2) / len(z)
+
+    return abs(np.var(x, ddof=1) - np.var(y, ddof=1)) / math.sqrt(se2(x) + se2(y))
+
+
+@pytest.mark.parametrize(
+    "kind, q, a, alpha",
+    [
+        ("gue_source", (HALF, HALF), (1.0, -1.0), 0.0),
+        ("gue_source", (Fraction(1, 6), Fraction(1, 3), HALF), (1.0, 0.0, -1.0), 0.0),
+        ("gue_source", None, np.linspace(-1.0, 1.0, 12), 0.0),
+        ("wishart_cov", (1,), (2.0,), 1.0),
+        ("wishart_cov", (Fraction(1, 4), Fraction(3, 4)), (1.0, 0.5), 0.0),
+        ("wishart_cov", (Fraction(1, 6), Fraction(1, 3), HALF), (0.5, 1.0, 2.0), 0.5),
+        ("wishart_cov", None, np.linspace(0.5, 2.0, 12), 1.0),
+    ],
+    ids=["gue_source-2", "gue_source-3", "gue_source-distinct",
+         "wishart_cov-1", "wishart_cov-2", "wishart_cov-3", "wishart_cov-distinct"],
+)
+def test_band_and_coupling_draw_has_the_dense_moment_law(kind, q, a, alpha):
+    # the atoms' band models plus couplings keep the eigenvalue law of the
+    # dense model stream 4 drew: means and variances of m_1..m_4 agree
+    # within 4 standard errors (one atom with gue_source is the gue band
+    # model, test_one_atom_is_the_band_model)
+    N, S = 12, 20_000
+    source = a if q is None else realize_diagonal(q, a, N)
+    spec = MatrixModelSpec(kind, N, alpha, source)
+    new = empirical_batch(spec, 4, S, seed=20261020).table
+    old = _stream4_moments(spec, S, seed=4)
+    for ell in range(1, 5):
+        x, y = new[:, ell], old[:, ell]
+        se = math.sqrt((np.var(x, ddof=1) + np.var(y, ddof=1)) / S)
+        assert abs(x.mean() - y.mean()) <= 4 * se, (ell, x.mean(), y.mean(), se)
+        assert _pull_of_variances(x, y) <= 4, (ell, np.var(x), np.var(y))
 
 
 def _band4_by_hand(kind, seed, j):
@@ -174,23 +325,6 @@ def test_golden_band_stream(kind, seed, j, digest):
     assert _sample_matrix(spec, seed, j).tobytes() == _tridiagonal(band).tobytes()
 
 
-def _dense_from_fresh_arrays(spec, rng):
-    """A gue_source or wishart_cov sample assembled from fresh arrays."""
-    N = spec.N
-    if spec.kind == "gue_source":
-        g = rng.standard_normal(N * N)
-        off = (g[N:] / math.sqrt(2.0 * N)).view(complex)
-        upper = np.triu_indices(N, k=1)
-        H = np.zeros((N, N), dtype=complex)
-        H[upper] = off
-        H[upper[::-1]] = off.conj()
-        H[np.diag_indices(N)] = g[:N] / math.sqrt(N) + spec.source
-        return H
-    scale = np.sqrt(spec.source)[:, None] / math.sqrt(2.0 * N)
-    G = (rng.standard_normal(2 * N * spec.columns).reshape(N, -1) * scale).view(complex)
-    return G @ G.conj().T
-
-
 @pytest.mark.parametrize(
     "kind, N, alpha",
     [
@@ -204,7 +338,7 @@ def _dense_from_fresh_arrays(spec, rng):
 def test_reused_buffers_leak_nothing_between_samples(kind, N, alpha):
     # a batch draws every dense sample into the same buffers; row j must
     # be the moments of sample j drawn alone, from a fresh generator, and
-    # that sample the one assembled from fresh arrays
+    # that sample the one assembled entry by entry
     spec = source_spec(kind, N, (0.5, 0.5), (1.0, 0.5), alpha=alpha)
     seed = 2**63 + 5
 
@@ -215,7 +349,7 @@ def test_reused_buffers_leak_nothing_between_samples(kind, N, alpha):
         table = empirical_batch(spec, L, 6, seed).table
         for j, row in enumerate(table):
             H = _dense_sample(spec, fresh(j))
-            assert H.tobytes() == _dense_from_fresh_arrays(spec, fresh(j)).tobytes(), (L, j)
+            _assert_is_the_model(H, spec, _source_model_by_hand(spec, fresh(j)))
             assert row.tobytes() == _trace_moments(H, L).tobytes(), (L, j)
 
 
@@ -473,6 +607,14 @@ def test_spec_validation():
         MatrixModelSpec(kind="gue", N=4, source=np.ones(4))
     with pytest.raises(ConfigError, match="source"):
         MatrixModelSpec(kind="wishart", N=4, alpha=1.0, source=np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["gue_source", "wishart_cov"])
+def test_nonfinite_source_is_refused(kind, bad):
+    # refused up front, not left to surface as a Monte-Carlo overflow
+    with pytest.raises(ConfigError, match="^source: "):
+        MatrixModelSpec(kind=kind, N=3, source=[1.0, bad, 2.0])
 
 
 def test_wishart_columns():
