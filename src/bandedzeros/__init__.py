@@ -19,7 +19,6 @@ from .measures import (
     MomentSequence,
     SemicircleLaw,
     kva_moment,
-    moment_sequence,
 )
 from .recurrence import (
     CLASSICAL_ENSEMBLES,
@@ -51,8 +50,6 @@ from .mop import (
     MultiIndexPath,
     NNCoefficients,
     banded_entries,
-    hermite_coeff_fn,
-    laguerre_coeff_fn,
     mop_scheme,
     nn_coeffs_hermite,
     nn_coeffs_laguerre,
@@ -65,11 +62,9 @@ from .freeprob import (
     curve_moments,
     free_add,
     free_mul,
-    k_transform_series,
     moments_from_r,
     r_transform_series,
     s_transform_series,
-    series_compose_inverse,
     solve_G,
     stieltjes_density,
 )

@@ -241,8 +241,8 @@ def window_max(scheme: RecurrenceScheme, N: int, eps: float) -> float:
     """Largest |entry(m, k, N)| over |k - N|, |m - N| <= floor(N eps)
     (with a 1e-9 tolerance on the floor), that is over |k/N - 1| <= eps,
     |m/N - 1| <= eps."""
-    if eps <= 0:
-        raise SchemeError("need eps > 0")
+    if not 0 < eps < math.inf:
+        raise SchemeError(f"need finite eps > 0, got {eps}")
     return _peak(scheme, N, math.floor(N * eps + 1e-9))
 
 

@@ -36,9 +36,7 @@ from .measures import MomentSequence, _is_exact
 
 __all__ = [
     "FormalSeries",
-    "series_compose_inverse",
     "r_transform_series",
-    "k_transform_series",
     "moments_from_r",
     "s_transform_series",
     "free_add",
@@ -62,15 +60,12 @@ def _lift(values):
 
 @dataclass(frozen=True)
 class FormalSeries:
-    """Truncated series sum_i coeffs[i] x^(offset + i).
+    """Truncated power series sum_i coeffs[i] x^i.
 
-    ``offset`` is the lowest tracked power; -1 accommodates transforms
-    with a simple pole at the origin.  Coefficients above
-    ``offset + len(coeffs) - 1`` are untracked, not zero.
+    Coefficients above ``len(coeffs) - 1`` are untracked, not zero.
     """
 
     coeffs: tuple
-    offset: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
@@ -80,14 +75,12 @@ class FormalSeries:
     @property
     def order(self) -> int:
         """Highest tracked power."""
-        return self.offset + len(self.coeffs) - 1
+        return len(self.coeffs) - 1
 
     def coefficient(self, power: int):
         if power > self.order:
             raise ValueError(f"power {power} above truncation order {self.order}")
-        if power < self.offset:
-            return 0
-        return self.coeffs[power - self.offset]
+        return self.coeffs[power] if power >= 0 else 0
 
 
 # -- dense power-series helpers: lists indexed by power 0..L ------------
@@ -145,16 +138,6 @@ def _compose_inverse(f, L):
     return g
 
 
-def series_compose_inverse(f: FormalSeries) -> FormalSeries:
-    """Compositional inverse of an offset-1 truncated power series."""
-    if f.offset != 1:
-        raise ValueError("compositional inverse expects a series starting at power 1")
-    coeffs, _ = _lift(f.coeffs)
-    dense = [coeffs[0] * 0] + coeffs
-    g = _compose_inverse(dense, len(dense) - 1)
-    return FormalSeries(tuple(g[1:]), offset=1)
-
-
 def _as_moments(mu, order):
     if isinstance(mu, MomentSequence):
         vals = list(mu.values)
@@ -183,21 +166,11 @@ def r_transform_series(mu, order: int) -> FormalSeries:
     psi = _compose_inverse(phi, L)
     psi_shift = psi[1:]  # psi / w, constant term 1/m0 = 1
     inv = _reciprocal(psi_shift, order)
-    return FormalSeries(tuple(inv[1 : order + 1]), offset=0)
-
-
-def k_transform_series(mu, order: int) -> FormalSeries:
-    """K(w) = 1/w + R(w), the compositional inverse of the Cauchy
-    transform; offset -1."""
-    r = r_transform_series(mu, order)
-    one = r.coeffs[0] * 0 + 1
-    return FormalSeries((one,) + r.coeffs, offset=-1)
+    return FormalSeries(tuple(inv[1 : order + 1]))
 
 
 def moments_from_r(r: FormalSeries, order: int) -> MomentSequence:
     """Moments m_0..m_order of the law with cumulants r."""
-    if r.offset != 0:
-        raise ValueError("R series must start at power 0")
     kappa = list(r.coeffs[:order])
     if len(kappa) < order:
         raise ValueError(f"need {order} cumulants, got {len(kappa)}")
@@ -211,7 +184,7 @@ def moments_from_r(r: FormalSeries, order: int) -> MomentSequence:
 
 
 def s_transform_series(mu, order: int) -> FormalSeries:
-    """Multiplicative-convolution transform S(z), offset 0.
+    """Multiplicative-convolution transform S(z).
 
     Defined for moment data with m_1 != 0; returns ``order``
     coefficients S_0 + S_1 z + ...
@@ -225,7 +198,7 @@ def s_transform_series(mu, order: int) -> FormalSeries:
     chi = _compose_inverse(h, order)
     chi_over_z = chi[1:] + [m[0] * 0]
     s = [chi_over_z[0]] + [chi_over_z[j] + chi_over_z[j - 1] for j in range(1, order)]
-    return FormalSeries(tuple(s[:order]), offset=0)
+    return FormalSeries(tuple(s[:order]))
 
 
 def _moments_from_s(s: FormalSeries, order: int) -> MomentSequence:
@@ -246,7 +219,7 @@ def free_add(mu, nu, order: int) -> MomentSequence:
     r_mu = r_transform_series(mu, order)
     r_nu = r_transform_series(nu, order)
     total = tuple(x + y for x, y in zip(r_mu.coeffs, r_nu.coeffs))
-    return moments_from_r(FormalSeries(total, offset=0), order)
+    return moments_from_r(FormalSeries(total), order)
 
 
 def free_mul(mu, nu, order: int) -> MomentSequence:
@@ -257,7 +230,7 @@ def free_mul(mu, nu, order: int) -> MomentSequence:
     s_mu = s_transform_series(mu, order)
     s_nu = s_transform_series(nu, order)
     prod = _mul_trunc(list(s_mu.coeffs), list(s_nu.coeffs), order - 1)
-    return _moments_from_s(FormalSeries(tuple(prod), offset=0), order)
+    return _moments_from_s(FormalSeries(tuple(prod)), order)
 
 
 # -- algebraic curves ----------------------------------------------------
@@ -322,6 +295,10 @@ def _validate_curve_inputs(q, a):
     a = list(a)
     if len(q) != len(a) or not q:
         raise ValueError("need matching nonempty ratio and location vectors")
+    if not all(map(math.isfinite, q)):
+        raise ValueError(f"ratios must be finite, got {q}")
+    if not all(map(math.isfinite, a)):
+        raise ValueError(f"locations must be finite, got {a}")
     if abs(float(sum(q)) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {q}")
     if any(float(x) <= 0 for x in q):
@@ -384,8 +361,8 @@ def curve_laguerre(q, a, alpha) -> AlgebraicCurve:
     if any(float(x) <= 0 for x in a):
         raise ValueError("locations must be positive")
     alpha = Fraction(alpha) if exact and _is_exact(alpha) else float(alpha)
-    if float(alpha) < 0:
-        raise ValueError("need alpha >= 0")
+    if not 0 <= float(alpha) < math.inf:
+        raise ValueError(f"need finite alpha >= 0, got {alpha}")
     one = q[0] / q[0]
     factors = [
         {(1, 0): one, (0, 0): -(one - alpha) / ai, (1, 1): -(alpha * one) / ai}
@@ -488,8 +465,8 @@ def stieltjes_density(curve: AlgebraicCurve, x: float, eps: float = 1e-6,
     With ``richardson`` the O(eps) error is removed by extrapolating the
     values at eps and 2 eps.
     """
-    if eps <= 0:
-        raise ValueError("need eps > 0")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"need finite eps > 0, got {eps}")
     d1 = -solve_G(curve, complex(x, eps)).imag / math.pi
     if not richardson:
         return d1

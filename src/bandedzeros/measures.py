@@ -31,7 +31,6 @@ __all__ = [
     "AtomicMeasure",
     "ArcsineMixture",
     "kva_moment",
-    "moment_sequence",
 ]
 
 
@@ -236,8 +235,8 @@ class MarchenkoPasturLaw:
     """
 
     def __init__(self, alpha):
-        if alpha < 0:
-            raise ValueError(f"need alpha >= 0, got {alpha}")
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"need alpha >= 0 and finite, got {alpha}")
         self.alpha = alpha
         root = math.sqrt(alpha)
         self.upper = (1 + root) ** 2
@@ -279,6 +278,9 @@ class AtomicMeasure:
         atoms = [(x, w) for x, w in atoms]
         if not atoms:
             raise ValueError("need at least one atom")
+        for x, w in atoms:
+            if not (math.isfinite(x) and math.isfinite(w)):
+                raise ValueError(f"atoms: need finite locations and weights, got ({x}, {w})")
         locs = [x for x, _ in atoms]
         if len(set(locs)) != len(locs):
             raise ValueError("atom locations must be distinct")
@@ -376,9 +378,3 @@ def kva_moment(mixture: ArcsineMixture, ell: int) -> float:
     The name matches the CLI subcommand that emits these limits.
     """
     return mixture.moment(ell)
-
-
-def moment_sequence(law, order: int) -> MomentSequence:
-    """Moments 0..order of any law exposing ``moment(ell)``."""
-    return MomentSequence(tuple(law.moment(ell) for ell in range(order + 1)))
-

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -49,8 +50,6 @@ __all__ = [
     "NNCoefficients",
     "nn_coeffs_hermite",
     "nn_coeffs_laguerre",
-    "hermite_coeff_fn",
-    "laguerre_coeff_fn",
     "banded_entries",
     "mop_scheme",
 ]
@@ -98,8 +97,8 @@ class MultiIndexPath:
         ratios = tuple(ratios)
         if not ratios:
             raise SchemeError("need at least one ratio")
-        if any(q <= 0 for q in ratios):
-            raise SchemeError(f"ratios must be positive, got {ratios}")
+        if not all(0 < q < math.inf for q in ratios):
+            raise SchemeError(f"ratios must be positive and finite, got {ratios}")
         if abs(float(sum(ratios)) - 1.0) > 1e-9:
             raise SchemeError(f"ratios must sum to 1, got {ratios}")
         self.ratios = ratios
@@ -209,14 +208,6 @@ def nn_coeffs_laguerre(n, N: int, alpha, a_vec) -> NNCoefficients:
     return NNCoefficients(diag=diag, down=down)
 
 
-def hermite_coeff_fn(a_vec):
-    return lambda n, N: nn_coeffs_hermite(n, N, a_vec)
-
-
-def laguerre_coeff_fn(alpha, a_vec):
-    return lambda n, N: nn_coeffs_laguerre(n, N, alpha, a_vec)
-
-
 def _cascade(path: MultiIndexPath, coeff_fn, N: int, start: int, stop: int) -> np.ndarray:
     """Columns start..stop-1 of the band (``RecurrenceScheme.band_fn``
     layout, R + 2 rows), in the dtype of coeff_fn's coefficients.
@@ -287,21 +278,23 @@ def mop_scheme(kind: str, a, q, alpha=None) -> RecurrenceScheme:
     a = tuple(float(x) for x in a)
     if len(a) != path.r:
         raise SchemeError(f"{kind}: need as many locations as ratios")
+    if not all(map(math.isfinite, a)):
+        raise SchemeError(f"{kind}: locations must be finite, got {a}")
     if len(set(a)) != len(a):
         raise SchemeError(f"{kind}: locations must be distinct, got {a}")
     if kind == "multiple-hermite":
         if alpha is not None:
             raise SchemeError("multiple-hermite takes no alpha")
-        coeff_fn = hermite_coeff_fn(a)
+        coeff_fn = partial(nn_coeffs_hermite, a_vec=a)
     elif kind == "multiple-laguerre":
         if alpha is None:
             alpha = 0.0
         alpha = float(alpha)
-        if alpha < 0:
-            raise SchemeError(f"multiple-laguerre needs alpha >= 0, got {alpha}")
+        if not 0 <= alpha < math.inf:
+            raise SchemeError(f"multiple-laguerre needs finite alpha >= 0, got {alpha}")
         if any(x <= 0 for x in a):
             raise SchemeError(f"multiple-laguerre locations must be positive, got {a}")
-        coeff_fn = laguerre_coeff_fn(alpha, a)
+        coeff_fn = partial(nn_coeffs_laguerre, alpha=alpha, a_vec=a)
     else:
         raise SchemeError(f"unknown multi-index kind {kind!r}")
     # (N, first column, band) of the widest window asked for at the last N

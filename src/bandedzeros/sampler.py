@@ -184,6 +184,8 @@ class MatrixModelSpec:
         if self.kind in ("gue", "wishart") and self.source is not None:
             raise ConfigError(f"{self.kind} takes no source diagonal")
         if self.kind in ("wishart", "wishart_cov"):
+            if not math.isfinite(self.alpha):
+                raise ConfigError(f"alpha: need a finite value, got {self.alpha}")
             if self.alpha < 0:
                 raise ConfigError(f"need alpha >= 0, got {self.alpha}")
             m = self.N * self.alpha

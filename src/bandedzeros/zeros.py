@@ -11,10 +11,11 @@ characteristic polynomial on a Chebyshev grid over the Gershgorin
 interval brackets the zeros, a vectorised bracketed Newton iteration
 solves every bracket, and the result is certified real and simple when
 the scan shows exactly N zeros and the first two power sums match the
-traces of the block.  When it does not certify, balanced eigenvalue
-estimates of the dense block are polished by Aberth iteration and the
-result is labelled uncertified.  Eigenvalues are reported sorted by
-real part, then imaginary part, with the route that found them.
+traces of the block, read off the band product (``bandop._powers``)
+that ``zero_moment_trace`` reads.  When it does not certify, balanced
+eigenvalue estimates of the dense block are polished by Aberth iteration
+and the result is labelled uncertified.  Eigenvalues are reported sorted
+by real part, then imaginary part, with the route that found them.
 
 One banded leading-minor recurrence (``_charpoly``) evaluates the
 characteristic polynomial and its derivative, vectorised over points
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bandop import BandedOperator
+from .bandop import BandedOperator, _powers
 from .errors import CharpolyOverflow, NumericalFailure
 from .measures import MomentSequence
 
@@ -357,10 +358,9 @@ def _certified_real_zeros(block: np.ndarray, minors: _Minors):
     Tr(B) and Tr(B^2) of the block B within 1e-9 * max(1, |trace / N|).
     Sign changes alone are not proof in floating point: where p is
     dominated by rounding, a grid can show spurious changes while it
-    misses true ones, and the power sums catch that.  With one
-    superdiagonal, B[k, m] B[m, k] vanishes unless |m - k| <= 1, so
-    Tr(B^2) is the sum of the squared diagonal plus twice the products
-    B[k, k + 1] B[k + 1, k].
+    misses true ones, and the power sums catch that.  The traces are the
+    diagonals of the bands of B and B^2 from ``bandop._powers``, the band
+    product ``zero_moment_trace`` reads.
     """
     N, R = minors.N, len(block) - 2
     lo, hi = _gershgorin_interval(block)
@@ -371,11 +371,8 @@ def _certified_real_zeros(block: np.ndarray, minors: _Minors):
     span = max(1.0, abs(lo), abs(hi))
     solved = _bracketed_newton(minors, x[cross], x[cross + 1], s[cross], span)
     zeros = np.sort(np.concatenate([x[s == 0], solved]))
-    diag = block[R]
-    pairs = block[R - 1, 1:] * block[R + 1, :-1] if R else diag[:0]
-    traces = (diag.tolist(), (diag * diag).tolist() + (2.0 * pairs).tolist())
-    for power, terms in enumerate(traces, start=1):
-        trace = math.fsum(terms) / N
+    for power, P in enumerate(_powers(block, R, 2), start=1):
+        trace = math.fsum(P[power * R].tolist()) / N
         if abs(math.fsum((zeros**power).tolist()) / N - trace) > 1e-9 * max(1.0, abs(trace)):
             return None
     return zeros

@@ -9,7 +9,7 @@ asserted, not just reported.  Relative deviation means
 
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from bandedzeros import (
     free_add,
     free_mul,
     gap_bound,
-    hermite_coeff_fn,
     kva_functions,
     kva_moment,
     lattice_sum,
@@ -260,7 +259,7 @@ def test_09_monte_carlo_consistency():
 
 def test_10_small_rank_orthogonality_oracle():
     a_vec = (Fraction(1), Fraction(-1))
-    coeff_fn = hermite_coeff_fn(a_vec)
+    coeff_fn = partial(nn_coeffs_hermite, a_vec=a_vec)
     for N in range(1, 9):
         path = MultiIndexPath(HALF)
         moments = [gaussian_moments(a, N, 20) for a in a_vec]

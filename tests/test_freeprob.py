@@ -20,20 +20,21 @@ from bandedzeros import (
     ContinuationError,
     FormalSeries,
     MarchenkoPasturLaw,
+    NumericalFailure,
     SemicircleLaw,
     curve_hermite,
     curve_laguerre,
     curve_moments,
     free_add,
     free_mul,
-    k_transform_series,
     moments_from_r,
     r_transform_series,
     s_transform_series,
-    series_compose_inverse,
     solve_G,
     stieltjes_density,
 )
+from bandedzeros import freeprob
+from bandedzeros.freeprob import _compose_inverse
 
 HALF = Fraction(1, 2)
 SC = SemicircleLaw()
@@ -83,34 +84,31 @@ def mp_ratio_moments(lam, count):
 
 
 def test_compose_inverse_identity():
-    ident = FormalSeries((1, 0, 0, 0), offset=1)
-    assert series_compose_inverse(ident).coeffs == (1, 0, 0, 0)
+    assert _compose_inverse([0, 1, 0, 0, 0], 4) == [0, 1, 0, 0, 0]
 
 
 def test_compose_inverse_roundtrip():
-    f = FormalSeries((Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 3)), offset=1)
-    g = series_compose_inverse(f)
-    dense_f = [Fraction(0)] + list(f.coeffs)
-    dense_g = [Fraction(0)] + list(g.coeffs)
-    assert compose(dense_f, dense_g, 4) == [0, 1, 0, 0, 0]
-    assert compose(dense_g, dense_f, 4) == [0, 1, 0, 0, 0]
+    f = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 3)]
+    g = _compose_inverse(f, 4)
+    assert compose(f, g, 4) == [0, 1, 0, 0, 0]
+    assert compose(g, f, 4) == [0, 1, 0, 0, 0]
 
 
 def test_compose_inverse_rejects_bad_leading_terms():
-    with pytest.raises(ValueError):
-        series_compose_inverse(FormalSeries((1, 1), offset=0))
-    with pytest.raises(ValueError):
-        series_compose_inverse(FormalSeries((0, 1), offset=1))
+    with pytest.raises(ValueError, match="vanishing constant term"):
+        _compose_inverse([1, 1], 1)
+    with pytest.raises(ValueError, match="nonzero linear term"):
+        _compose_inverse([0, 0, 1], 2)
 
 
 def test_formal_series_accessors():
-    s = FormalSeries((1, 0, 1), offset=-1)
-    assert s.order == 1
-    assert s.coefficient(-1) == 1
-    assert s.coefficient(-2) == 0
-    assert s.coefficient(1) == 1
+    s = FormalSeries((1, 0, 1))
+    assert s.order == 2
+    assert s.coefficient(0) == 1
+    assert s.coefficient(-1) == 0
+    assert s.coefficient(2) == 1
     with pytest.raises(ValueError):
-        s.coefficient(2)
+        s.coefficient(3)
     with pytest.raises(ValueError):
         FormalSeries(())
 
@@ -126,13 +124,6 @@ def test_r_transform_of_semicircle_is_linear():
     assert r.coeffs == (0, 1, 0, 0)
 
 
-def test_k_transform_has_simple_pole():
-    k = k_transform_series(SC, 4)
-    assert k.offset == -1
-    assert k.coeffs == (1, 0, 1, 0, 0)
-    assert k.coefficient(-1) == 1
-
-
 def test_moments_from_r_inverts_r_transform():
     mp = MarchenkoPasturLaw(2)
     r = r_transform_series(mp, 8)
@@ -140,8 +131,6 @@ def test_moments_from_r_inverts_r_transform():
     assert r.coeffs == (2,) * 8
     back = moments_from_r(r, 8)
     assert back.values == tuple(mp.moment(ell) for ell in range(9))
-    with pytest.raises(ValueError):
-        moments_from_r(k_transform_series(mp, 4), 4)
 
 
 def test_s_transform_of_free_poisson_is_geometric():
@@ -354,6 +343,19 @@ def test_branch_rejects_origin():
         solve_G(curve_hermite((1,), (0,)), 0)
 
 
+def test_branch_names_a_pole_of_the_self_map():
+    # the start u = 1/z puts z - u - a at 0 on the semicircle's curve
+    with pytest.raises(ContinuationError, match=r"subordination map has a pole at z = \(1\+0j\)"):
+        solve_G(curve_hermite((1,), (0,)), 1.0)
+
+
+def test_branch_inside_the_support_does_not_converge_on_the_real_line():
+    # real z runs in real arithmetic, where the fixed point inside the
+    # support is complex
+    with pytest.raises(ContinuationError, match="fixed point did not converge at z = 0.5$"):
+        solve_G(curve_hermite((1,), (0,)), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # density
 
@@ -454,3 +456,12 @@ def test_laguerre_curve_agrees_with_series(q, a, alpha):
 def test_curve_moments_rejects_negative_order():
     with pytest.raises(ValueError):
         curve_moments(curve_hermite((1,), (0,)), -1)
+
+
+def test_curve_moments_fail_when_no_circle_converges(monkeypatch):
+    def diverge(curve, z):
+        raise ContinuationError(f"no fixed point at z = {z}")
+
+    monkeypatch.setattr(freeprob, "solve_G", diverge)
+    with pytest.raises(NumericalFailure, match="^contour moments did not stabilise under radius"):
+        curve_moments(curve_hermite((1,), (0,)), 4)

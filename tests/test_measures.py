@@ -17,7 +17,6 @@ from bandedzeros.measures import (
     MomentSequence,
     SemicircleLaw,
     kva_moment,
-    moment_sequence,
 )
 
 
@@ -222,8 +221,8 @@ def test_moment_sequence_contract():
         MomentSequence((1.0, float("inf")))
 
 
-def test_moment_sequence_builder():
-    seq = moment_sequence(SemicircleLaw(), 6)
+def test_moment_sequence_floats():
+    seq = MomentSequence(tuple(SemicircleLaw().moment(ell) for ell in range(7)))
     assert seq.floats() == [1, 0, 1, 0, 2, 0, 5]
 
 

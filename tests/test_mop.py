@@ -11,6 +11,7 @@ exact equality, which is stronger than the 1e-8 relative contract.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from bandedzeros import (
     banded_entries,
     build_truncation,
     classical_scheme,
-    hermite_coeff_fn,
-    laguerre_coeff_fn,
     mean_moment,
     mop_scheme,
     nn_coeffs_hermite,
@@ -129,7 +128,8 @@ LAGUERRE_A = (Fraction(1), Fraction(2))
 def test_hermite_rows_match_orthogonality_oracle(N):
     path = MultiIndexPath(HALF)
     moments = [gaussian_moments(a, N, 20) for a in HERMITE_A]
-    check_rows_against_oracle(path, hermite_coeff_fn(HERMITE_A), moments, N, 7)
+    coeff_fn = partial(nn_coeffs_hermite, a_vec=HERMITE_A)
+    check_rows_against_oracle(path, coeff_fn, moments, N, 7)
 
 
 @pytest.mark.parametrize("N", [2, 6])
@@ -137,7 +137,7 @@ def test_hermite_rows_match_orthogonality_oracle(N):
 def test_laguerre_rows_match_orthogonality_oracle(N, alpha):
     path = MultiIndexPath(HALF)
     moments = [exponential_moments(a, N, alpha, 20) for a in LAGUERRE_A]
-    coeff_fn = laguerre_coeff_fn(alpha, LAGUERRE_A)
+    coeff_fn = partial(nn_coeffs_laguerre, alpha=alpha, a_vec=LAGUERRE_A)
     check_rows_against_oracle(path, coeff_fn, moments, N, 7)
 
 
@@ -148,7 +148,8 @@ def test_long_gap_path_rows_match_oracle():
     assert path.R == 5
     a_vec = (Fraction(1), Fraction(0), Fraction(-1))
     moments = [gaussian_moments(a, 40, 30) for a in a_vec]
-    check_rows_against_oracle(path, hermite_coeff_fn(a_vec), moments, 40, 10)
+    coeff_fn = partial(nn_coeffs_hermite, a_vec=a_vec)
+    check_rows_against_oracle(path, coeff_fn, moments, 40, 10)
 
 
 def test_band_wider_than_the_longest_run_adds_a_zero_row():
@@ -162,9 +163,10 @@ def test_band_wider_than_the_longest_run_adds_a_zero_row():
     assert max(np.diff(np.flatnonzero(steps == d), prepend=-1).max() for d in range(3)) == 5
     a_vec = (Fraction(1), Fraction(0), Fraction(-1))
     moments = [gaussian_moments(a, 40, 30) for a in a_vec]
-    check_rows_against_oracle(path, hermite_coeff_fn(a_vec), moments, 40, 10)
+    coeff_fn = partial(nn_coeffs_hermite, a_vec=a_vec)
+    check_rows_against_oracle(path, coeff_fn, moments, 40, 10)
     for k in range(6, 11):
-        assert dict(banded_entries(path, hermite_coeff_fn(a_vec), k, 40))[k - 6] == 0
+        assert dict(banded_entries(path, coeff_fn, k, 40))[k - 6] == 0
 
 
 @pytest.mark.parametrize(
@@ -218,9 +220,9 @@ def test_float_band_matches_exact_cascade(kind, a, q, alpha):
     scheme = mop_scheme(kind, a, q, alpha=alpha)
     exact_a = tuple(Fraction(x) for x in a)
     if alpha is None:
-        exact_fn = hermite_coeff_fn(exact_a)
+        exact_fn = partial(nn_coeffs_hermite, a_vec=exact_a)
     else:
-        exact_fn = laguerre_coeff_fn(Fraction(alpha), exact_a)
+        exact_fn = partial(nn_coeffs_laguerre, alpha=Fraction(alpha), a_vec=exact_a)
     R = scheme.down_band
     for N in (7, 20, 61):
         band = scheme.band(N, N + 5)

@@ -20,18 +20,23 @@ from bandedzeros import (
     coeff,
     coefficient_limits,
     curve_hermite,
+    curve_laguerre,
     free_add,
     lattice_sum,
     mop_scheme,
     moments_from_r,
     s_transform_series,
     spectrum,
+    stieltjes_density,
+    window_max,
     zero_moments,
 )
 
 GUE = classical_scheme("gue")
 MH2 = mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
 MIXTURE = ArcsineMixture(lambda s: math.sqrt(s), lambda s: 0.0)
+SEMICIRCLE = curve_hermite((1,), (0,))
+NAN, INF = math.nan, math.inf
 
 REFUSALS = {
     "build_truncation-ell_max": (
@@ -80,6 +85,47 @@ REFUSALS = {
     "free_add-moment-sequence": (
         lambda: free_add(MomentSequence((1, 0, 1)), SemicircleLaw(), 4),
         ValueError, "need moments up to order 4, got 2"),
+    # nonfinite parameters pass the sign and sum checks unless refused
+    # up front
+    "atomic-nan-weight": (
+        lambda: AtomicMeasure([(0, NAN), (1, 0.5)]), ValueError,
+        "atoms: need finite locations and weights"),
+    "atomic-nan-location": (
+        lambda: AtomicMeasure([(NAN, 1.0)]), ValueError, "atoms: need finite locations and weights"),
+    "marchenko-pastur-nan": (
+        lambda: MarchenkoPasturLaw(NAN), ValueError, "need alpha >= 0 and finite, got nan"),
+    "marchenko-pastur-inf": (
+        lambda: MarchenkoPasturLaw(INF), ValueError, "need alpha >= 0 and finite, got inf"),
+    "mop_scheme-nan-alpha": (
+        lambda: mop_scheme("multiple-laguerre", a=(1.0, 2.0), q=(0.5, 0.5), alpha=NAN),
+        SchemeError, "needs finite alpha >= 0, got nan"),
+    "mop_scheme-nan-location": (
+        lambda: mop_scheme("multiple-hermite", a=(1.0, NAN), q=(0.5, 0.5)),
+        SchemeError, "multiple-hermite: locations must be finite"),
+    "curve_hermite-nan-ratio": (
+        lambda: curve_hermite([0.5, NAN], [1.0, -1.0]), ValueError, "ratios must be finite"),
+    "curve_hermite-nan-location": (
+        lambda: curve_hermite([0.5, 0.5], [1.0, NAN]), ValueError, "locations must be finite"),
+    "curve_laguerre-nan-ratio": (
+        lambda: curve_laguerre([NAN, 0.5], [1.0, 2.0], 1.0), ValueError, "ratios must be finite"),
+    "curve_laguerre-nan-location": (
+        lambda: curve_laguerre([0.5, 0.5], [NAN, 2.0], 1.0), ValueError,
+        "locations must be finite"),
+    "curve_laguerre-nan-alpha": (
+        lambda: curve_laguerre([0.5, 0.5], [1.0, 2.0], NAN), ValueError,
+        "need finite alpha >= 0, got nan"),
+    "path-nan-ratio": (
+        lambda: MultiIndexPath((NAN,)), SchemeError, "ratios must be positive and finite"),
+    "window_max-nan-eps": (
+        lambda: window_max(GUE, 10, NAN), SchemeError, "need finite eps > 0, got nan"),
+    "window_max-inf-eps": (
+        lambda: window_max(GUE, 10, INF), SchemeError, "need finite eps > 0, got inf"),
+    "stieltjes_density-nan-eps": (
+        lambda: stieltjes_density(SEMICIRCLE, 0.0, eps=NAN), ValueError,
+        "need finite eps > 0, got nan"),
+    "stieltjes_density-inf-eps": (
+        lambda: stieltjes_density(SEMICIRCLE, 0.0, eps=INF), ValueError,
+        "need finite eps > 0, got inf"),
 }
 
 

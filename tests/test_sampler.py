@@ -617,6 +617,15 @@ def test_nonfinite_source_is_refused(kind, bad):
         MatrixModelSpec(kind=kind, N=3, source=[1.0, bad, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["wishart", "wishart_cov"])
+def test_nonfinite_alpha_is_refused(kind, bad):
+    # refused before round(N * alpha) sees it
+    source = np.ones(4) if kind == "wishart_cov" else None
+    with pytest.raises(ConfigError, match="^alpha: need a finite value"):
+        MatrixModelSpec(kind=kind, N=4, alpha=bad, source=source)
+
+
 def test_wishart_columns():
     spec = MatrixModelSpec(kind="wishart", N=10, alpha=0.5)
     assert spec.columns == 15

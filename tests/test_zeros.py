@@ -475,6 +475,17 @@ def test_spectrum_matches_reference_recurrence(scheme, route, monkeypatch):
         assert np.array_equal(got[1], ref[1])
 
 
+def test_solver_failure_names_the_scheme_and_size(monkeypatch):
+    def refuse(band):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(zeros_mod, "_tridiagonal_eigvals", refuse)
+    with pytest.raises(NumericalFailure) as info:
+        spectrum(build_truncation(GUE, 5, 0))
+    assert str(info.value) == "eigenvalue solver failed on 'gue' block of size 5: no convergence"
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_certified_spectrum_loads_no_scipy():
     code = """
 import sys
