@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemeError
+from .errors import SchemeError, as_index
 from .recurrence import RecurrenceScheme
 
 __all__ = [
@@ -67,8 +67,7 @@ class BandedOperator:
 
 def build_truncation(scheme: RecurrenceScheme, N: int, ell_max: int) -> BandedOperator:
     """Band of T on indices < N + ell_max."""
-    if ell_max < 0:
-        raise SchemeError(f"need ell_max >= 0, got {ell_max}")
+    N, ell_max = _sizes(N, ell_max, "ell_max")
     return BandedOperator(scheme, N, scheme.band(N, N + ell_max))
 
 
@@ -149,16 +148,21 @@ def _read(scheme: RecurrenceScheme, N: int, ell_max: int, window=None, zero: boo
         yield _Traces(N, ell, ell * r, start, B, P)
 
 
-def _order_zero(N: int, ell: int) -> bool:
-    """Refuse N < 1 and ell < 0; whether ell = 0, where no band is read."""
-    if N < 1 or ell < 0:
-        raise SchemeError(f"need N >= 1 and ell >= 0, got N={N}, ell={ell}")
-    return ell == 0
+def _sizes(N, ell, name: str = "ell", least: int = 0) -> tuple[int, int]:
+    """N and the order ``name`` = ell as ints (numpy integers pass),
+    refusing any other type, N < 1 and ell < least."""
+    N, ell = as_index("N", N, SchemeError), as_index(name, ell, SchemeError)
+    if N < 1:
+        raise SchemeError(f"need N >= 1, got {N}")
+    if ell < least:
+        raise SchemeError(f"need {name} >= {least}, got {ell}")
+    return N, ell
 
 
 def mean_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     """Mean of the ell-th empirical moment, (1/N) Tr(pi_N T^ell pi_N)."""
-    if _order_zero(N, ell):
+    N, ell = _sizes(N, ell)
+    if ell == 0:
         return 1.0
     window = _window(scheme, N, ell, N + ell)
     return deque(_read(scheme, N, ell, window, zero=False), maxlen=1).pop().mean()
@@ -166,7 +170,8 @@ def mean_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
 
 def zero_moment_trace(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     """ell-th moment of the zero distribution, (1/N) Tr((pi_N T pi_N)^ell)."""
-    if _order_zero(N, ell):
+    N, ell = _sizes(N, ell)
+    if ell == 0:
         return 1.0
     return deque(_read(scheme, N, ell), maxlen=1).pop().zero()
 
@@ -179,7 +184,8 @@ def variance_moment(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     indices from N - ell (2 R + 1) to N + 2 ell, so the band of that
     window alone gives the exact value at a cost independent of N.
     """
-    if _order_zero(N, ell):
+    N, ell = _sizes(N, ell)
+    if ell == 0:
         return 0.0
     r = scheme.down_band
     start, window = _window(scheme, N, ell, N + 2 * ell)
@@ -212,8 +218,7 @@ def gap_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     (2 ell)^ell / N times the ell-th power of the largest entry
     magnitude in the window |k - N| <= ell, |m - N| <= ell.
     """
-    if ell < 1:
-        raise SchemeError("need ell >= 1")
+    N, ell = _sizes(N, ell, least=1)
     return _bound(N, ell, _peak(scheme, N, ell), 1)
 
 
@@ -223,8 +228,7 @@ def variance_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
     (4 ell)^(2 ell) / N^2 times the (2 ell)-th power of the largest
     entry magnitude in the window of radius 2 ell around N.
     """
-    if ell < 1:
-        raise SchemeError("need ell >= 1")
+    N, ell = _sizes(N, ell, least=1)
     return _bound(N, ell, _peak(scheme, N, 2 * ell), 2)
 
 
@@ -243,6 +247,7 @@ def window_max(scheme: RecurrenceScheme, N: int, eps: float) -> float:
     |m/N - 1| <= eps."""
     if not 0 < eps < math.inf:
         raise SchemeError(f"need finite eps > 0, got {eps}")
+    N = as_index("N", N, SchemeError)
     return _peak(scheme, N, math.floor(N * eps + 1e-9))
 
 
@@ -251,8 +256,7 @@ def trace_table(scheme: RecurrenceScheme, N: int, ell_max: int):
     variance_bound) for ell = 1..ell_max, read by ``_read`` from the
     N-block and the window on the columns max(0, N - ell_max (2 R + 1))
     to N + 2 ell_max, whose peaks around N give both bounds."""
-    if ell_max < 0:
-        raise SchemeError(f"need ell_max >= 0, got {ell_max}")
+    N, ell_max = _sizes(N, ell_max, "ell_max")
     r, W = scheme.down_band, 2 * ell_max
     start, window = _window(scheme, N, ell_max, N + W + 1)
     peak = _window_peaks(window[:, max(0, N - W) - start :], r, N, W).tolist()

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises them."""
+
+import operator
+
+
+def as_index(name, value, error):
+    """``value`` as an int by ``operator.index``, so that numpy integers
+    pass (and a bool reads as 0 or 1); anything else raises ``error``
+    naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name}: need an integer, got {value!r}") from None
 
 
 class SchemeError(ValueError):
@@ -14,7 +27,7 @@ class NumericalFailure(RuntimeError):
 
 
 class OracleScaleError(ValueError):
-    """Lattice-path query outside the supported enumeration scale."""
+    """Lattice-path query outside the oracle's supported scale."""
 
 
 class ContinuationError(NumericalFailure):

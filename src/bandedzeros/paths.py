@@ -3,10 +3,12 @@
 The recurrence graph has vertices (n, k) and edges (n, k) -> (n+1, m)
 for k - down_band <= m <= k + 1 with weight T[m, k] (the band).  The
 trace statistics of ``bandop`` equal sums over closed walks on that
-graph, which this module evaluates by a forward walk count: for every
-starting ordinate it carries the total weight of the walks ending at
-each ordinate, one step at a time, never forming a matrix.  The two
-routes are developed independently and compared in the tests.
+graph, which this module evaluates by a forward walk count.  It lays
+the band out once as the dense step-weight matrix S, with S[y, y'] the
+weight of the step y -> y', and carries for all starting ordinates at
+once the total weight of the walks ending at each ordinate, one product
+with S per step.  The two routes are developed independently, share no
+code, and are compared in the tests.
 
 Constraints on the counted paths:
 
@@ -24,7 +26,7 @@ import enum
 
 import numpy as np
 
-from .errors import OracleScaleError
+from .errors import OracleScaleError, as_index
 from .recurrence import RecurrenceScheme
 
 __all__ = ["Constraint", "lattice_sum", "kernel_name"]
@@ -46,24 +48,37 @@ def kernel_name() -> str:
     return "python"
 
 
-def _closed_walk_sum(band, down_band, starts, length, width, N, mid):
+def _closed_walk_sum(band, down_band, starts, length, N, mid, stay_below):
     """Total weight of the walks of ``length`` steps from each start back
-    to itself on ordinates [0, width); a step y -> y - down_band + j has
-    weight band[j, y] (``RecurrenceScheme.band`` layout).  When ``mid``
-    is given, walks must sit at an ordinate >= N after ``mid`` steps."""
-    own = np.arange(len(starts))
-    walks = np.zeros((len(starts), width))
-    walks[own, starts] = 1.0
+    to itself on the ordinates [0, width) of the band's columns; a step
+    y -> y - down_band + j has weight band[j, y] (``RecurrenceScheme.band``
+    layout).  The band is laid out once as the step-weight matrix S, and
+    the walks of all starts, one row each, advance by one product with S
+    per step.  When ``stay_below``, walks never reach an ordinate >= N;
+    when ``mid`` is given, walks must sit at an ordinate >= N after
+    ``mid`` steps."""
+    width = band.shape[1]
+    # S[y, y'] = band[down_band + y' - y, y]: row j of the band is the
+    # diagonal y' - y = d = j - down_band of S, from row lo = max(0, -d);
+    # in the flat view it starts at lo * (width + 1) + d with stride width + 1
+    S = np.zeros((width, width))
+    flat = S.reshape(-1)
+    for j, row in enumerate(band):
+        d = j - down_band
+        lo, size = max(0, -d), max(0, width - abs(d))
+        flat[lo * (width + 1) + d :: width + 1][:size] = row[lo : lo + size]
+    if stay_below:
+        # steps onto ordinates >= N weigh 0; zeroed, not cut off, so that
+        # every constraint multiplies matrices of one shape, and NONE and
+        # STAY_BELOW agree exactly on walks that stay below N
+        S[:, N:] = 0.0
+    walks = np.eye(width)[starts]
     for step in range(length + 1):
         if step:
-            # column c of ``spread`` holds ordinate c - down_band
-            spread = np.zeros((len(starts), width + len(band) - 1))
-            for j in range(len(band)):
-                spread[:, j : j + width] += walks * band[j, :width]
-            walks = spread[:, down_band : down_band + width]
+            walks = walks @ S
         if step == mid:
             walks[:, :N] = 0.0
-    return walks[own, starts].sum()
+    return walks[np.arange(len(starts)), starts].sum()
 
 
 def lattice_sum(
@@ -93,11 +108,13 @@ def lattice_sum(
     float
         Path sum divided by N (NONE, STAY_BELOW) or N^2 (midpoint).
     """
+    N, ell = as_index("N", N, OracleScaleError), as_index("ell", ell, OracleScaleError)
     if ell < 0:
         raise OracleScaleError("need ell >= 0")
     if ell > MAX_ELL or N > MAX_N:
         raise OracleScaleError(
-            f"enumeration capped at ell <= {MAX_ELL}, N <= {MAX_N}; got ell={ell}, N={N}"
+            f"the path oracle runs at ell <= {MAX_ELL}, N <= {MAX_N} only; "
+            f"got ell={ell}, N={N}"
         )
     if N < 1:
         raise OracleScaleError("need N >= 1")
@@ -109,13 +126,12 @@ def lattice_sum(
     if start_range is None:
         start_lo, start_hi = 0, N
     else:
-        start_lo, start_hi = start_range
+        start_lo, start_hi = (as_index("start_range", k, OracleScaleError) for k in start_range)
         if not (0 <= start_lo <= start_hi <= N):
             raise OracleScaleError(f"start range must lie in [0, {N}], got {start_range}")
+    # walks from below N reach at most N - 1 + length, inside the band
     band = scheme.band(N, N + length + 1)
-    # walks that stay below N never need ordinates >= N; the others
-    # reach at most N - 1 + length, inside the band
-    width = N if constraint is Constraint.STAY_BELOW else band.shape[1]
     starts = np.arange(start_lo, start_hi)
-    total = _closed_walk_sum(band, scheme.down_band, starts, length, width, N, mid)
+    stay_below = constraint is Constraint.STAY_BELOW
+    total = _closed_walk_sum(band, scheme.down_band, starts, length, N, mid, stay_below)
     return float(total) / norm

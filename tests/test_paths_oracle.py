@@ -1,9 +1,14 @@
-"""Lattice-path sums against the trace route.
+"""Lattice-path sums against the trace route and a walk enumeration.
 
 The path sums are an independent evaluation of the same quantities the
 banded traces compute; both read the scheme's band, but nothing here
-reuses matrix code.
+reuses matrix code.  At small sizes they are also checked against a
+listing of every walk, which forms no matrix at all.
 """
+
+import functools
+import itertools
+import math
 
 import pytest
 
@@ -61,15 +66,48 @@ def test_kernel_name_reports():
 
 
 def test_low_starts_contribute_nothing_to_the_gap():
-    # paths starting below N - q*ell cannot reach the boundary, so the
-    # unconstrained and stay-below sums agree exactly there
-    for scheme in (GUE, classical_scheme("charlier", alpha=1.0)):
-        n, ell = 10, 3
-        free = lattice_sum(scheme, n, ell, Constraint.NONE, start_range=(0, n - ell))
-        below = lattice_sum(
-            scheme, n, ell, Constraint.STAY_BELOW, start_range=(0, n - ell)
-        )
-        assert free == below
+    # a step goes up by at most one, so paths starting below N - ell
+    # cannot reach the boundary, and the unconstrained and stay-below
+    # sums agree exactly there
+    by_label = dict(SCHEMES)
+    labels = ("gue", "charlier1", "mhermite", "mlaguerre")
+    for label, n, ell in itertools.product(labels, (8, 10, 16), (1, 2, 3, 4, 6)):
+        scheme, starts = by_label[label], (0, n - ell)
+        free = lattice_sum(scheme, n, ell, Constraint.NONE, start_range=starts)
+        below = lattice_sum(scheme, n, ell, Constraint.STAY_BELOW, start_range=starts)
+        assert free == below, (label, n, ell)
+
+
+def _enumerated(scheme, N, ell, constraint, starts):
+    """The normalised path sum by listing every walk from each start in
+    ``range(*starts)``: a step y -> y' (y - R <= y' <= y + 1) weighs
+    ``scheme.entry(y', y, N)``, a walk the product of its steps."""
+    weight = functools.cache(lambda m, k: scheme.entry(m, k, N))
+    midpoint = constraint is Constraint.MIDPOINT_AT_OR_ABOVE
+    length = 2 * ell if midpoint else ell
+    terms = []
+    for k in range(*starts):
+        for moves in itertools.product(range(-scheme.down_band, 2), repeat=length):
+            ys = list(itertools.accumulate(moves, initial=k))
+            if ys[-1] != k or min(ys) < 0:
+                continue
+            if constraint is Constraint.STAY_BELOW and max(ys) >= N:
+                continue
+            if midpoint and ys[ell] < N:
+                continue
+            terms.append(math.prod(weight(m, y) for y, m in zip(ys, ys[1:])))
+    return math.fsum(terms) / (N * N if midpoint else N)
+
+
+@pytest.mark.parametrize("label", ["gue", "mhermite"])
+def test_oracle_matches_walk_enumeration(label):
+    scheme = dict(SCHEMES)[label]
+    for n, ell, constraint in itertools.product(range(1, 6), range(4), Constraint):
+        split = n // 2
+        for starts in ((0, n), (0, split), (split, n)):
+            got = lattice_sum(scheme, n, ell, constraint, start_range=starts)
+            want = _enumerated(scheme, n, ell, constraint, starts)
+            assert got == pytest.approx(want, rel=1e-14, abs=0), (n, ell, constraint, starts)
 
 
 def test_start_range_splits_the_sum():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bandedzeros import (
@@ -22,15 +23,21 @@ from bandedzeros import (
     curve_hermite,
     curve_laguerre,
     free_add,
+    gap_bound,
     lattice_sum,
+    mean_moment,
     mop_scheme,
     moments_from_r,
     s_transform_series,
     spectrum,
     stieltjes_density,
+    variance_bound,
+    variance_moment,
     window_max,
+    zero_moment_trace,
     zero_moments,
 )
+from bandedzeros.bandop import trace_table
 
 GUE = classical_scheme("gue")
 MH2 = mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
@@ -126,6 +133,27 @@ REFUSALS = {
     "stieltjes_density-inf-eps": (
         lambda: stieltjes_density(SEMICIRCLE, 0.0, eps=INF), ValueError,
         "need finite eps > 0, got inf"),
+    # sizes and orders are integers: a float would pass the range checks
+    # and fail later, or look like success
+    "build_truncation-float-N": (
+        lambda: build_truncation(GUE, 5.0, 0), SchemeError, "N: need an integer, got 5.0"),
+    "mean_moment-float-ell": (
+        lambda: mean_moment(GUE, 5, 2.5), SchemeError, "ell: need an integer, got 2.5"),
+    "lattice_sum-float-N": (
+        lambda: lattice_sum(GUE, 5.5, 2), OracleScaleError, "N: need an integer, got 5.5"),
+    "zero_moment_trace-float-ell": (
+        lambda: zero_moment_trace(GUE, 5, 2.5), SchemeError, "ell: need an integer, got 2.5"),
+    "variance_moment-float-ell": (
+        lambda: variance_moment(GUE, 5, 2.5), SchemeError, "ell: need an integer, got 2.5"),
+    "variance_bound-float-ell": (
+        lambda: variance_bound(GUE, 5, 2.5), SchemeError, "ell: need an integer, got 2.5"),
+    "window_max-float-N": (
+        lambda: window_max(GUE, 5.5, 0.1), SchemeError, "N: need an integer, got 5.5"),
+    "trace_table-float-N": (
+        lambda: trace_table(GUE, 5.0, 2), SchemeError, "N: need an integer, got 5.0"),
+    "lattice_sum-float-start": (
+        lambda: lattice_sum(GUE, 5, 2, start_range=(0.5, 2)), OracleScaleError,
+        "start_range: need an integer, got 0.5"),
 }
 
 
@@ -134,3 +162,15 @@ def test_public_call_refuses_out_of_range_input(case):
     call, error, message = REFUSALS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_numpy_integers_and_bools_pass_as_sizes():
+    # operator.index accepts them: a bool order reads as 0 or 1
+    assert gap_bound(GUE, 5, True) == gap_bound(GUE, 5, 1)
+    assert mean_moment(GUE, np.int64(5), np.int32(2)) == mean_moment(GUE, 5, 2)
+    assert trace_table(GUE, np.int64(5), np.int64(2)) == trace_table(GUE, 5, 2)
+    assert lattice_sum(GUE, np.int64(5), 2, start_range=(np.int64(0), np.int64(3))) == (
+        lattice_sum(GUE, 5, 2, start_range=(0, 3))
+    )
+    assert build_truncation(GUE, np.int64(5), 0).N == 5
+    assert type(build_truncation(GUE, np.int64(5), 0).N) is int
