@@ -56,7 +56,6 @@ from .mop import (
 )
 from .freeprob import (
     AlgebraicCurve,
-    FormalSeries,
     curve_hermite,
     curve_laguerre,
     curve_moments,

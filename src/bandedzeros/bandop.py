@@ -3,8 +3,10 @@
 For a scheme of lower band width R = down_band the operator is stored
 as its band (``RecurrenceScheme.band``): an array of R + 2 rows with
 T[m, k] in row R + m - k of column k (one superdiagonal).
-``build_truncation`` truncates it to indices < N + ell_max for the zero
-solvers.  Powers of T are products of bands, never N x N arrays.
+``build_truncation`` pairs a scheme with a rank N, which the zero
+solvers take, and keeps the band on indices < N + ell_max; the solvers
+read the N-block from ``RecurrenceScheme.band`` as every reader here
+does.  Powers of T are products of bands, never N x N arrays.
 
 Statistics (all per the projection pi_N onto indices < N):
 

@@ -55,7 +55,6 @@ from .measures import (
     AtomicMeasure,
     MarchenkoPasturLaw,
     SemicircleLaw,
-    kva_moment,
 )
 from .mop import mop_scheme
 from .recurrence import CLASSICAL_ENSEMBLES, classical_scheme, coefficient_limits
@@ -376,7 +375,7 @@ def _cmd_kva(config):
         _unread(config, ("moments",), "with density")
         return ("x", "density"), [(x, mixture.density(x)) for x in config["density"]]
     order = _require(config, "moments")
-    return ("ell", "moment"), [(ell, kva_moment(mixture, ell)) for ell in range(order + 1)]
+    return ("ell", "moment"), [(ell, mixture.moment(ell)) for ell in range(order + 1)]
 
 
 def _cmd_free_conv(config):
@@ -497,20 +496,13 @@ _COMMANDS = {
         _cmd_variance_sweep, "variance decay over an N sweep", _SWEEP_FLAGS
     ),
     "kva": _Command(_cmd_kva, "limiting zero law from coefficient profiles", (
-        *_CLASSICAL_FLAGS,
+        # only a classical ensemble has limit profiles
+        ("scheme", dict(_CLASSICAL_FLAGS[0][1], required=True)),
+        *_CLASSICAL_FLAGS[1:],
         ("moments", dict(parse=_moment_order, help="highest moment order")),
         ("order", dict(parse=_positive_int, help="quadrature order for the profile integral")),
         ("density", dict(parse=_float_list,
                          help="evaluate the density on these x values instead")),
-    )),
-    "mop-zeros": _Command(_cmd_zeros, "zeros of a multi-index family", (
-        ("kind", dict(required=True, choices=_MOP_KINDS)),
-        ("q", dict(parse=_number_list, required=True, help="comma list of ratios")),
-        ("a", dict(parse=_number_list, required=True, help="comma list of locations")),
-        ("alpha", dict(parse=_as_float, help="exponent parameter (multiple-laguerre)")),
-        ("n", dict(parse=_single_n, required=True, help="truncation rank")),
-        _ZERO_MOMENTS,
-        _FORMAT,
     )),
     "free-conv": _Command(_cmd_free_conv, "free additive/multiplicative convolution", (
         ("op", dict(required=True, choices=("add", "mul"))),

@@ -31,11 +31,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContinuationError, NumericalFailure
+from .errors import ContinuationError, NumericalFailure, as_index
 from .measures import MomentSequence, _is_exact
 
 __all__ = [
-    "FormalSeries",
     "r_transform_series",
     "moments_from_r",
     "s_transform_series",
@@ -58,29 +57,13 @@ def _lift(values):
     return [float(v) for v in vals], False
 
 
-@dataclass(frozen=True)
-class FormalSeries:
-    """Truncated power series sum_i coeffs[i] x^i.
-
-    Coefficients above ``len(coeffs) - 1`` are untracked, not zero.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
-            raise ValueError("series needs at least one coefficient")
-
-    @property
-    def order(self) -> int:
-        """Highest tracked power."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, power: int):
-        if power > self.order:
-            raise ValueError(f"power {power} above truncation order {self.order}")
-        return self.coeffs[power] if power >= 0 else 0
+def _order(order) -> int:
+    """A series order as an int (numpy integers pass), refusing any other
+    type and orders below 1."""
+    order = as_index("order", order, ValueError)
+    if order < 1:
+        raise ValueError("need order >= 1")
+    return order
 
 
 # -- dense power-series helpers: lists indexed by power 0..L ------------
@@ -152,26 +135,27 @@ def _as_moments(mu, order):
     return vals[: order + 1]
 
 
-def r_transform_series(mu, order: int) -> FormalSeries:
+def r_transform_series(mu, order: int) -> tuple:
     """Additive-convolution transform R(w) = kappa_1 + kappa_2 w + ...
 
-    Computed from moments m_0..m_order; returns ``order`` coefficients
-    (the free cumulants kappa_1..kappa_order).
+    Computed from moments m_0..m_order; returns the ``order`` coefficients
+    of the truncated series, the free cumulants kappa_1..kappa_order.
     """
-    if order < 1:
-        raise ValueError("need order >= 1")
+    order = _order(order)
     m, _ = _lift(_as_moments(mu, order))
     L = order + 1
     phi = [m[0] * 0] + m  # phi(u) = u (m0 + m1 u + ...), powers 0..L
     psi = _compose_inverse(phi, L)
     psi_shift = psi[1:]  # psi / w, constant term 1/m0 = 1
     inv = _reciprocal(psi_shift, order)
-    return FormalSeries(tuple(inv[1 : order + 1]))
+    return tuple(inv[1 : order + 1])
 
 
-def moments_from_r(r: FormalSeries, order: int) -> MomentSequence:
-    """Moments m_0..m_order of the law with cumulants r."""
-    kappa = list(r.coeffs[:order])
+def moments_from_r(r, order: int) -> MomentSequence:
+    """Moments m_0..m_order of the law with free cumulants r[0..order-1],
+    the coefficients of R(w) from power 0."""
+    order = _order(order)
+    kappa = list(r[:order])
     if len(kappa) < order:
         raise ValueError(f"need {order} cumulants, got {len(kappa)}")
     zero = kappa[0] * 0
@@ -183,14 +167,13 @@ def moments_from_r(r: FormalSeries, order: int) -> MomentSequence:
     return MomentSequence(tuple(phi[1 : order + 2]))
 
 
-def s_transform_series(mu, order: int) -> FormalSeries:
+def s_transform_series(mu, order: int) -> tuple:
     """Multiplicative-convolution transform S(z).
 
-    Defined for moment data with m_1 != 0; returns ``order``
-    coefficients S_0 + S_1 z + ...
+    Defined for moment data with m_1 != 0; returns the ``order``
+    coefficients S_0, S_1, ... of the truncated series from power 0.
     """
-    if order < 1:
-        raise ValueError("need order >= 1")
+    order = _order(order)
     m, _ = _lift(_as_moments(mu, order))
     if m[1] == 0:
         raise ValueError("multiplicative transform undefined: first moment is zero")
@@ -198,11 +181,11 @@ def s_transform_series(mu, order: int) -> FormalSeries:
     chi = _compose_inverse(h, order)
     chi_over_z = chi[1:] + [m[0] * 0]
     s = [chi_over_z[0]] + [chi_over_z[j] + chi_over_z[j - 1] for j in range(1, order)]
-    return FormalSeries(tuple(s[:order]))
+    return tuple(s[:order])
 
 
-def _moments_from_s(s: FormalSeries, order: int) -> MomentSequence:
-    coeffs = list(s.coeffs[:order])
+def _moments_from_s(s, order: int) -> MomentSequence:
+    coeffs = list(s[:order])
     zero = coeffs[0] * 0
     one = zero + 1
     # chi(z) = z S(z) / (1 + z)
@@ -218,8 +201,7 @@ def free_add(mu, nu, order: int) -> MomentSequence:
     """Moments of the additive free convolution to the given order."""
     r_mu = r_transform_series(mu, order)
     r_nu = r_transform_series(nu, order)
-    total = tuple(x + y for x, y in zip(r_mu.coeffs, r_nu.coeffs))
-    return moments_from_r(FormalSeries(total), order)
+    return moments_from_r([x + y for x, y in zip(r_mu, r_nu)], order)
 
 
 def free_mul(mu, nu, order: int) -> MomentSequence:
@@ -229,8 +211,7 @@ def free_mul(mu, nu, order: int) -> MomentSequence:
     """
     s_mu = s_transform_series(mu, order)
     s_nu = s_transform_series(nu, order)
-    prod = _mul_trunc(list(s_mu.coeffs), list(s_nu.coeffs), order - 1)
-    return _moments_from_s(FormalSeries(tuple(prod)), order)
+    return _moments_from_s(_mul_trunc(s_mu, s_nu, order - 1), order)
 
 
 # -- algebraic curves ----------------------------------------------------
@@ -500,6 +481,7 @@ def curve_moments(curve: AlgebraicCurve, ell_max: int) -> MomentSequence:
     until two consecutive radii agree to 1e-9 (at most four doublings);
     a circle where a fixed point does not converge cannot agree.
     """
+    ell_max = as_index("ell_max", ell_max, ValueError)
     if ell_max < 0:
         raise ValueError("need ell_max >= 0")
     rho = curve.radius_hint

@@ -23,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import as_index
+
 __all__ = [
     "MomentSequence",
     "ArcsineLaw",
@@ -36,6 +38,15 @@ __all__ = [
 
 def _is_exact(*values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _order(ell) -> int:
+    """A moment index as an int (numpy integers pass), refusing any other
+    type and negative indices."""
+    ell = as_index("ell", ell, ValueError)
+    if ell < 0:
+        raise ValueError("negative moment index")
+    return ell
 
 
 @dataclass(frozen=True)
@@ -180,8 +191,7 @@ class ArcsineLaw:
         Exact (int/Fraction) when the endpoints are exact; a float moment
         past the double range raises ``OverflowError``.
         """
-        if ell < 0:
-            raise ValueError("negative moment index")
+        ell = _order(ell)
         c, half_rho = self._powers
         if not _is_exact(c.x):
             return _arcsine_moment(c, half_rho, ell, 1.0)
@@ -209,8 +219,7 @@ class SemicircleLaw:
     """
 
     def moment(self, ell: int):
-        if ell < 0:
-            raise ValueError("negative moment index")
+        ell = _order(ell)
         if ell % 2:
             return 0
         p = ell // 2
@@ -243,8 +252,7 @@ class MarchenkoPasturLaw:
         self.lower = (1 - root) ** 2
 
     def moment(self, ell: int):
-        if ell < 0:
-            raise ValueError("negative moment index")
+        ell = _order(ell)
         if ell == 0:
             return 1
         exact = _is_exact(self.alpha)
@@ -293,8 +301,7 @@ class AtomicMeasure:
         self._atoms = atoms
 
     def moment(self, ell: int):
-        if ell < 0:
-            raise ValueError("negative moment index")
+        ell = _order(ell)
         terms = [w * x**ell for x, w in self._atoms]
         if _is_exact(*[t for t in terms]):
             s = sum(terms)
@@ -338,6 +345,7 @@ class ArcsineMixture:
     """
 
     def __init__(self, a: Callable[[float], float], b: Callable[[float], float], order: int = 200):
+        order = as_index("order", order, ValueError)
         if order < 1:
             raise ValueError("quadrature order must be positive")
         self.a = a
@@ -357,8 +365,7 @@ class ArcsineMixture:
     def moment(self, ell: int) -> float:
         """Weighted sum of ``ArcsineLaw.moment`` over the nodes; raises
         ``OverflowError`` past the double range."""
-        if ell < 0:
-            raise ValueError("negative moment index")
+        ell = _order(ell)
         return _arcsine_moment(*self._powers, ell, self._weights)
 
     def density(self, x) -> float:
@@ -373,8 +380,6 @@ class ArcsineMixture:
 
 
 def kva_moment(mixture: ArcsineMixture, ell: int) -> float:
-    """Moment of the limiting zero law built from coefficient profiles.
-
-    The name matches the CLI subcommand that emits these limits.
-    """
+    """Moment of the limiting zero law built from coefficient profiles,
+    ``mixture.moment(ell)``: the moments the ``kva`` command tabulates."""
     return mixture.moment(ell)

@@ -41,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import SchemeError
+from .errors import SchemeError, as_index
 from .measures import _is_exact
 from .recurrence import RecurrenceScheme
 
@@ -144,17 +144,11 @@ class MultiIndexPath:
 
     def index(self, N: int):
         """n^(N), the multi-index after N steps (sum of coordinates N)."""
+        N = as_index("N", N, SchemeError)
         if N < 0:
             raise SchemeError("need N >= 0")
         self._materialise(N)
         return tuple(self._prefixes[N].tolist())
-
-    def step(self, k: int) -> int:
-        """Direction i_k of the step from n^(k) to n^(k+1)."""
-        if k < 0:
-            raise SchemeError("need k >= 0")
-        self._materialise(k + 1)
-        return int(self._steps[k])
 
 
 def _indices(n, a_vec, exact: bool) -> np.ndarray:

@@ -126,7 +126,15 @@ def lattice_sum(
     if start_range is None:
         start_lo, start_hi = 0, N
     else:
-        start_lo, start_hi = (as_index("start_range", k, OracleScaleError) for k in start_range)
+        try:
+            start_lo, start_hi = start_range
+        except (TypeError, ValueError):
+            raise OracleScaleError(
+                f"start_range: need a (start, stop) pair, got {start_range!r}"
+            ) from None
+        start_lo, start_hi = (
+            as_index("start_range", k, OracleScaleError) for k in (start_lo, start_hi)
+        )
         if not (0 <= start_lo <= start_hi <= N):
             raise OracleScaleError(f"start range must lie in [0, {N}], got {start_range}")
     # walks from below N reach at most N - 1 + length, inside the band

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SchemeError
+from .errors import SchemeError, as_index
 
 __all__ = [
     "RecurrenceScheme",
@@ -67,9 +67,15 @@ class RecurrenceScheme:
 
     def band(self, N: int, stop: int, start: int = 0) -> np.ndarray:
         """Columns start..stop-1 of the truncation of T to indices < stop,
-        in the layout of ``band_fn``; rows with m < 0 or m >= stop are 0."""
+        in the layout of ``band_fn``; rows with m < 0 or m >= stop are 0.
+        N, stop and start are integers (numpy integers pass) with N >= 1
+        and 0 <= start <= stop."""
+        N, stop = as_index("N", N, SchemeError), as_index("stop", stop, SchemeError)
+        start = as_index("start", start, SchemeError)
         if N < 1:
             raise SchemeError(f"need N >= 1, got {N}")
+        if not 0 <= start <= stop:
+            raise SchemeError(f"need 0 <= start <= stop, got start={start}, stop={stop}")
         band = np.array(self.band_fn(N, start, stop), dtype=float)
         shape = (self.down_band + 2, stop - start)  # one row above the diagonal
         if band.shape != shape:
@@ -91,6 +97,7 @@ class RecurrenceScheme:
 
     def entry(self, m: int, k: int, N: int) -> float:
         """Coefficient of P_m in x P_k at truncation parameter N."""
+        m, k = as_index("m", m, SchemeError), as_index("k", k, SchemeError)
         if m < 0 or k < 0:
             raise SchemeError(f"indices must be nonnegative, got m={m}, k={k}")
         if m > k + 1 or m < k - self.down_band:
@@ -226,6 +233,7 @@ def coeff(scheme: RecurrenceScheme, k: int, N: int):
     T[k - 1, k] and T[k, k - 1] differ."""
     if scheme.down_band != 1:
         raise SchemeError(f"scheme {scheme.name!r} is not orthonormal tridiagonal")
+    k = as_index("k", k, SchemeError)
     if k < 0:
         raise SchemeError("k must be nonnegative")
     b_k = scheme.entry(k, k, N)

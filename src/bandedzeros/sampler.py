@@ -122,7 +122,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandop import _powers
-from .errors import ConfigError
+from .errors import ConfigError, as_index
 from .measures import MomentSequence
 from .mop import MultiIndexPath
 from .zeros import SpectralMeasure, _tridiagonal_eigvals
@@ -159,6 +159,7 @@ def realize_diagonal(q, a, N: int) -> np.ndarray:
     """
     if len(q) != len(a):
         raise ConfigError("atoms: need one location per ratio")
+    N = as_index("N", N, ConfigError)
     path = MultiIndexPath(tuple(q))
     counts = path.index(N)
     out = np.concatenate([np.full(n_d, float(a_d)) for n_d, a_d in zip(counts, a)])
@@ -177,6 +178,7 @@ class MatrixModelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected {_KINDS}")
+        object.__setattr__(self, "N", as_index("N", self.N, ConfigError))
         if self.N < 1:
             raise ConfigError(f"need N >= 1, got {self.N}")
         if self.kind in ("gue", "gue_source") and self.alpha != 0:
@@ -374,19 +376,14 @@ def _dense_sampler(spec: MatrixModelSpec):
     return draw
 
 
-def _dense_sample(spec: MatrixModelSpec, rng: np.random.Generator) -> np.ndarray:
-    """A gue_source or wishart_cov sample, drawn dense from ``rng``."""
-    return _dense_sampler(spec)(rng)
-
-
 def sample_spectrum(spec: MatrixModelSpec, seed: int) -> SpectralMeasure:
     """Eigenvalues of sample 0 of the stream for ``seed`` (sorted
     ascending); a gue or wishart sample is solved from its band."""
-    rngs = _generators(int(seed))
+    rngs = _generators(as_index("seed", seed, ConfigError))
     if spec.kind in _BAND_KINDS:
         vals = _tridiagonal_eigvals(_sample_bands(spec, rngs, 1)[0])
     else:
-        vals = np.linalg.eigvalsh(_dense_sample(spec, next(rngs)))
+        vals = np.linalg.eigvalsh(_dense_sampler(spec)(next(rngs)))
     return SpectralMeasure(points=vals.astype(complex))
 
 
@@ -461,11 +458,12 @@ def _band_moments(bands: np.ndarray, L: int) -> np.ndarray:
 
 def empirical_batch(spec: MatrixModelSpec, L: int, samples: int, seed: int) -> EmpiricalBatch:
     """Draw ``samples`` independent matrices and tabulate their moments."""
+    L, samples = as_index("L", L, ConfigError), as_index("samples", samples, ConfigError)
+    seed = as_index("seed", seed, ConfigError)
     if L < 0:
         raise ConfigError("need L >= 0")
     if samples < 1:
         raise ConfigError("need at least 1 sample")
-    seed = int(seed)
     rngs = _generators(seed)
     table = np.empty((samples, L + 1))
     if spec.kind in _BAND_KINDS:
@@ -492,6 +490,7 @@ def mc_moments(spec: MatrixModelSpec, L: int, samples: int, seed: int):
     with variance the unbiased per-ell sample variance of
     (1/N) sum_i x_i^ell and the standard error of its mean.
     """
+    samples = as_index("samples", samples, ConfigError)
     if samples < 2:
         raise ConfigError(f"samples: need at least 2 samples, got {samples}")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,11 +1,12 @@
 """Spectra of compressed operators and zero-distribution statistics.
 
 The zeros of the average characteristic polynomial at rank N are the
-eigenvalues of the principal N x N block pi_N T pi_N.  ``spectrum`` cuts
-the band of that block out of the truncation once, every solver reads
-only that band, and the route is read off it: a band of three rows whose
-off-diagonals agree bit for bit is symmetric tridiagonal and goes through
-the specialised LAPACK solver.  Every other block (schemes have one
+eigenvalues of the principal N x N block pi_N T pi_N.  ``spectrum``
+reads the band of that block from the scheme once
+(``RecurrenceScheme.band(N, N)``, the one owner of the truncation rule),
+every solver reads only that band, and the route is read off it: a band
+of three rows whose off-diagonals agree bit for bit is symmetric
+tridiagonal and goes through the specialised LAPACK solver.  Every other block (schemes have one
 superdiagonal band) takes the certified route: a sign scan of the
 characteristic polynomial on a Chebyshev grid over the Gershgorin
 interval brackets the zeros, a vectorised bracketed Newton iteration
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bandop import BandedOperator, _powers
-from .errors import CharpolyOverflow, NumericalFailure
+from .errors import CharpolyOverflow, NumericalFailure, as_index
 from .measures import MomentSequence
 
 __all__ = [
@@ -130,8 +131,7 @@ def _balanced_eigvals(band: np.ndarray) -> np.ndarray:
 class _Minors(NamedTuple):
     """The z-independent parts of the leading-minor recurrence of one
     N x N block, built once per ``spectrum`` or ``charpoly_eval`` call by
-    ``_minors`` from the block's band (the recurrence never reads
-    T[N, N - 1]).
+    ``_minors`` from the block's band, ``RecurrenceScheme.band(N, N)``.
 
     ``diag[j]`` is T[j, j] and ``terms[j]`` holds, for i = j-1 down to
     j-R, the window slot of d_{i-1} with the coefficient
@@ -382,8 +382,8 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
     """Zeros of the rank-N average characteristic polynomial, i.e. the
     eigenvalues of the principal N x N block of the truncation.
 
-    The band of the block (the first N columns of the truncation, with
-    T[N, N - 1] set to 0) is cut once; every route reads only that, so
+    The band of the block is read from the scheme once,
+    ``op.scheme.band(op.N, op.N)``; every route reads only that, so
     padding the truncation past N changes nothing.  Routes, recorded in
     the result's ``route``:
 
@@ -403,9 +403,8 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
       estimates for a simultaneous root polish, whose result is not
       certified.
     """
-    N, R = op.N, op.scheme.down_band
-    block = op.matrix[:, :N].copy()
-    block[R + 1, N - 1] = 0.0  # T[N, N - 1], the one entry outside the block
+    N = op.N
+    block = op.scheme.band(N, N)
     try:
         if len(block) == 3 and np.array_equal(block[0, 1:], block[2, :-1]):
             route = "tridiagonal"
@@ -433,6 +432,7 @@ def zero_moments(measure: SpectralMeasure, ell_max: int):
         Real-part moments m_ell = mean Re(z^ell), and the imaginary
         residuals |mean Im(z^ell)| for each ell.
     """
+    ell_max = as_index("ell_max", ell_max, ValueError)
     if ell_max < 0:
         raise ValueError("need ell_max >= 0")
     n = len(measure)
@@ -466,7 +466,7 @@ def charpoly_eval(op: BandedOperator, z) -> complex:
     ``CharpolyOverflow`` error carries the scaled log-determinant
     (log-magnitude and phase).
     """
-    p, _, exponent = _charpoly(_minors(op.matrix[:, : op.N]), [complex(z)])
+    p, _, exponent = _charpoly(_minors(op.scheme.band(op.N, op.N)), [complex(z)])
     result = complex(p[0])
     exponent = int(exponent[0])
     try:

@@ -140,7 +140,7 @@ def test_mop_zeros_first_moment(tmp_path):
     out = tmp_path / "m.json"
     code = cli.main(
         [
-            "mop-zeros", "--kind", "multiple-laguerre", "--q", "1/2,1/2",
+            "zeros", "--kind", "multiple-laguerre", "--q", "1/2,1/2",
             "--a", "1,2", "--alpha", "1", "--n", "12", "--moments", "2",
             "--format", "json", "--out", str(out),
         ]
@@ -275,7 +275,7 @@ def test_byte_identical_reruns(tmp_path):
     assert outj.read_bytes() == firstj
 
     outz = tmp_path / "z.json"
-    argsz = ["mop-zeros", "--kind", "multiple-hermite", "--q", "1/2,1/2", "--a", "1,-1",
+    argsz = ["zeros", "--kind", "multiple-hermite", "--q", "1/2,1/2", "--a", "1,-1",
              "--n", "24", "--moments", "4", "--format", "json", "--out", str(outz)]
     assert cli.main(argsz) == 0
     firstz = outz.read_bytes()
@@ -305,23 +305,26 @@ def test_output_path_stays_out_of_the_artifact(tmp_path):
     assert written[0] == written[1]
 
 
-# one invocation per command; zeros leaves --format to its default, and
-# mop-zeros names it
-FLAG_INVOCATIONS = [
-    ["traces", "--scheme", "gue", "--n", "5", "--moments", "2"],
-    ["zeros", "--kind", "multiple-hermite", "--q", "1/2,1/2", "--a", "1,-1", "--n", "6"],
-    ["gap-sweep", "--scheme", "wishart", "--alpha", "1", "--n", "5,10", "--moments", "2"],
-    ["variance-sweep", "--scheme", "jacobi", "--alpha", "1", "--beta", "1",
-     "--n", "5,10", "--moments", "2"],
-    ["kva", "--scheme", "gue", "--order", "40", "--density", "0,1"],
-    ["mop-zeros", "--kind", "multiple-laguerre", "--q", "1/2,1/2", "--a", "1,2",
-     "--alpha", "1", "--n", "8", "--moments", "2", "--format", "json"],
-    ["free-conv", "--op", "mul", "--mu", "mp:2", "--nu", "point:1/2", "--moments", "3"],
-    ["curve", "--kind", "hermite", "--q", "1/2,1/2", "--a", "1,-1",
-     "--density", "0", "--eps", "1e-4", "--richardson"],
-    ["sample", "--model", "gue_source", "--n", "6", "--ratios", "1/2,1/2",
-     "--atoms", "1,-1", "--samples", "3", "--seed", "2", "--moments", "2"],
-]
+# at least one invocation per command, keyed by case; zeros leaves
+# --format to its default, and mop-zeros, the zeros of a multiple
+# orthogonal polynomial family in JSON format, names it
+FLAG_INVOCATIONS = {
+    "traces": ["traces", "--scheme", "gue", "--n", "5", "--moments", "2"],
+    "zeros": ["zeros", "--kind", "multiple-hermite", "--q", "1/2,1/2", "--a", "1,-1", "--n", "6"],
+    "gap-sweep": ["gap-sweep", "--scheme", "wishart", "--alpha", "1", "--n", "5,10",
+                  "--moments", "2"],
+    "variance-sweep": ["variance-sweep", "--scheme", "jacobi", "--alpha", "1", "--beta", "1",
+                       "--n", "5,10", "--moments", "2"],
+    "kva": ["kva", "--scheme", "gue", "--order", "40", "--density", "0,1"],
+    "mop-zeros": ["zeros", "--kind", "multiple-laguerre", "--q", "1/2,1/2", "--a", "1,2",
+                  "--alpha", "1", "--n", "8", "--moments", "2", "--format", "json"],
+    "free-conv": ["free-conv", "--op", "mul", "--mu", "mp:2", "--nu", "point:1/2",
+                  "--moments", "3"],
+    "curve": ["curve", "--kind", "hermite", "--q", "1/2,1/2", "--a", "1,-1",
+              "--density", "0", "--eps", "1e-4", "--richardson"],
+    "sample": ["sample", "--model", "gue_source", "--n", "6", "--ratios", "1/2,1/2",
+               "--atoms", "1,-1", "--samples", "3", "--seed", "2", "--moments", "2"],
+}
 
 
 def config_from_flags(argv):
@@ -338,9 +341,9 @@ def config_from_flags(argv):
 
 
 def test_run_config_reproduces_flag_invocation(tmp_path, capsys):
-    assert sorted(argv[0] for argv in FLAG_INVOCATIONS) == sorted(cli._COMMANDS)
+    assert {argv[0] for argv in FLAG_INVOCATIONS.values()} == set(cli._COMMANDS)
     out, cfg = tmp_path / "eq.out", tmp_path / "cfg.json"
-    for argv in FLAG_INVOCATIONS:
+    for argv in FLAG_INVOCATIONS.values():
         assert cli.main(argv + ["--out", str(out)]) == 0, argv
         via_flags = out.read_bytes()
         out.unlink()
@@ -359,7 +362,7 @@ def test_run_config_reproduces_flag_invocation(tmp_path, capsys):
         assert repr(extra) in capsys.readouterr().err, argv
 
     # JSON-typed values are accepted as well and produce the same rows
-    assert cli.main(FLAG_INVOCATIONS[0] + ["--out", str(out)]) == 0
+    assert cli.main(FLAG_INVOCATIONS["traces"] + ["--out", str(out)]) == 0
     via_flags = out.read_bytes()
     cfg.write_text(
         json.dumps(
@@ -371,8 +374,7 @@ def test_run_config_reproduces_flag_invocation(tmp_path, capsys):
     assert out.read_bytes().splitlines()[1:] == via_flags.splitlines()[1:]
 
 
-ONE_RANK = [argv for argv in FLAG_INVOCATIONS
-            if argv[0] in ("traces", "zeros", "gap-sweep", "variance-sweep")]
+ONE_RANK = [FLAG_INVOCATIONS[case] for case in ("traces", "zeros", "gap-sweep", "variance-sweep")]
 
 
 @pytest.mark.parametrize("argv", ONE_RANK, ids=[argv[0] for argv in ONE_RANK])
@@ -531,33 +533,34 @@ def run_both_ways(config, tmp_path):
 
 
 REQUIRED = [
-    (argv, name)
-    for argv in FLAG_INVOCATIONS
+    pytest.param(argv, name, id=f"{case}-{name}")
+    for case, argv in FLAG_INVOCATIONS.items()
     for name, kwargs in cli._COMMANDS[argv[0]].flags
     if kwargs.get("required")
 ] + [
-    # zeros and mop-zeros read, so require, moments only in JSON format
-    (FLAG_INVOCATIONS[1] + ["--moments", "3", "--format", "json"], "moments"),
-    (FLAG_INVOCATIONS[5], "moments"),
+    # zeros reads, so requires, moments only in JSON format, and q and a
+    # with a multi-index kind
+    pytest.param(FLAG_INVOCATIONS["zeros"] + ["--moments", "3", "--format", "json"], "moments",
+                 id="zeros-moments"),
+    *(pytest.param(FLAG_INVOCATIONS["mop-zeros"], name, id=f"mop-zeros-{name}")
+      for name in ("moments", "q", "a")),
 ]
 
 
-@pytest.mark.parametrize("argv, name", REQUIRED, ids=[f"{a[0]}-{n}" for a, n in REQUIRED])
+@pytest.mark.parametrize("argv, name", REQUIRED)
 def test_missing_required_key_is_named(argv, name, tmp_path, capsys):
     config = {key: value for key, value in config_from_flags(argv).items() if key != name}
     assert run_both_ways(config, tmp_path) == (2, 2)
     assert capsys.readouterr().err.count(f"error: missing key {name!r}") == 2
 
 
-CHOICES = [(0, "scheme"), (1, "kind"), (5, "kind"), (5, "format"), (6, "op"), (7, "kind"),
-           (8, "model")]
+CHOICES = [("traces", "scheme"), ("zeros", "kind"), ("mop-zeros", "kind"),
+           ("mop-zeros", "format"), ("free-conv", "op"), ("curve", "kind"), ("sample", "model")]
 
 
-@pytest.mark.parametrize(
-    "index, key", CHOICES, ids=[f"{FLAG_INVOCATIONS[i][0]}-{k}" for i, k in CHOICES]
-)
-def test_invalid_choice_is_named(index, key, tmp_path, capsys):
-    config = {**config_from_flags(FLAG_INVOCATIONS[index]), key: "bogus"}
+@pytest.mark.parametrize("case, key", CHOICES, ids=[f"{case}-{key}" for case, key in CHOICES])
+def test_invalid_choice_is_named(case, key, tmp_path, capsys):
+    config = {**config_from_flags(FLAG_INVOCATIONS[case]), key: "bogus"}
     assert run_both_ways(config, tmp_path) == (2, 2)
     err = capsys.readouterr().err
     assert err.count(f"error: {key}: expected one of ") == 2
@@ -709,16 +712,14 @@ MALFORMED = {
     cli._switch: [1, "yes"],
 }
 PARSED = [
-    (argv, name, kwargs["parse"])
-    for argv in FLAG_INVOCATIONS
+    pytest.param(argv, name, kwargs["parse"], id=f"{case}-{name}")
+    for case, argv in FLAG_INVOCATIONS.items()
     for name, kwargs in cli._COMMANDS[argv[0]].flags
     if "parse" in kwargs
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, name, parse", PARSED, ids=[f"{a[0]}-{n}" for a, n, _ in PARSED]
-)
+@pytest.mark.parametrize("argv, name, parse", PARSED)
 def test_malformed_value_is_named(argv, name, parse, tmp_path, capsys):
     # every given value is parsed before the handler runs, whether or
     # not the command's mode reads it
@@ -765,7 +766,7 @@ def test_sampler_range_refusal_is_named(name, value, tmp_path, capsys):
     ({"command": "sample", "model": "wishart", "alpha": "1", "atoms": "1,-1", "n": "4",
       "samples": "2", "moments": "1"}, "atoms"),
     ({"command": "zeros", "scheme": "gue", "n": "4", "moments": "2"}, "moments"),
-    ({"command": "mop-zeros", "kind": "multiple-hermite", "q": "1/2,1/2", "a": "1,-1",
+    ({"command": "zeros", "kind": "multiple-hermite", "q": "1/2,1/2", "a": "1,-1",
       "n": "4", "moments": "2", "format": "csv"}, "moments"),
 ], ids=["curve-eps", "curve-richardson", "curve-density-moments", "curve-hermite-alpha",
         "kva-density-moments", "scheme-and-kind", "scheme-and-a", "kind-and-beta",
@@ -778,7 +779,7 @@ def test_a_flag_the_mode_never_reads_is_refused(config, key, tmp_path, capsys):
 
 
 def test_scheme_errors_exit_2(tmp_path, capsys):
-    config = {"command": "mop-zeros", "kind": "multiple-hermite", "q": "1/2,1/2", "a": "1,1",
+    config = {"command": "zeros", "kind": "multiple-hermite", "q": "1/2,1/2", "a": "1,1",
               "n": "5", "moments": "2"}
     assert run_both_ways(config, tmp_path) == (2, 2)
     assert capsys.readouterr().err.count("locations must be distinct") == 2

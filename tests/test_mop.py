@@ -281,7 +281,8 @@ def test_dimension_mismatch_rejected():
 def test_greedy_path_balanced_ratios_alternates():
     path = MultiIndexPath(HALF)
     assert path.index(4) == (2, 2)
-    assert [path.step(k) for k in range(6)] == [0, 1, 0, 1, 0, 1]
+    # steps alternate 0, 1, 0, 1, 0, 1
+    assert [path.index(k) for k in range(1, 7)] == [(1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]
     assert path.R == 2
 
 

@@ -9,8 +9,9 @@ from bandedzeros import (
     ArcsineLaw,
     ArcsineMixture,
     AtomicMeasure,
-    FormalSeries,
+    ConfigError,
     MarchenkoPasturLaw,
+    MatrixModelSpec,
     MomentSequence,
     MultiIndexPath,
     OracleScaleError,
@@ -22,13 +23,18 @@ from bandedzeros import (
     coefficient_limits,
     curve_hermite,
     curve_laguerre,
+    curve_moments,
+    empirical_batch,
     free_add,
     gap_bound,
     lattice_sum,
+    mc_moments,
     mean_moment,
     mop_scheme,
     moments_from_r,
+    realize_diagonal,
     s_transform_series,
+    sample_spectrum,
     spectrum,
     stieltjes_density,
     variance_bound,
@@ -43,6 +49,7 @@ GUE = classical_scheme("gue")
 MH2 = mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
 MIXTURE = ArcsineMixture(lambda s: math.sqrt(s), lambda s: 0.0)
 SEMICIRCLE = curve_hermite((1,), (0,))
+GUE_SPEC = MatrixModelSpec(kind="gue", N=4)
 NAN, INF = math.nan, math.inf
 
 REFUSALS = {
@@ -52,7 +59,6 @@ REFUSALS = {
         lambda: zero_moments(spectrum(build_truncation(GUE, 4, 0)), -1),
         ValueError, "need ell_max >= 0"),
     "path-index": (lambda: MultiIndexPath((0.5, 0.5)).index(-1), SchemeError, "need N >= 0"),
-    "path-step": (lambda: MultiIndexPath((0.5, 0.5)).step(-1), SchemeError, "need k >= 0"),
     "mop_scheme-locations": (
         lambda: mop_scheme("multiple-hermite", a=(1.0,), q=(0.5, 0.5)),
         SchemeError, "need as many locations as ratios"),
@@ -83,7 +89,8 @@ REFUSALS = {
     "limits-multi-index": (
         lambda: coefficient_limits(MH2), SchemeError, "no coefficient limits known"),
     "moments_from_r-cumulants": (
-        lambda: moments_from_r(FormalSeries((0, 1)), 3), ValueError, "need 3 cumulants, got 2"),
+        lambda: moments_from_r((0, 1), 3), ValueError, "need 3 cumulants, got 2"),
+    "moments_from_r-order": (lambda: moments_from_r((1,), 0), ValueError, "need order >= 1"),
     "s_transform-order": (
         lambda: s_transform_series(MarchenkoPasturLaw(1), 0), ValueError, "need order >= 1"),
     "curve_hermite-mismatched": (
@@ -154,6 +161,63 @@ REFUSALS = {
     "lattice_sum-float-start": (
         lambda: lattice_sum(GUE, 5, 2, start_range=(0.5, 2)), OracleScaleError,
         "start_range: need an integer, got 0.5"),
+    # the same below the entry points: the band, the coefficient and
+    # moment readers, the path and the series and contour orders
+    "band-N": (lambda: GUE.band(0, 3), SchemeError, "need N >= 1, got 0"),
+    "band-float-N": (lambda: GUE.band(5.5, 8), SchemeError, "N: need an integer, got 5.5"),
+    "band-float-start": (
+        lambda: GUE.band(5, 8, 2.5), SchemeError, "start: need an integer, got 2.5"),
+    "band-start-past-stop": (
+        lambda: GUE.band(5, 3, 4), SchemeError, "need 0 <= start <= stop, got start=4, stop=3"),
+    "band-negative-start": (
+        lambda: MH2.band(5, 3, -2), SchemeError, "need 0 <= start <= stop, got start=-2, stop=3"),
+    "coeff-float-k": (lambda: coeff(GUE, 2.5, 5), SchemeError, "k: need an integer, got 2.5"),
+    "entry-float-index": (
+        lambda: GUE.entry(2.5, 2, 5), SchemeError, "m: need an integer, got 2.5"),
+    "zero_moments-float-ell_max": (
+        lambda: zero_moments(spectrum(build_truncation(GUE, 4, 0)), 2.5),
+        ValueError, "ell_max: need an integer, got 2.5"),
+    "semicircle-float-moment": (
+        lambda: SemicircleLaw().moment(2.5), ValueError, "ell: need an integer, got 2.5"),
+    "marchenko-pastur-float-moment": (
+        lambda: MarchenkoPasturLaw(1).moment(2.5), ValueError, "ell: need an integer, got 2.5"),
+    "mixture-float-moment": (
+        lambda: MIXTURE.moment(2.5), ValueError, "ell: need an integer, got 2.5"),
+    "mixture-float-order": (
+        lambda: ArcsineMixture(lambda s: math.sqrt(s), lambda s: 0.0, order=2.5),
+        ValueError, "order: need an integer, got 2.5"),
+    "free_add-float-order": (
+        lambda: free_add(SemicircleLaw(), SemicircleLaw(), 2.5), ValueError,
+        "order: need an integer, got 2.5"),
+    "curve_moments-float-ell_max": (
+        lambda: curve_moments(SEMICIRCLE, 2.5), ValueError, "ell_max: need an integer, got 2.5"),
+    "path-float-index": (
+        lambda: MultiIndexPath((0.5, 0.5)).index(5.5), SchemeError, "N: need an integer, got 5.5"),
+    "realize_diagonal-float-N": (
+        lambda: realize_diagonal((0.5, 0.5), (1.0, -1.0), 5.5), ConfigError,
+        "N: need an integer, got 5.5"),
+    "lattice_sum-start_range-triple": (
+        lambda: lattice_sum(GUE, 5, 2, start_range=(0, 1, 2)), OracleScaleError,
+        r"start_range: need a \(start, stop\) pair, got \(0, 1, 2\)"),
+    "lattice_sum-start_range-int": (
+        lambda: lattice_sum(GUE, 5, 2, start_range=5), OracleScaleError,
+        r"start_range: need a \(start, stop\) pair, got 5$"),
+    # a float seed must not run the stream of its integer part, which
+    # another seed owns
+    "empirical_batch-float-seed": (
+        lambda: empirical_batch(GUE_SPEC, 2, 4, 1.5), ConfigError,
+        "seed: need an integer, got 1.5"),
+    "mc_moments-float-seed": (
+        lambda: mc_moments(GUE_SPEC, 2, 4, 1.5), ConfigError, "seed: need an integer, got 1.5"),
+    "sample_spectrum-float-seed": (
+        lambda: sample_spectrum(GUE_SPEC, 1.5), ConfigError, "seed: need an integer, got 1.5"),
+    "spec-float-N": (
+        lambda: MatrixModelSpec(kind="gue", N=5.5), ConfigError, "N: need an integer, got 5.5"),
+    "mc_moments-float-L": (
+        lambda: mc_moments(GUE_SPEC, 2.5, 4, 0), ConfigError, "L: need an integer, got 2.5"),
+    "mc_moments-float-samples": (
+        lambda: mc_moments(GUE_SPEC, 2, 4.5, 0), ConfigError,
+        "samples: need an integer, got 4.5"),
 }
 
 
@@ -174,3 +238,10 @@ def test_numpy_integers_and_bools_pass_as_sizes():
     )
     assert build_truncation(GUE, np.int64(5), 0).N == 5
     assert type(build_truncation(GUE, np.int64(5), 0).N) is int
+    assert np.array_equal(GUE.band(np.int64(5), np.int64(8), np.int64(2)), GUE.band(5, 8, 2))
+    assert SemicircleLaw().moment(np.int64(4)) == 2
+    # numpy integer seeds and sizes run the streams of their int values
+    seed = np.uint64(2**64 - 1)
+    table = empirical_batch(GUE_SPEC, np.int64(2), np.int64(3), seed).table
+    assert table.tobytes() == empirical_batch(GUE_SPEC, 2, 3, 2**64 - 1).table.tobytes()
+    assert type(MatrixModelSpec(kind="gue", N=np.int64(4)).N) is int

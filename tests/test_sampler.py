@@ -36,7 +36,7 @@ from bandedzeros import (
     variance_moment,
 )
 from bandedzeros import cli
-from bandedzeros.sampler import _dense_sample, _generators, _sample_bands, _trace_moments
+from bandedzeros.sampler import _dense_sampler, _generators, _sample_bands, _trace_moments
 
 GUE = classical_scheme("gue")
 HALF = Fraction(1, 2)
@@ -65,7 +65,7 @@ def _sample_matrix(spec, seed, j=0):
     rngs = _generators(seed, j)
     if spec.kind in ("gue", "wishart"):
         return _tridiagonal(_sample_bands(spec, rngs, 1)[0])
-    return _dense_sample(spec, next(rngs))
+    return _dense_sampler(spec)(next(rngs))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def test_reused_buffers_leak_nothing_between_samples(kind, N, alpha):
     for L in (0, 2, 3, 4, 8):
         table = empirical_batch(spec, L, 6, seed).table
         for j, row in enumerate(table):
-            H = _dense_sample(spec, fresh(j))
+            H = _dense_sampler(spec)(fresh(j))
             _assert_is_the_model(H, spec, _source_model_by_hand(spec, fresh(j)))
             assert row.tobytes() == _trace_moments(H, L).tobytes(), (L, j)
 
@@ -553,7 +553,7 @@ def test_realize_diagonal_follows_path_multiplicities():
 
 
 def test_realize_diagonal_walks_the_path_of_mop_scheme():
-    # `mop-zeros --q` and `sample --ratios` both parse to Fractions; the
+    # `zeros --q` and `sample --ratios` both parse to Fractions; the
     # multiple Hermite diagonal a_{i_k} names each step of the scheme's path
     ratios = cli._number_list("2/5,7/20,1/4", "ratios")
     config = {"kind": "multiple-hermite", "q": ratios, "a": cli._number_list("1,0,-1", "a")}
