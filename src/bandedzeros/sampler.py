@@ -467,9 +467,12 @@ def empirical_batch(spec: MatrixModelSpec, L: int, samples: int, seed: int) -> E
     rngs = _generators(seed)
     table = np.empty((samples, L + 1))
     if spec.kind in _BAND_KINDS:
-        # the widest band array is the padded band of the highest power read
-        top = max((L + 1) // 2, 1)
-        block = max(1, _BLOCK_DOUBLES // ((2 * top + 1) * (spec.N + 2)))
+        # the widest band array is the stack of bands itself (3 rows) up to
+        # L = 2, and past that the pad ``_powers`` builds for the highest
+        # power read: its 2 top - 1 rows plus 2 above and 2 below, N + 2 columns
+        top = (L + 1) // 2
+        rows = 2 * top + 3 if top > 1 else 3
+        block = max(1, _BLOCK_DOUBLES // (rows * (spec.N + 2)))
         for start in range(0, samples, block):
             count = min(block, samples - start)
             table[start : start + count] = _band_moments(_sample_bands(spec, rngs, count), L)

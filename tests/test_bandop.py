@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import bandedzeros
+from bandedzeros import bandop
 from bandedzeros.bandop import (
     build_truncation,
     gap_bound,
@@ -321,23 +322,81 @@ def test_trace_table_builds_one_band():
     assert calls == [(6, 0, 8)]
 
 
+def _shifted_copy_powers(T, r, ell_max):
+    """Reference band powers: each band row i of T adds T[i] times a
+    shifted copy of T^ell, one multiply-add at a time in i order."""
+    *lead, width, dim = T.shape
+    P = T
+    for ell in range(1, ell_max + 1):
+        if ell > 1:
+            rows = P.shape[-2]
+            padded = np.zeros((*lead, rows, dim + width - 1))
+            padded[..., r : r + dim] = P
+            P = np.zeros((*lead, rows + width - 1, dim))
+            for i in range(width):
+                P[..., i : i + rows, :] += T[..., i, None, :] * padded[..., i : i + dim]
+        yield P
+
+
+@pytest.mark.parametrize("R", [1, 2, 3])
+def test_band_powers_match_the_shifted_copy_loop_bit_for_bit(R):
+    # _powers sums over the band rows in one einsum; a numpy whose einsum
+    # reorders or fuses that sum moves the bits and fails here.  Bands of
+    # real schemes (zeroed past the truncation), of random signs, and stacks
+    # of them as the sampler passes, down to N = 1 and 2, narrower than
+    # the band
+    scheme = {1: GUE, 2: SCHEMES[5][1], 3: SCHEMES[7][1]}[R]
+    rng = np.random.default_rng(R)
+    for N in (1, 2, 3, 7, 40, 101):
+        bands = [
+            scheme.band(N, N),
+            scheme.band(N, N + 4, max(0, N - 5)),
+            rng.standard_normal((R + 2, N)),
+            rng.standard_normal((4, R + 2, N)),
+            rng.standard_normal((2, 3, R + 2, N)),
+        ]
+        for T in bands:
+            got = list(bandop._powers(T, R, 8))
+            assert len(got) == 8
+            for ell, (P, ref) in enumerate(zip(got, _shifted_copy_powers(T, R, 8)), 1):
+                assert P.shape == ref.shape == (*T.shape[:-2], ell * (R + 1) + 1, T.shape[-1])
+                assert P.tobytes() == ref.tobytes(), (N, T.shape, ell)
+
+
+def _traced_peak(f, *args):
+    """Peak bytes that tracemalloc sees allocated during f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_public_traces_peak_no_higher_than_trace_table():
     # mean_moment and zero_moment_trace keep one power table at a time, as
-    # trace_table does; a list of every power peaked at 560 bytes per
-    # column against trace_table's 392 here
+    # trace_table does; with a per-row multiply-add step, a list of every
+    # power peaked at 560 bytes per column against trace_table's 392 here
     N, ell = 50_000, 6
+    table = _traced_peak(trace_table, GUE, N, ell)
+    assert _traced_peak(mean_moment, GUE, N, ell) <= table
+    assert _traced_peak(zero_moment_trace, GUE, N, ell) <= table
 
-    def peak(f):
-        tracemalloc.start()
-        try:
-            f(GUE, N, ell)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    table = peak(trace_table)
-    assert peak(mean_moment) <= table
-    assert peak(zero_moment_trace) <= table
+@pytest.mark.parametrize("label,limit", [("gue", 337), ("mh2", 569)])
+def test_trace_table_peak_per_column(label, limit):
+    # the measured peaks of trace_table(., 50_000, 6) on a fresh scheme, in
+    # bytes per column, rounded up: gue 336.4, and mh2 568.6 with its band
+    # built by the multi-index cascade.  At the last step _powers holds
+    # T^(ell - 1), its pad of 2 R + 2 more rows and T^ell; a shifted
+    # multiply-add per band row also held a full-size temporary per add,
+    # 392 and 648 bytes per column
+    N = 50_000
+    if label == "gue":
+        scheme = classical_scheme("gue")
+    else:
+        scheme = mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
+    assert _traced_peak(trace_table, scheme, N, 6) <= limit * N
 
 
 def test_trace_table_argument_checks():

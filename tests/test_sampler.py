@@ -368,6 +368,24 @@ def test_dense_batch_keeps_no_memory():
     assert after - before <= 2**20, after - before
 
 
+def test_band_blocks_keep_each_array_within_the_block_bound(monkeypatch):
+    # a block of more than one band sample keeps every array it allocates
+    # within 2^16 doubles, the zero-padded highest power included
+    sizes = []
+    for name in ("zeros", "einsum"):
+
+        def record(*args, real=getattr(np, name), **kwargs):
+            out = real(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, name, record)
+    for N, L, samples in ((5, 9, 2000), (50, 4, 600), (50, 7, 600), (300, 6, 60)):
+        sizes.clear()
+        empirical_batch(MatrixModelSpec(kind="gue", N=N), L, samples, seed=1)
+        assert 0 < max(sizes) <= 2**16, (N, L, max(sizes))
+
+
 def test_batch_is_immutable():
     batch = empirical_batch(MatrixModelSpec(kind="gue", N=4), 2, 3, seed=0)
     assert isinstance(batch, EmpiricalBatch)
