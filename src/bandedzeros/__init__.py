@@ -24,8 +24,6 @@ from .recurrence import (
     CLASSICAL_ENSEMBLES,
     RecurrenceScheme,
     classical_scheme,
-    coeff,
-    coefficient_limits,
     kva_functions,
 )
 from .bandop import (

@@ -246,7 +246,10 @@ def variance_bound(scheme: RecurrenceScheme, N: int, ell: int) -> float:
 def _bound(N: int, ell: int, peak: float, p: int) -> float:
     """(2 p ell)^(p ell) / N^p times peak^(p ell): the gap bound for p = 1,
     the variance bound for p = 2."""
-    bound = (2 * p * ell) ** (p * ell) / N**p * peak ** (p * ell)
+    try:
+        bound = (2 * p * ell) ** (p * ell) / N**p * peak ** (p * ell)
+    except OverflowError:  # raised by float ** and int / in place of inf
+        bound = math.inf
     if not math.isfinite(bound):
         raise OverflowError(f"{('gap', 'variance')[p - 1]} bound at N={N}, ell={ell}")
     return bound

@@ -57,7 +57,7 @@ from .measures import (
     SemicircleLaw,
 )
 from .mop import mop_scheme
-from .recurrence import CLASSICAL_ENSEMBLES, classical_scheme, coefficient_limits
+from .recurrence import CLASSICAL_ENSEMBLES, classical_scheme, kva_functions
 from .sampler import _KINDS as _MODELS
 from .sampler import STREAM_VERSION, MatrixModelSpec, mc_moments, realize_diagonal
 from .zeros import reality_check, spectrum, zero_moments
@@ -263,12 +263,15 @@ def _unread(config, keys, mode):
             raise ConfigError(f"{key}: not read {mode}")
 
 
+def _classical_params(config):
+    return {key: config[key] for key in ("alpha", "beta") if key in config}
+
+
 def _scheme_from(config):
     """Recurrence scheme from either classical or multi-index keys."""
     if "scheme" in config:
         _unread(config, ("kind", "q", "a"), "with scheme")
-        params = {key: config[key] for key in ("alpha", "beta") if key in config}
-        return classical_scheme(config["scheme"], **params)
+        return classical_scheme(config["scheme"], **_classical_params(config))
     if "kind" not in config:
         raise ConfigError("missing key 'scheme' (or 'kind')")
     _unread(config, ("beta",), "with kind")
@@ -369,7 +372,7 @@ def _cmd_variance_sweep(config):
 
 
 def _cmd_kva(config):
-    a_fn, b_fn = coefficient_limits(_scheme_from(config))
+    a_fn, b_fn = kva_functions(config["scheme"], **_classical_params(config))
     mixture = ArcsineMixture(a_fn, b_fn, order=config.get("order", 200))
     if "density" in config:
         _unread(config, ("moments",), "with density")

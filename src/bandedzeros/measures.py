@@ -331,15 +331,17 @@ class ArcsineMixture:
     Given limit functions a(s) >= 0 and b(s), the law is
     integral_0^1 w_{[b(s) - 2a(s), b(s) + 2a(s)]} ds, where w_I is the
     arcsine law of the interval I.  Moments and densities integrate the
-    arcsine closed forms with Gauss-Legendre quadrature: a(s) and b(s)
-    are evaluated once per node when the mixture is built, and each
-    moment or density runs the ``ArcsineLaw`` closed form over the arrays
-    of node endpoints.
+    arcsine closed forms with Gauss-Legendre quadrature: a and b are each
+    called once, on the array of nodes, when the mixture is built, and
+    each moment or density runs the ``ArcsineLaw`` closed form over the
+    arrays of node endpoints.
 
     Parameters
     ----------
     a, b : callable
-        Coefficient limit functions on [0, 1].
+        Coefficient limit functions on [0, 1], vectorised: each takes the
+        read-only array of nodes and returns an array of its shape, or a
+        scalar, which stands for every node.
     order : int
         Gauss-Legendre order for the mixture integral (default 200).
     """
@@ -352,8 +354,7 @@ class ArcsineMixture:
         self.b = b
         self.order = order
         nodes, self._weights = _gauss_legendre(order)
-        a_s = np.array([a(s) for s in nodes], dtype=float)
-        b_s = np.array([b(s) for s in nodes], dtype=float)
+        a_s, b_s = (np.broadcast_to(np.asarray(f(nodes), float), nodes.shape) for f in (a, b))
         lo, hi = b_s - 2.0 * a_s, b_s + 2.0 * a_s
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("endpoints must be finite")

@@ -6,24 +6,25 @@ parameter N.  Entries vanish outside the band k - down_band <= m <=
 k + 1: one superdiagonal, the monic Hessenberg form in which x P_k
 reaches P_{k+1}, which the zero solvers and the determinant recurrence
 assume.  A scheme declares its name, its lower band width and its band
-function, plus the coefficient limits when known; it hands the entries
-out only as a band (columns of T with T[m, k] in row down_band + m - k).
-Whatever else a solver needs, such as whether a block is symmetric, it
-reads off the band.  The classical orthonormal families are tridiagonal
-(down_band = 1) with T[k - 1, k] and T[k, k - 1] taken from one array,
-so their bands are symmetric bit for bit; multi-index families from
-``mop.mop_scheme`` have a wider lower band.
+function; it hands the entries out only as a band (columns of T with
+T[m, k] in row down_band + m - k).  Whatever else a solver needs, such
+as whether a block is symmetric, it reads off the band.  The classical
+orthonormal families are tridiagonal (down_band = 1) with T[k - 1, k]
+and T[k, k - 1] taken from one array, so their bands are symmetric bit
+for bit; multi-index families from ``mop.mop_scheme`` have a wider
+lower band.
 
 A classical family is two coefficient functions a(k, N, d), b(k, N, d)
-with lattice step d, vectorised over k: the band reads them at d = 1 for
-every N, and their limits along k/N -> s, which build the limiting
-arcsine mixture, are the same functions at the continuum step (s, 1, 0).
+with lattice step d, vectorised over k: ``classical_scheme`` reads them
+at d = 1 for every N, and ``kva_functions`` returns their limits along
+k/N -> s, which build the limiting arcsine mixture: the same functions
+at the continuum step (s, 1, 0), vectorised over s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,8 +34,6 @@ __all__ = [
     "RecurrenceScheme",
     "CLASSICAL_ENSEMBLES",
     "classical_scheme",
-    "coeff",
-    "coefficient_limits",
     "kva_functions",
 ]
 
@@ -55,15 +54,11 @@ class RecurrenceScheme:
         B[down_band + m - k, k - start] = T[m, k].  Entries with m < 0
         or m >= stop are ignored (``band`` zeroes them); any other shape
         makes ``band`` raise ``SchemeError``.
-    limit_a, limit_b : callable or None
-        Coefficient limits along k/N -> s, when known.
     """
 
     name: str
     down_band: int
     band_fn: Callable[[int, int, int], np.ndarray]
-    limit_a: Optional[Callable[[float], float]] = None
-    limit_b: Optional[Callable[[float], float]] = None
 
     def band(self, N: int, stop: int, start: int = 0) -> np.ndarray:
         """Columns start..stop-1 of the truncation of T to indices < stop,
@@ -114,8 +109,7 @@ def _tridiagonal(name, a, b):
         off = np.where(k > 0, a(np.maximum(k, 1), N, 1.0), 0.0)
         return np.stack([off[:-1], b(k[:-1], N, 1.0), off[1:]])
 
-    limits = (lambda s: float(a(s, 1, 0.0))), (lambda s: float(b(s, 1, 0.0)))
-    return RecurrenceScheme(name, 1, band_fn, *limits)
+    return RecurrenceScheme(name, 1, band_fn)
 
 
 def _gue():
@@ -125,7 +119,7 @@ def _gue():
     def b(k, N, d):
         return np.zeros(np.shape(k))
 
-    return _tridiagonal("gue", a, b)
+    return a, b
 
 
 def _wishart(alpha):
@@ -141,7 +135,7 @@ def _wishart(alpha):
     def b(k, N, d):
         return (2 * k + d) / N + alpha
 
-    return _tridiagonal("wishart", a, b)
+    return a, b
 
 
 def _jacobi(alpha, beta):
@@ -161,7 +155,7 @@ def _jacobi(alpha, beta):
         t1 = 2 * (k + d) / N + alpha + beta
         return (beta * beta - alpha * alpha) / (t0 * t1)
 
-    return _tridiagonal("jacobi", a, b)
+    return a, b
 
 
 def _charlier(alpha):
@@ -175,7 +169,7 @@ def _charlier(alpha):
     def b(k, N, d):
         return alpha + k / N
 
-    return _tridiagonal("charlier", a, b)
+    return a, b
 
 
 def _meixner(alpha, beta):
@@ -193,7 +187,7 @@ def _meixner(alpha, beta):
         s = k / N
         return (s + alpha * (s + beta)) / (1 - alpha)
 
-    return _tridiagonal("meixner", a, b)
+    return a, b
 
 
 CLASSICAL_ENSEMBLES = {
@@ -205,13 +199,9 @@ CLASSICAL_ENSEMBLES = {
 }
 
 
-def classical_scheme(name: str, **params) -> RecurrenceScheme:
-    """Build a classical orthonormal scheme by name.
-
-    Names and parameters: gue (none), wishart (alpha >= 0),
-    jacobi (alpha, beta > 0), charlier (alpha > 0),
-    meixner (0 < alpha < 1, beta > 0).
-    """
+def _coefficients(name, params):
+    """Coefficient functions (a, b) of a classical family, its name and
+    parameters checked."""
     if name not in CLASSICAL_ENSEMBLES:
         raise SchemeError(
             f"unknown ensemble {name!r}; expected one of {sorted(CLASSICAL_ENSEMBLES)}"
@@ -226,34 +216,24 @@ def classical_scheme(name: str, **params) -> RecurrenceScheme:
     return factory(**params)
 
 
-def coeff(scheme: RecurrenceScheme, k: int, N: int):
-    """Tridiagonal coefficients (a_k, b_k); a_0 is 0 by convention.
+def classical_scheme(name: str, **params) -> RecurrenceScheme:
+    """Build a classical orthonormal scheme by name.
 
-    Refuses a scheme whose down_band is not 1, or whose entries
-    T[k - 1, k] and T[k, k - 1] differ."""
-    if scheme.down_band != 1:
-        raise SchemeError(f"scheme {scheme.name!r} is not orthonormal tridiagonal")
-    k = as_index("k", k, SchemeError)
-    if k < 0:
-        raise SchemeError("k must be nonnegative")
-    b_k = scheme.entry(k, k, N)
-    a_k = 0.0 if k == 0 else scheme.entry(k - 1, k, N)
-    if k > 0 and scheme.entry(k, k - 1, N) != a_k:
-        raise SchemeError(f"scheme {scheme.name!r} is not symmetric at k={k}")
-    return a_k, b_k
-
-
-def coefficient_limits(scheme: RecurrenceScheme):
-    """Limit functions (a(s), b(s)) of the coefficients along k/N -> s."""
-    if scheme.limit_a is None or scheme.limit_b is None:
-        raise SchemeError(f"no coefficient limits known for scheme {scheme.name!r}")
-    return scheme.limit_a, scheme.limit_b
+    Names and parameters: gue (none), wishart (alpha >= 0),
+    jacobi (alpha, beta > 0), charlier (alpha > 0),
+    meixner (0 < alpha < 1, beta > 0).
+    """
+    return _tridiagonal(name, *_coefficients(name, params))
 
 
 def kva_functions(name: str, **params):
-    """Coefficient limit functions (a(s), b(s)) for a classical ensemble.
+    """Coefficient limit functions (a(s), b(s)) along k/N -> s for a
+    classical ensemble, with the names and parameters of
+    ``classical_scheme``.
 
-    These are the profiles that drive the limiting zero law (the
-    arcsine mixture the ``kva`` CLI command tabulates).
+    Both are vectorised over s: given an array of s they return an
+    array of its shape.  These are the profiles that drive the limiting
+    zero law (the arcsine mixture the ``kva`` CLI command tabulates).
     """
-    return coefficient_limits(classical_scheme(name, **params))
+    a, b = _coefficients(name, params)
+    return (lambda s: a(s, 1, 0.0)), (lambda s: b(s, 1, 0.0))

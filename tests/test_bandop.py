@@ -179,6 +179,24 @@ def test_bounds_require_positive_ell():
         variance_bound(GUE, 10, 0)
 
 
+@pytest.mark.parametrize(
+    "bound, ell, message",
+    [
+        (gap_bound, 3, "gap bound at N=5, ell=3"),
+        (variance_bound, 1, "variance bound at N=5, ell=1"),
+        # the row ell = 1 computes both bounds; its variance bound overflows
+        (trace_table, 3, "variance bound at N=5, ell=1"),
+    ],
+    ids=["gap_bound", "variance_bound", "trace_table"],
+)
+def test_a_bound_past_the_double_range_is_named(bound, ell, message):
+    # the window peak is near 1e300, so float ** overflows in peak^(p ell)
+    # before the product could be inf
+    wide = classical_scheme("wishart", alpha=1e300)
+    with pytest.raises(OverflowError, match=f"^{message}$"):
+        bound(wide, 5, ell)
+
+
 def test_trace_table_shape_and_consistency():
     rows = trace_table(GUE, 6, 3)
     assert len(rows) == 3
@@ -414,6 +432,17 @@ def test_trace_table_argument_checks():
                     f(GUE, N, ell)
 
 
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(bandedzeros.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_trace_path_loads_no_scipy():
     # the trace, path, bound and sampler layers run on numpy alone;
     # scipy.linalg loads on first use of spectrum, which must then still work
@@ -442,10 +471,34 @@ he5 = np.array([-np.sqrt(5 + r), -np.sqrt(5 - r), 0.0, np.sqrt(5 - r), np.sqrt(5
 assert np.allclose(points.real, he5 / np.sqrt(5), rtol=0, atol=1e-13), points
 assert "scipy.linalg" in loaded() and "scipy.special" not in loaded(), loaded()
 """
-    src = str(Path(bandedzeros.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
+    run_fresh(code)
+
+
+def test_limit_law_and_sampler_paths_load_no_scipy():
+    # the limit-law layers and every model's sampled moments run on numpy
+    # alone, so none of them pays for scipy.linalg's import
+    code = """
+import math
+import sys
+import bandedzeros as bz
+
+for spec in (
+    bz.MatrixModelSpec("gue", 6),
+    bz.MatrixModelSpec("wishart", 6, alpha=1.0),
+    bz.MatrixModelSpec("gue_source", 6, source=bz.realize_diagonal((0.5, 0.5), (1.0, -1.0), 6)),
+    bz.MatrixModelSpec("wishart_cov", 6, alpha=1.0,
+                       source=bz.realize_diagonal((0.5, 0.5), (1.0, 0.5), 6)),
+):
+    assert bz.mc_moments(spec, 2, 20, 1)[0][0] == 1.0, spec.kind
+mixture = bz.ArcsineMixture(*bz.kva_functions("gue"))
+assert abs(mixture.moment(2) - 1.0) < 1e-12
+sc, mp = bz.SemicircleLaw(), bz.MarchenkoPasturLaw(1)
+assert bz.free_add(sc, sc, 4).values[2] == 2
+assert bz.free_mul(mp, mp, 2).values[1] == 1
+curve = bz.curve_hermite((1,), (0,))
+assert abs(bz.curve_moments(curve, 4).values[2] - 1.0) < 1e-9
+assert abs(bz.stieltjes_density(curve, 0.0) - 1 / math.pi) < 1e-5
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.special")))
+assert loaded == [], loaded
+"""
+    run_fresh(code)

@@ -627,15 +627,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
         ("kva --scheme wishart --alpha 1 --moments 500", ""),
         ("zeros --scheme wishart --alpha 1 --n 50 --moments 500 --format json", ""),
         ("sample --model wishart --alpha 1 --n 20 --samples 3 --moments 500", ""),
+        ("traces --scheme wishart --alpha 1e300 --n 5 --moments 3",
+         "variance bound at N=5, ell=1\n"),
     ],
     ids=["traces", "variance-sweep", "kva", "curve", "curve-hermite", "traces-bound-product",
-         "variance-sweep-bound-product", "kva-mixture", "zeros-moments", "sample-moments"],
+         "variance-sweep-bound-product", "kva-mixture", "zeros-moments", "sample-moments",
+         "traces-bound-power"],
 )
 def test_results_past_the_double_range_exit_3(argv, detail, tmp_path, capsys):
-    # the bounds' (2 ell)^ell / N or their product with the window peak,
+    # the bounds' (2 ell)^ell / N, the window peak's power or their product,
     # the arcsine mixture moments, the contour's rho^(ell + 1) and the
     # zero and sample moments leave the double range at these orders; a
-    # contour names the first order its radius cannot reach
+    # contour names the first order its radius cannot reach, a bound its
+    # N and ell
     out = tmp_path / "x.out"
     assert cli.main([*shlex.split(argv), "--out", str(out)]) == 3
     err = capsys.readouterr().err

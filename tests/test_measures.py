@@ -101,7 +101,7 @@ def test_mp_atom_mass():
 
 
 def test_kva_semicircle_profile():
-    mix = ArcsineMixture(lambda s: math.sqrt(s), lambda s: 0.0)
+    mix = ArcsineMixture(lambda s: np.sqrt(s), lambda s: 0.0)
     assert kva_moment(mix, 2) == pytest.approx(1.0, abs=1e-10)
     assert kva_moment(mix, 4) == pytest.approx(2.0, abs=1e-10)
 
@@ -164,6 +164,52 @@ def test_mixture_matches_per_node_arcsine_laws(name):
     for x in np.linspace(-3.0, 7.0, 41):
         ref = node_by_node(a, b, 200, x=x)
         assert abs(mix.density(x) - ref) <= 4 * math.ulp(ref), x
+
+
+def test_mixture_calls_each_profile_once_on_the_nodes():
+    calls = []
+
+    def profile(scale):
+        def f(s):
+            calls.append(s)
+            return scale * np.sqrt(s)
+
+        return f
+
+    ArcsineMixture(profile(1.0), profile(0.5), order=40)
+    nodes, _ = measures_mod._gauss_legendre(40)
+    assert len(calls) == 2
+    for s in calls:
+        assert isinstance(s, np.ndarray) and not s.flags.writeable
+        assert s.tobytes() == nodes.tobytes()
+
+
+@pytest.mark.parametrize("order", [40, 200, 1000])
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("gue", {}),
+        ("wishart", {"alpha": 0.0}),
+        ("wishart", {"alpha": 1.0}),
+        ("jacobi", {"alpha": 1.0, "beta": 1.0}),
+        ("jacobi", {"alpha": 0.3, "beta": 2.5}),
+        ("charlier", {"alpha": 1.0}),
+        ("meixner", {"alpha": 0.5, "beta": 1.0}),
+        ("meixner", {"alpha": 0.1, "beta": 3.0}),
+    ],
+    ids=["gue", "wishart-0", "wishart-1", "jacobi-1-1", "jacobi-0.3-2.5", "charlier",
+         "meixner-0.5-1", "meixner-0.1-3"],
+)
+def test_mixture_endpoints_equal_a_per_node_loop(name, params, order):
+    # the profiles on the node array give the bits of one scalar call per node
+    a, b = kva_functions(name, **params)
+    nodes, _ = measures_mod._gauss_legendre(order)
+    a_s = np.array([a(s) for s in nodes], dtype=float)
+    b_s = np.array([b(s) for s in nodes], dtype=float)
+    lo, hi = b_s - 2.0 * a_s, b_s + 2.0 * a_s
+    mix = ArcsineMixture(a, b, order=order)
+    assert mix._alpha.tobytes() == np.minimum(lo, hi).tobytes()
+    assert mix._beta.tobytes() == np.maximum(lo, hi).tobytes()
 
 
 def test_mixture_runs_leggauss_once_per_order(monkeypatch):
@@ -234,7 +280,7 @@ def test_arcsine_degenerate_interval():
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_mixture_density_integrates_to_one():
-    mix = ArcsineMixture(lambda s: math.sqrt(s), lambda s: 0.0, order=120)
+    mix = ArcsineMixture(lambda s: np.sqrt(s), lambda s: 0.0, order=120)
     val, _ = integrate.quad(mix.density, -2.0, 2.0, limit=300)
     assert val == pytest.approx(1.0, abs=5e-3)
 

@@ -10,8 +10,6 @@ from bandedzeros.recurrence import (
     CLASSICAL_ENSEMBLES,
     RecurrenceScheme,
     classical_scheme,
-    coeff,
-    coefficient_limits,
     kva_functions,
 )
 from bandedzeros.mop import mop_scheme
@@ -39,7 +37,8 @@ def test_charlier_table_values():
 
 
 def test_coeff_k0_convention():
-    a0, b0 = coeff(classical_scheme("gue"), 0, 10)
+    # the band zeroes T[-1, 0]: a_0 = 0
+    a0, b0 = classical_scheme("gue").band(10, 1, 0)[:2, 0]
     assert a0 == 0.0
     assert b0 == 0.0
 
@@ -47,14 +46,14 @@ def test_coeff_k0_convention():
 def test_meixner_diagonal_value():
     s = classical_scheme("meixner", alpha=0.5, beta=1.0)
     N = 100
-    a, b = coeff(s, N, N)
+    a, b = s.band(N, N + 1, N)[:2, 0]
     assert b == pytest.approx(4.0)
     assert a**2 == pytest.approx(4.0 * 1.0 * (1.0 + 1.0 - 1.0 / N))
 
 
 def test_jacobi_symmetric_parameters_center_diagonal():
     s = classical_scheme("jacobi", alpha=1.0, beta=1.0)
-    _, b = coeff(s, 4000, 4000)
+    _, b = s.band(4000, 4001, 4000)[:2, 0]
     assert abs(b) < 1e-3
 
 
@@ -90,11 +89,11 @@ def test_kva_functions_charlier():
 )
 def test_coefficients_approach_their_limits(name, params):
     scheme = classical_scheme(name, **params)
-    limit_a, limit_b = coefficient_limits(scheme)
+    limit_a, limit_b = kva_functions(name, **params)
     N = 1000
     for s_val in (0.25, 0.5, 1.0):
         k = int(s_val * N)
-        a_k, b_k = coeff(scheme, k, N)
+        a_k, b_k = scheme.band(N, k + 1, k)[:2, 0]
         assert abs(a_k - limit_a(s_val)) < 1e-2
         assert abs(b_k - limit_b(s_val)) < 1e-2
 
@@ -266,24 +265,6 @@ def test_registry_names():
         "charlier",
         "meixner",
     }
-
-
-def test_coeff_requires_tridiagonal():
-    from bandedzeros.mop import mop_scheme
-
-    wide = mop_scheme("multiple-hermite", a=(1.0, -1.0), q=(0.5, 0.5))
-    with pytest.raises(SchemeError):
-        coeff(wide, 3, 10)
-
-    # one lower band, but T[k - 1, k] = k / N against T[k, k - 1] = 1
-    def monic(N, start, stop):
-        k = np.arange(start, stop)
-        return np.stack([k / N, 0.0 * k, np.ones(len(k))])
-
-    scheme = RecurrenceScheme(name="monic", down_band=1, band_fn=monic)
-    assert coeff(scheme, 0, 10) == (0.0, 0.0)
-    with pytest.raises(SchemeError, match="'monic' is not symmetric at k=1"):
-        coeff(scheme, 1, 10)
 
 
 @pytest.mark.parametrize(

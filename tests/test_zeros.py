@@ -15,7 +15,7 @@ import bandedzeros.zeros as zeros_mod
 from bandedzeros.bandop import build_truncation, zero_moment_trace
 from bandedzeros.errors import CharpolyOverflow, NumericalFailure
 from bandedzeros.mop import mop_scheme
-from bandedzeros.recurrence import RecurrenceScheme, classical_scheme, coeff
+from bandedzeros.recurrence import RecurrenceScheme, classical_scheme
 from bandedzeros.zeros import (
     charpoly_eval,
     reality_check,
@@ -98,8 +98,8 @@ def test_wishart_matches_monic_laguerre_roots():
     n = 2
     measure = spectrum(build_truncation(scheme, n, 0))
     # monic three-term recurrence p_{k+1} = (x - b_k) p_k - a_k^2 p_{k-1}
-    coeffs_b = [coeff(scheme, k, n)[1] for k in range(n)]
-    coeffs_a = [coeff(scheme, k, n)[0] for k in range(n)]
+    coeffs_b = [scheme.band(n, k + 1, k)[1, 0] for k in range(n)]
+    coeffs_a = [scheme.band(n, k + 1, k)[0, 0] for k in range(n)]
     for z in measure.points:
         p_prev, p = 0.0, 1.0
         for k in range(n):
@@ -111,7 +111,7 @@ def test_wishart_matches_monic_laguerre_roots():
 @pytest.mark.parametrize("n", [25, 200])
 def test_heine_monic_cross_check(scheme, n):
     measure = spectrum(build_truncation(scheme, n, 0))
-    coeffs = [coeff(scheme, k, n) for k in range(n)]
+    coeffs = [scheme.band(n, k + 1, k)[:2, 0] for k in range(n)]
     scale = max(abs(z) for z in measure.points)
     for z in measure.points[:: max(1, n // 8)]:
         p_prev, p = 0.0, 1.0
