@@ -326,12 +326,14 @@ def _cmd_zeros(config):
     scheme = _scheme_from(config)
     if config.get("format", "csv") == "csv":
         _unread(config, ("moments",), "in CSV mode")
-        measure = spectrum(build_truncation(scheme, config["n"], 0))
+        order = None
+    else:
+        order = _require(config, "moments")
+    measure = spectrum(build_truncation(scheme, config["n"], 0))
+    if order is None:
         return ("index", "re", "im"), [
             (idx, z.real, z.imag) for idx, z in enumerate(measure.points)
         ]
-    order = _require(config, "moments")
-    measure = spectrum(build_truncation(scheme, config["n"], 0))
     moments, residuals = zero_moments(measure, order)
     real, max_imag = reality_check(measure)
     return {
@@ -408,15 +410,8 @@ def _cmd_curve(config):
             for x in config["density"]
         ]
     _unread(config, ("eps", "richardson"), "without density")
-    payload = {
-        "kind": config["kind"],
-        "deg_w": curve.deg_w,
-        "radius_hint": float(curve.radius_hint),
-        "table": [[float(c) for c in row] for row in curve.table],
-    }
-    if "moments" in config:
-        payload["moments"] = curve_moments(curve, config["moments"]).floats()
-    return payload
+    order = _require(config, "moments")
+    return {"kind": config["kind"], "moments": curve_moments(curve, order).floats()}
 
 
 def _cmd_sample(config):
@@ -513,13 +508,13 @@ _COMMANDS = {
         ("nu", dict(parse=_parse_law, required=True, help=_LAW)),
         _MOMENTS,
     )),
-    "curve": _Command(_cmd_curve, "algebraic spectral curve: table, moments, density", (
+    "curve": _Command(_cmd_curve, "algebraic spectral curve: moments, density", (
         ("kind", dict(required=True, choices=_CURVE_KINDS)),
         ("q", dict(parse=_number_list, required=True, help="comma list of ratios")),
         ("a", dict(parse=_number_list, required=True, help="comma list of locations")),
-        # kept exact: the curve's coefficients are polynomials in alpha
-        ("alpha", dict(parse=_as_number, help="rate parameter (laguerre)")),
-        ("moments", dict(parse=_moment_order, help="also tabulate contour moments to this order")),
+        ("alpha", dict(parse=_as_float, help="rate parameter (laguerre)")),
+        ("moments", dict(parse=_moment_order,
+                         help="highest contour moment order (JSON format, without density)")),
         ("density", dict(parse=_float_list,
                          help="evaluate the density on these x values (CSV mode)")),
         ("eps", dict(parse=_positive_float, help="imaginary offset for density evaluation")),

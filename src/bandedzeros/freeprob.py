@@ -13,13 +13,15 @@ solve), and back again.  No asymptotic or numeric approximation enters:
 for order-L data the returned moments are exactly the moments of the
 convolution up to order L.
 
-The curve side represents the Cauchy transform G of a free-convolution
-limit (semicircle plus atoms, or the exponent-alpha law times atoms) as
-the root w ~ 1/z of a bivariate polynomial P(z, w) = 0, and evaluates it
-as the one fixed point of a holomorphic self-map of a half-plane (a
-subordination equation), so no branch is chosen.  Moments come from
-contour integrals on circles enclosing the support, validated by radius
-doubling; densities from the boundary values at x + i eps.
+The curve side holds a free-convolution limit (semicircle plus atoms,
+or the exponent-alpha law times atoms) as its subordination data, the
+float ratios, locations and alpha.  Its Cauchy transform G, the root
+w ~ 1/z of the bivariate polynomial P(z, w) given in the constructors'
+docstrings, is evaluated as the one fixed point of a holomorphic
+self-map of a half-plane (a subordination equation), so no branch is
+chosen.  Moments come from contour integrals on circles enclosing the
+support, validated by radius doubling; densities from the boundary
+values at x + i eps.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ def _lift(values):
     """Fractions when all inputs are exact, floats otherwise."""
     vals = list(values)
     if _is_exact(*vals):
-        return [Fraction(v) for v in vals], True
-    return [float(v) for v in vals], False
+        return [Fraction(v) for v in vals]
+    return [float(v) for v in vals]
 
 
 def _order(order) -> int:
@@ -142,7 +144,7 @@ def r_transform_series(mu, order: int) -> tuple:
     of the truncated series, the free cumulants kappa_1..kappa_order.
     """
     order = _order(order)
-    m, _ = _lift(_as_moments(mu, order))
+    m = _lift(_as_moments(mu, order))
     L = order + 1
     phi = [m[0] * 0] + m  # phi(u) = u (m0 + m1 u + ...), powers 0..L
     psi = _compose_inverse(phi, L)
@@ -174,7 +176,7 @@ def s_transform_series(mu, order: int) -> tuple:
     coefficients S_0, S_1, ... of the truncated series from power 0.
     """
     order = _order(order)
-    m, _ = _lift(_as_moments(mu, order))
+    m = _lift(_as_moments(mu, order))
     if m[1] == 0:
         raise ValueError("multiplicative transform undefined: first moment is zero")
     h = [m[0] * 0] + m[1:]  # h(z) = m1 z + m2 z^2 + ..., powers 0..order
@@ -217,61 +219,24 @@ def free_mul(mu, nu, order: int) -> MomentSequence:
 # -- algebraic curves ----------------------------------------------------
 
 
-def _bp_mul(p, q):
-    out = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, c1 * 0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _bp_add(p, q):
-    out = dict(p)
-    for key, c in q.items():
-        out[key] = out.get(key, c * 0) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _bp_scale(p, c):
-    return {k: c * v for k, v in p.items() if c * v != 0}
-
-
 @dataclass(frozen=True)
 class AlgebraicCurve:
-    """Bivariate polynomial P(z, w) whose root w(z) ~ 1/z is a Cauchy
-    transform.
-
-    ``table[j][i]`` is the coefficient of z^i w^j (exact rationals when
-    the construction data is exact).  ``radius_hint`` is a starting
-    circle radius enclosing the support estimate.  ``q``, ``a`` and
-    ``alpha`` are the construction inputs as floats, ``alpha`` None for
-    the Hermite curve; ``solve_G`` reads them, not the table.
+    """Spectral curve held as its subordination data: the root w(z) ~ 1/z
+    of the constructor's P(z, w) is the Cauchy transform that ``solve_G``
+    evaluates from the floats ``q`` and ``a`` and, for the Laguerre curve,
+    ``alpha`` (None for the Hermite curve).  ``radius_hint`` is a starting
+    circle radius enclosing the support estimate.
     """
 
-    table: tuple
     radius_hint: float
     q: tuple
     a: tuple
     alpha: Optional[float] = None
 
-    @property
-    def deg_w(self) -> int:
-        return len(self.table) - 1
-
-    def wpoly_at(self, z: complex) -> np.ndarray:
-        """Coefficients (ascending in w) of w -> P(z, w)."""
-        z = complex(z)
-        out = np.empty(len(self.table), dtype=complex)
-        for j, zc in enumerate(self.table):
-            acc = 0j
-            for c in reversed(zc):  # Horner in z
-                acc = acc * z + complex(c)
-            out[j] = acc
-        return out
-
 
 def _validate_curve_inputs(q, a):
+    """Ratios and locations as float tuples, refused unless matching,
+    finite, positive ratios summing to 1 and distinct locations."""
     q = list(q)
     a = list(a)
     if len(q) != len(a) or not q:
@@ -286,33 +251,7 @@ def _validate_curve_inputs(q, a):
         raise ValueError("ratios must be positive")
     if len({float(x) for x in a}) != len(a):
         raise ValueError(f"locations must be pairwise distinct, got {a}")
-    vals, exact = _lift(list(q) + list(a))
-    return vals[: len(q)], vals[len(q) :], exact
-
-
-def _table_from_factors(q, factors) -> tuple:
-    """Coefficient table of P(z, w) = w prod_i f_i - sum_i q_i prod_{j != i} f_j
-    for the bivariate factors f_i."""
-    one = q[0] / q[0]
-    poly = {(0, 1): one}
-    for f in factors:
-        poly = _bp_mul(poly, f)
-    for i, qi in enumerate(q):
-        term = {(0, 0): one}
-        for j, f in enumerate(factors):
-            if j != i:
-                term = _bp_mul(term, f)
-        poly = _bp_add(poly, _bp_scale(term, -qi))
-    deg_z = max(i for (i, _) in poly)
-    deg_w = max(j for (_, j) in poly)
-    zero = one * 0
-    return tuple(
-        tuple(poly.get((i, j), zero) for i in range(deg_z + 1)) for j in range(deg_w + 1)
-    )
-
-
-def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(map(float, q)), tuple(map(float, a))
 
 
 def curve_hermite(q, a) -> AlgebraicCurve:
@@ -324,11 +263,8 @@ def curve_hermite(q, a) -> AlgebraicCurve:
     the polynomial the subordination fixed point
     w = sum_i q_i / (z - w - a_i) produces.
     """
-    q, a, _ = _validate_curve_inputs(q, a)
-    one = q[0] / q[0]
-    factors = [{(1, 0): one, (0, 1): -one, (0, 0): -ai} for ai in a]
-    hint = 2.0 + max(abs(float(x)) for x in a) + 1.0
-    return AlgebraicCurve(_table_from_factors(q, factors), hint, _floats(q), _floats(a))
+    q, a = _validate_curve_inputs(q, a)
+    return AlgebraicCurve(2.0 + max(map(abs, a)) + 1.0, q, a)
 
 
 def curve_laguerre(q, a, alpha) -> AlgebraicCurve:
@@ -338,22 +274,15 @@ def curve_laguerre(q, a, alpha) -> AlgebraicCurve:
     P(z, w) = w prod_i (z - (1/a_i)(1 - alpha + alpha z w))
               - sum_i q_i prod_{j != i} (z - (1/a_j)(1 - alpha + alpha z w)).
     """
-    q, a, exact = _validate_curve_inputs(q, a)
-    if any(float(x) <= 0 for x in a):
+    q, a = _validate_curve_inputs(q, a)
+    if any(x <= 0 for x in a):
         raise ValueError("locations must be positive")
-    alpha = Fraction(alpha) if exact and _is_exact(alpha) else float(alpha)
-    if not 0 <= float(alpha) < math.inf:
+    alpha = float(alpha)
+    if not 0 <= alpha < math.inf:
         raise ValueError(f"need finite alpha >= 0, got {alpha}")
-    one = q[0] / q[0]
-    factors = [
-        {(1, 0): one, (0, 0): -(one - alpha) / ai, (1, 1): -(alpha * one) / ai}
-        for ai in a
-    ]
-    top = max(1.0 / float(x) for x in a)
-    hint = (1.0 + math.sqrt(float(alpha))) ** 2 * top + top + 1.0
-    return AlgebraicCurve(
-        _table_from_factors(q, factors), hint, _floats(q), _floats(a), float(alpha)
-    )
+    top = max(1.0 / x for x in a)
+    hint = (1.0 + math.sqrt(alpha)) ** 2 * top + top + 1.0
+    return AlgebraicCurve(hint, q, a, alpha)
 
 
 def _self_map(curve: AlgebraicCurve, u, z):
@@ -446,6 +375,8 @@ def stieltjes_density(curve: AlgebraicCurve, x: float, eps: float = 1e-6,
     With ``richardson`` the O(eps) error is removed by extrapolating the
     values at eps and 2 eps.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"need finite x, got {x}")
     if not 0 < eps < math.inf:
         raise ValueError(f"need finite eps > 0, got {eps}")
     d1 = -solve_G(curve, complex(x, eps)).imag / math.pi

@@ -44,6 +44,7 @@ from bandedzeros import (
 )
 from bandedzeros.paths import Constraint
 
+from test_freeprob import assert_quadratic_root
 from test_mop import check_rows_against_oracle, gaussian_moments, monic_mop
 
 HALF = (Fraction(1, 2), Fraction(1, 2))
@@ -213,14 +214,15 @@ def test_07_multiple_laguerre_limit():
     )
     assert curve_dev <= 1e-8
 
-    # single-weight reduction: the curve is exactly -(alpha z w^2 - (z - 1
-    # + alpha) w + 1), the Stieltjes quadratic of the rate-alpha MP law
+    # single-weight reduction: the curve is -(alpha z w^2 - (z - 1 + alpha)
+    # w + 1), the Stieltjes quadratic of the rate-alpha MP law, so G is
+    # its root to rounding
     for alpha in (1.0, 1.5):
-        table = curve_laguerre((1.0,), (1.0,), alpha).table
-        assert table == ((-1.0, 0.0), (alpha - 1.0, 1.0), (0.0, -alpha))
+        curve = curve_laguerre((1.0,), (1.0,), alpha)
+        assert_quadratic_root(curve, lambda z: (1, -(z - 1 + alpha), alpha * z), 1e-13)
     print(
         f"ACCEPTANCE 7: PASS (zeros rel dev {worst:.1e}, "
-        f"curve vs series {curve_dev:.1e}, MP quadratic exact)"
+        f"curve vs series {curve_dev:.1e}, G on the MP quadratic)"
     )
 
 

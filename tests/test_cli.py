@@ -96,9 +96,9 @@ def test_curve_table_and_moments(tmp_path):
     )
     assert code == 0
     payload = json.loads(out.read_text())
+    # no table, deg_w or radius_hint: the payload is the moments
+    assert sorted(payload) == ["kind", "meta", "moments"]
     assert payload["kind"] == "laguerre"
-    assert payload["deg_w"] == 2
-    assert payload["table"] == [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
     assert np.allclose(payload["moments"], [1, 1, 2, 5, 14], atol=1e-8)
 
 
@@ -542,6 +542,9 @@ REQUIRED = [
     # with a multi-index kind
     pytest.param(FLAG_INVOCATIONS["zeros"] + ["--moments", "3", "--format", "json"], "moments",
                  id="zeros-moments"),
+    # curve without density writes only moments, so it requires them
+    pytest.param(["curve", "--kind", "laguerre", "--q", "1/2,1/2", "--a", "1,2", "--alpha", "1",
+                  "--moments", "3"], "moments", id="curve-moments"),
     *(pytest.param(FLAG_INVOCATIONS["mop-zeros"], name, id=f"mop-zeros-{name}")
       for name in ("moments", "q", "a")),
 ]

@@ -205,32 +205,29 @@ def test_multiplicative_rejects_centered_input():
 # curve construction
 
 
+GRID = [complex(re, im) for re in np.linspace(-4.0, 4.0, 33) for im in (1e-3, 0.1, 1.0, -0.5)]
+
+
+def assert_quadratic_root(curve, coeffs, bound):
+    """G at each grid point is a root of the quadratic whose coefficients
+    (ascending in w) ``coeffs(z)`` gives, within ``bound`` relative to
+    the largest of its terms."""
+    for z in GRID:
+        w = solve_G(curve, z)
+        terms = [c * w**j for j, c in enumerate(coeffs(z))]
+        assert abs(sum(terms)) <= bound * max(map(abs, terms))
+
+
 def test_hermite_curve_single_location_is_semicircle_quadratic():
-    curve = curve_hermite((1,), (0,))
-    # w (z - w) - 1, i.e. -(w^2 - z w + 1)
-    assert curve.deg_w == 2
-    assert curve.table == ((-1, 0), (0, 1), (-1, 0))
+    # P(z, w) = w (z - w) - 1, i.e. -(w^2 - z w + 1)
+    assert_quadratic_root(curve_hermite((1,), (0,)), lambda z: (1, -z, 1), 1e-13)
 
 
 def test_laguerre_curve_single_location_is_mp_quadratic():
-    alpha = Fraction(1, 3)
-    curve = curve_laguerre((1,), (1,), alpha)
-    # -(alpha z w^2 - (z - 1 + alpha) w + 1)
-    assert curve.table == ((-1, 0), (alpha - 1, 1), (0, -alpha))
-    unit = curve_laguerre((1,), (1,), 1)
-    assert unit.table == ((-1, 0), (0, 1), (0, -1))
-
-
-def test_hermite_curve_at_w_zero():
-    q = (Fraction(1, 5), Fraction(3, 10), HALF)
-    a = (0, 1, -2)
-    curve = curve_hermite(q, a)
-    for z in (0.3, 2.7, -1.4):
-        direct = -sum(
-            float(qi) * np.prod([z - aj for j, aj in enumerate(a) if j != i])
-            for i, qi in enumerate(q)
-        )
-        assert curve.wpoly_at(z)[0] == pytest.approx(direct, rel=1e-12)
+    # P(z, w) = -(alpha z w^2 - (z - 1 + alpha) w + 1)
+    for alpha in (Fraction(1, 3), 1):
+        curve = curve_laguerre((1,), (1,), alpha)
+        assert_quadratic_root(curve, lambda z: (1, -(z - 1 + alpha), alpha * z), 1e-13)
 
 
 def test_laguerre_curve_alpha_zero_is_atomic_transform():
@@ -308,21 +305,32 @@ def test_branch_is_nevanlinna_on_upper_half_plane():
 
 
 @pytest.mark.parametrize(
-    "curve",
+    "q, a, alpha",
     [
-        curve_hermite((Fraction(1, 5), Fraction(3, 10), HALF), (0, 1, -2)),
-        curve_laguerre((Fraction(1, 4), Fraction(1, 4), HALF), (1, 2, 4), 2),
+        ((Fraction(1, 5), Fraction(3, 10), HALF), (0, 1, -2), None),
+        ((Fraction(1, 4), Fraction(1, 4), HALF), (1, 2, 4), 2),
     ],
     ids=["hermite", "laguerre"],
 )
-def test_branch_lies_on_the_curve(curve):
-    # the fixed point never reads the table, so this ties the two together
+def test_branch_lies_on_the_curve(q, a, alpha):
+    # P(z, w) = w prod_i f_i - sum_i q_i prod_{j != i} f_j from the
+    # constructors' docstrings: the fixed point never forms it, so this
+    # ties G to the curve
+    if alpha is None:
+        curve = curve_hermite(q, a)
+        factors = lambda z, w: [z - w - ai for ai in a]
+    else:
+        curve = curve_laguerre(q, a, alpha)
+        factors = lambda z, w: [z - (1 - alpha + alpha * z * w) / ai for ai in a]
     for re in np.linspace(-curve.radius_hint, curve.radius_hint, 41):
         for im in (1e-3, 0.1, 1.0):
             z = complex(re, im)
-            coeffs = curve.wpoly_at(z)
-            value = np.polynomial.polynomial.polyval(solve_G(curve, z), coeffs)
-            assert abs(value) <= 1e-12 * np.abs(coeffs).max()
+            w = solve_G(curve, z)
+            f = factors(z, w)
+            terms = [w * np.prod(f)] + [
+                -qi * np.prod(f[:i] + f[i + 1:]) for i, qi in enumerate(map(float, q))
+            ]
+            assert abs(sum(terms)) <= 1e-12 * max(map(abs, terms))
 
 
 def test_branch_rejects_origin():

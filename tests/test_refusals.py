@@ -129,6 +129,10 @@ REFUSALS = {
         lambda: window_max(GUE, 10, NAN), SchemeError, "need finite eps > 0, got nan"),
     "window_max-inf-eps": (
         lambda: window_max(GUE, 10, INF), SchemeError, "need finite eps > 0, got inf"),
+    "stieltjes_density-nan-x": (
+        lambda: stieltjes_density(SEMICIRCLE, NAN), ValueError, "need finite x, got nan"),
+    "stieltjes_density-inf-x": (
+        lambda: stieltjes_density(SEMICIRCLE, INF), ValueError, "need finite x, got inf"),
     "stieltjes_density-nan-eps": (
         lambda: stieltjes_density(SEMICIRCLE, 0.0, eps=NAN), ValueError,
         "need finite eps > 0, got nan"),
