@@ -513,8 +513,8 @@ _COMMANDS = {
         ("q", dict(parse=_number_list, required=True, help="comma list of ratios")),
         ("a", dict(parse=_number_list, required=True, help="comma list of locations")),
         ("alpha", dict(parse=_as_float, help="rate parameter (laguerre)")),
-        ("moments", dict(parse=_moment_order,
-                         help="highest contour moment order (JSON format, without density)")),
+        ("moments", dict(parse=_moment_order, help="highest moment order, from the "
+                         "free-convolution series (JSON format, without density)")),
         ("density", dict(parse=_float_list,
                          help="evaluate the density on these x values (CSV mode)")),
         ("eps", dict(parse=_positive_float, help="imaginary offset for density evaluation")),

@@ -19,9 +19,8 @@ float ratios, locations and alpha.  Its Cauchy transform G, the root
 w ~ 1/z of the bivariate polynomial P(z, w) given in the constructors'
 docstrings, is evaluated as the one fixed point of a holomorphic
 self-map of a half-plane (a subordination equation), so no branch is
-chosen.  Moments come from contour integrals on circles enclosing the
-support, validated by radius doubling; densities from the boundary
-values at x + i eps.
+chosen.  Densities come from its boundary values at x + i eps; moments
+from the series above, on the exact values of the curve's floats.
 """
 
 from __future__ import annotations
@@ -31,10 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .errors import ContinuationError, NumericalFailure, as_index
-from .measures import MomentSequence, _is_exact
+from .errors import ContinuationError, as_index
+from .measures import MomentSequence, SemicircleLaw, _is_exact
 
 __all__ = [
     "r_transform_series",
@@ -59,12 +56,12 @@ def _lift(values):
     return [float(v) for v in vals]
 
 
-def _order(order) -> int:
+def _order(order, least: int = 1) -> int:
     """A series order as an int (numpy integers pass), refusing any other
-    type and orders below 1."""
+    type and orders below ``least``."""
     order = as_index("order", order, ValueError)
-    if order < 1:
-        raise ValueError("need order >= 1")
+    if order < least:
+        raise ValueError(f"need order >= {least}")
     return order
 
 
@@ -201,6 +198,8 @@ def _moments_from_s(s, order: int) -> MomentSequence:
 
 def free_add(mu, nu, order: int) -> MomentSequence:
     """Moments of the additive free convolution to the given order."""
+    if _order(order, 0) == 0:
+        return MomentSequence((1,))
     r_mu = r_transform_series(mu, order)
     r_nu = r_transform_series(nu, order)
     return moments_from_r([x + y for x, y in zip(r_mu, r_nu)], order)
@@ -209,8 +208,10 @@ def free_add(mu, nu, order: int) -> MomentSequence:
 def free_mul(mu, nu, order: int) -> MomentSequence:
     """Moments of the multiplicative free convolution to the given order.
 
-    Both inputs need a nonzero first moment.
+    Both inputs need a nonzero first moment (from order 1).
     """
+    if _order(order, 0) == 0:
+        return MomentSequence((1,))
     s_mu = s_transform_series(mu, order)
     s_nu = s_transform_series(nu, order)
     return _moments_from_s(_mul_trunc(s_mu, s_nu, order - 1), order)
@@ -224,8 +225,9 @@ class AlgebraicCurve:
     """Spectral curve held as its subordination data: the root w(z) ~ 1/z
     of the constructor's P(z, w) is the Cauchy transform that ``solve_G``
     evaluates from the floats ``q`` and ``a`` and, for the Laguerre curve,
-    ``alpha`` (None for the Hermite curve).  ``radius_hint`` is a starting
-    circle radius enclosing the support estimate.
+    ``alpha`` (None for the Hermite curve); ``curve_moments`` reads their
+    exact values.  ``radius_hint`` is the radius of a circle enclosing the
+    support, read by no library code (the benchmark's density grid uses it).
     """
 
     radius_hint: float
@@ -386,53 +388,26 @@ def stieltjes_density(curve: AlgebraicCurve, x: float, eps: float = 1e-6,
     return 2.0 * d1 - d2
 
 
-_CONTOUR_POINTS = 1024  # equispaced points per circle in curve_moments
-
-
-def _contour_moments(curve: AlgebraicCurve, rho: float, ell_max: int):
-    thetas = 2.0 * math.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS
-    zs = rho * np.exp(1j * thetas)
-    ws = np.array([solve_G(curve, z) for z in zs])
-    moments = []
-    for ell in range(ell_max + 1):
-        try:
-            radius = rho ** (ell + 1)
-        except OverflowError:
-            raise OverflowError(f"curve moment of order {ell} at contour radius {rho:g}") from None
-        vals = radius * np.exp(1j * (ell + 1) * thetas) * ws
-        moments.append(complex(np.mean(vals)))
-    return moments
-
-
 def curve_moments(curve: AlgebraicCurve, ell_max: int) -> MomentSequence:
-    """Moments of the curve's law by contour integration of z^ell G(z),
-    G from ``solve_G``, over 1024 equispaced points of a circle.
+    """Moments m_0..m_ell_max of the curve's law from the free-convolution
+    series, exact on the values of the curve's floats and rounded once.
 
-    The circle radius starts at the curve's support hint and doubles
-    until two consecutive radii agree to 1e-9 (at most four doublings);
-    a circle where a fixed point does not converge cannot agree.
+    Hermite: the semicircle law plus the atoms a_i with weights q_i.
+    Laguerre: the exponent-alpha law, m_l = sum_j Narayana(l, j)
+    alpha^(j-1) (delta_1 at alpha = 0, Marchenko-Pastur at alpha = 1),
+    times the atoms 1/a_i.  The atoms' m_0 is 1 however the float ratios
+    round.  A moment past the double range raises ``OverflowError``.
     """
     ell_max = as_index("ell_max", ell_max, ValueError)
     if ell_max < 0:
         raise ValueError("need ell_max >= 0")
-    rho = curve.radius_hint
-    previous = None
-    for _ in range(5):
-        try:
-            current = _contour_moments(curve, rho, ell_max)
-        except ContinuationError:
-            current = None
-        if current is not None and previous is not None:
-            diff = max(
-                abs(c - p) / max(1.0, abs(c)) for c, p in zip(current, previous)
-            )
-            if diff <= 1e-9:
-                vals = [v.real for v in current]
-                vals[0] = 1.0 if abs(vals[0] - 1.0) <= 1e-8 else vals[0]
-                return MomentSequence(tuple(vals))
-        previous = current
-        rho *= 2.0
-    raise NumericalFailure(
-        "contour moments did not stabilise under radius doubling; "
-        "support may be unbounded or the branch structure degenerate"
-    )
+    q, a = [Fraction(x) for x in curve.q], [Fraction(x) for x in curve.a]
+    orders = range(1, ell_max + 1)
+    if curve.alpha is None:
+        law, convolve = SemicircleLaw(), free_add
+    else:
+        alpha, a, convolve = Fraction(curve.alpha), [1 / x for x in a], free_mul
+        law = [1] + [sum(math.comb(ell, j) * math.comb(ell, j - 1) // ell * alpha ** (j - 1)
+                         for j in range(1, ell + 1)) for ell in orders]
+    atoms = [1] + [sum(qi * x**ell for qi, x in zip(q, a)) for ell in orders]
+    return MomentSequence(tuple(convolve(law, atoms, ell_max).floats()))

@@ -65,9 +65,9 @@ class MomentSequence:
             raise ValueError("need at least the zeroth moment")
         if vals[0] != 1:
             raise ValueError(f"zeroth moment must be 1, got {vals[0]}")
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError("moments must be finite")
+        # exact values are finite at any size; math.isfinite would round them
+        if not all(_is_exact(v) or math.isfinite(v) for v in vals):
+            raise ValueError("moments must be finite")
 
     def __len__(self):
         return len(self.values)
@@ -81,7 +81,15 @@ class MomentSequence:
         return len(self.values) - 1
 
     def floats(self) -> list:
-        return [float(v) for v in self.values]
+        """The moments rounded to floats; an exact moment past the double
+        range raises ``OverflowError`` naming its order."""
+        out = []
+        for ell, v in enumerate(self.values):
+            try:
+                out.append(float(v))
+            except OverflowError:
+                raise OverflowError(f"moment of order {ell}") from None
+        return out
 
 
 def _arcsine_terms(ell: int) -> list:

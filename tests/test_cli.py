@@ -239,6 +239,14 @@ def test_free_conv_exact_strings(tmp_path):
     payload = json.loads(out2.read_text())
     assert payload["moments_exact"] == ["1", "3/2", "29/8", "351/32"]
 
+    # order 0 is the m_0 row, as in every other command's --moments
+    out3 = tmp_path / "f3.json"
+    code = cli.main(["free-conv", "--op", "mul", "--mu", "mp:2", "--nu", "sc",
+                     "--moments", "0", "--out", str(out3)])
+    assert code == 0
+    payload = json.loads(out3.read_text())
+    assert (payload["moments"], payload["moments_exact"]) == ([1.0], ["1"])
+
 
 def test_sample_payload_shape(tmp_path):
     out = tmp_path / "s.json"
@@ -621,10 +629,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
         ("traces --scheme gue --n 5 --moments 150", ""),
         ("variance-sweep --scheme gue --n 5,10 --moments 80", ""),
         ("kva --scheme gue --moments 2000", ""),
-        ("curve --kind laguerre --q 1/2,1/2 --a 1,2 --alpha 1 --moments 160",
-         "curve moment of order 155 at contour radius 96\n"),
-        ("curve --kind hermite --q 1/2,1/2 --a 1,-1 --moments 200",
-         "curve moment of order 170 at contour radius 64\n"),
+        ("curve --kind laguerre --q 1 --a 1e-200 --alpha 1 --moments 2", "moment of order 2\n"),
+        ("curve --kind hermite --q 1 --a 1e200 --moments 2", "moment of order 2\n"),
+        ("free-conv --op add --mu sc --nu atoms:1e200@1 --moments 2", "moment of order 2\n"),
         ("traces --scheme wishart --alpha 1 --n 10 --moments 45", ""),
         ("variance-sweep --scheme wishart --alpha 1 --n 10,20 --moments 60", ""),
         ("kva --scheme wishart --alpha 1 --moments 500", ""),
@@ -633,16 +640,15 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
         ("traces --scheme wishart --alpha 1e300 --n 5 --moments 3",
          "variance bound at N=5, ell=1\n"),
     ],
-    ids=["traces", "variance-sweep", "kva", "curve", "curve-hermite", "traces-bound-product",
-         "variance-sweep-bound-product", "kva-mixture", "zeros-moments", "sample-moments",
-         "traces-bound-power"],
+    ids=["traces", "variance-sweep", "kva", "curve", "curve-hermite", "free-conv",
+         "traces-bound-product", "variance-sweep-bound-product", "kva-mixture", "zeros-moments",
+         "sample-moments", "traces-bound-power"],
 )
 def test_results_past_the_double_range_exit_3(argv, detail, tmp_path, capsys):
     # the bounds' (2 ell)^ell / N, the window peak's power or their product,
-    # the arcsine mixture moments, the contour's rho^(ell + 1) and the
-    # zero and sample moments leave the double range at these orders; a
-    # contour names the first order its radius cannot reach, a bound its
-    # N and ell
+    # the arcsine mixture moments, the exact series moments of an atom at
+    # 1e200 and the zero and sample moments leave the double range at these
+    # orders; a series moment names its order, a bound its N and ell
     out = tmp_path / "x.out"
     assert cli.main([*shlex.split(argv), "--out", str(out)]) == 3
     err = capsys.readouterr().err
