@@ -6,11 +6,17 @@ reads the band of that block from the scheme once
 (``RecurrenceScheme.band(N, N)``, the one owner of the truncation rule),
 every solver reads only that band, and the route is read off it: a band
 of three rows whose off-diagonals agree bit for bit is symmetric
-tridiagonal and goes through the specialised LAPACK solver.  Every other block (schemes have one
-superdiagonal band) takes the certified route: a sign scan of the
-characteristic polynomial on a Chebyshev grid over the Gershgorin
-interval brackets the zeros, a vectorised bracketed Newton iteration
-solves every bracket, and the result is certified real and simple when
+tridiagonal and goes through the specialised LAPACK solver.  When its
+diagonal is also one value c bit for bit, as for every symmetric weight
+(gue, jacobi with alpha = beta), the block is c I plus a bipartite
+matrix, and the solver runs at half the size: the zeros are c +- the
+singular values of a floor(N/2) bidiagonal, plus c at odd N, so the
+spectrum is symmetric about c exactly.  Sampled gue and wishart bands
+have random diagonals and keep the full-size solve.  Every other block
+(schemes have one superdiagonal band) takes the certified route: a sign
+scan of the characteristic polynomial on a Chebyshev grid over the
+Gershgorin interval brackets the zeros, a vectorised bracketed Newton
+iteration solves every bracket, and the result is certified real and simple when
 the scan shows exactly N zeros and the first two power sums match the
 traces of the block, read off the band product (``bandop._powers``)
 that ``zero_moment_trace`` reads.  When it does not certify, balanced
@@ -90,12 +96,33 @@ class SpectralMeasure:
 def _tridiagonal_eigvals(band: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
     diagonal band[1] and off-diagonal band[2, :-1] (a band of down_band
-    1), by scipy's tridiagonal solver, imported on first use."""
-    if band.shape[1] == 1:
-        return band[1].copy()
+    1), by scipy's tridiagonal solver, imported on first use.
+
+    A diagonal that is one value c bit for bit makes the matrix c I plus
+    the bipartite matrix [[0, B], [B^T, 0]] (even rows against odd
+    columns), with B lower bidiagonal: B[i, i] = e[2i] and
+    B[i + 1, i] = e[2i + 1] for the off-diagonal e.  Its eigenvalues are
+    c +- sqrt(mu) for the eigenvalues mu of the floor(N/2) tridiagonal
+    B^T B, and c itself once more at odd N (Golub & Kahan 1965): a solve
+    at half the size, a quarter of the O(N^2) work, symmetric about c by
+    construction.
+    """
+    d, e = band[1], band[2, :-1]
+    if len(d) == 1:
+        return d.copy()
     import scipy.linalg
 
-    return scipy.linalg.eigvalsh_tridiagonal(band[1], band[2, :-1])
+    c = d[0]
+    if not (d == c).all():
+        return scipy.linalg.eigvalsh_tridiagonal(d, e)
+    odd, even = e[1::2], e[0::2]  # B's subdiagonal and diagonal
+    gram_diag = even**2
+    gram_diag[: len(odd)] += odd**2
+    half = len(d) // 2
+    mu = scipy.linalg.eigvalsh_tridiagonal(gram_diag, odd[: half - 1] * even[1:])
+    root = np.sqrt(np.maximum(mu, 0.0))
+    middle = [c] if len(d) % 2 else []
+    return np.concatenate([c - root[::-1], middle, c + root])
 
 
 def _balanced_eigvals(band: np.ndarray) -> np.ndarray:
@@ -389,7 +416,12 @@ def spectrum(op: BandedOperator) -> SpectralMeasure:
 
     - "tridiagonal": a block band of three rows whose off-diagonal rows
       agree bit for bit is symmetric tridiagonal and goes straight to
-      the specialised solver.
+      the specialised solver.  A diagonal that is one value c bit for bit
+      (gue, jacobi with alpha = beta) is solved at half the size, as c
+      +- the square roots of the eigenvalues of the floor(N/2) tridiagonal
+      B^T B, and c once more at odd N: the points are symmetric about c
+      exactly.  Sampled gue and wishart bands have random diagonals and
+      keep the full-size solve.
     - "sign-scan": every other block (schemes have one superdiagonal
       band) is first scanned for sign changes of the characteristic
       polynomial on a Chebyshev grid over the Gershgorin interval, then

@@ -160,6 +160,120 @@ def test_symmetric_spectra_are_real_and_simple():
         assert gaps.min() > 1e-12
 
 
+SYMMETRIC = pytest.mark.parametrize(
+    "scheme", [GUE, classical_scheme("jacobi", alpha=1.0, beta=1.0)], ids=["gue", "jacobi"]
+)
+
+
+def full_tridiagonal_solve(band):
+    """The eigenvalues of the whole symmetric tridiagonal block, the
+    reference the half-size solve of a constant diagonal is held to."""
+    import scipy.linalg
+
+    return scipy.linalg.eigvalsh_tridiagonal(band[1], band[2, :-1])
+
+
+def centred_scheme(c):
+    """A symmetric tridiagonal scheme with constant diagonal c and
+    off-diagonal sqrt(k / N), k = 1, 2, ..."""
+
+    def band(N, start, stop):
+        k = np.arange(start, stop)
+        return np.stack([np.sqrt(k / N), np.full(len(k), c), np.sqrt((k + 1) / N)])
+
+    return RecurrenceScheme(name=f"centred-{c}", down_band=1, band_fn=band)
+
+
+@SYMMETRIC
+@pytest.mark.parametrize("n", [1, 2, 3, 60, 61, 1999, 2000, 2001])
+def test_constant_diagonal_spectra_are_exactly_symmetric(scheme, n):
+    # a zero diagonal leaves a bipartite matrix: its zeros are +- the
+    # singular values of a half-size bidiagonal, and 0 once more at odd N
+    measure = spectrum(build_truncation(scheme, n, 0))
+    assert measure.route == "tridiagonal" and measure.certified
+    assert np.all(measure.points.imag == 0.0)
+    x = measure.points.real
+    assert np.array_equal(x, -x[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    ref = full_tridiagonal_solve(scheme.band(n, n))
+    assert np.all(np.abs(x - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    moments, _ = zero_moments(measure, 7)
+    assert [moments[ell] for ell in (1, 3, 5, 7)] == [0.0] * 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 60, 61])
+def test_constant_diagonal_spectra_are_symmetric_about_it(n):
+    # c - s and c + s for the same s: the spectrum about c = 0.25 is the
+    # centred one shifted, bit for bit, with c itself in the middle at odd N
+    shifted = spectrum(build_truncation(centred_scheme(0.25), n, 0))
+    centred = spectrum(build_truncation(centred_scheme(0.0), n, 0)).points.real
+    assert shifted.route == "tridiagonal" and shifted.certified
+    x = shifted.points.real
+    assert np.array_equal(x, 0.25 + centred)
+    assert np.array_equal(centred, -centred[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.25
+    ref = full_tridiagonal_solve(centred_scheme(0.25).band(n, n))
+    assert np.all(np.abs(x - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        classical_scheme("wishart", alpha=1.0),
+        classical_scheme("jacobi", alpha=1.0, beta=2.0),
+        classical_scheme("meixner", alpha=0.5, beta=1.0),
+    ],
+    ids=["wishart", "jacobi-1-2", "meixner"],
+)
+def test_varying_diagonal_keeps_the_full_solve(scheme):
+    measure = spectrum(build_truncation(scheme, 61, 0))
+    assert np.array_equal(measure.points.real, full_tridiagonal_solve(scheme.band(61, 61)))
+
+
+def mp_tridiagonal_zeros(band, guesses, mpmath):
+    """The zeros of det(x - T) for the symmetric tridiagonal band, by
+    Newton's method on the three-term recurrence at 40 digits from
+    ``guesses``; N distinct converged zeros of a degree-N polynomial are
+    all of them."""
+    zeros = []
+    with mpmath.workdps(40):
+        d = [mpmath.mpf(v) for v in band[1]]
+        e2 = [0] + [mpmath.mpf(v) ** 2 for v in band[2, :-1]]
+        for x in map(mpmath.mpf, guesses):
+            for _ in range(20):
+                # p_k = (x - d_k) p_{k-1} - e_{k-1}^2 p_{k-2}, and its derivative
+                p_prev, p, dp_prev, dp = 0, 1, 0, 0
+                for dk, ck in zip(d, e2):
+                    p_prev, p, dp_prev, dp = (
+                        p,
+                        (x - dk) * p - ck * p_prev,
+                        dp,
+                        p + (x - dk) * dp - ck * dp_prev,
+                    )
+                step = p / dp
+                x -= step
+                if abs(step) <= mpmath.mpf(10) ** -35:
+                    break
+            else:
+                raise AssertionError(f"Newton did not converge from {x}")
+            zeros.append(x)
+        assert all(b - a > 1e-10 for a, b in zip(zeros, zeros[1:]))
+        return np.array([float(z) for z in zeros])
+
+
+@SYMMETRIC
+@pytest.mark.parametrize("n", [200, 201])
+def test_half_size_solve_is_as_accurate_as_the_full_solve(scheme, n):
+    mpmath = pytest.importorskip("mpmath")
+    band = scheme.band(n, n)
+    full = full_tridiagonal_solve(band)
+    half = spectrum(build_truncation(scheme, n, 0)).points.real
+    exact = mp_tridiagonal_zeros(band, full, mpmath)
+    assert np.abs(half - exact).max() <= np.abs(full - exact).max()
+
+
 def test_reality_check_gue():
     ok, max_imag = reality_check(spectrum(build_truncation(GUE, 50, 0)), tol=1e-10)
     assert ok
